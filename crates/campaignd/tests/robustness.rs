@@ -4,7 +4,7 @@
 //! stream repairs itself on resume.
 
 use mavr_campaignd::{merge_store, CampaignSession, CampaignSpec, CampaignStore, FaultFs};
-use mavr_fleet::run_campaign_with_metrics;
+use mavr_fleet::run_campaign;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -99,7 +99,8 @@ fn store_faults_degrade_to_skipped_checkpoints_never_aborts_or_drift() {
     spec.shard_jobs = 1;
 
     // The oracle: one clean, unsharded engine run.
-    let (expected, expected_metrics) = run_campaign_with_metrics(&spec.to_config().unwrap());
+    let expected = run_campaign(&spec.to_config().unwrap());
+    let expected_metrics = expected.metrics();
 
     // Soak: half of all durable writes fail (EIO/ENOSPC/short write) even
     // after the store's in-write retries have been burned through.
@@ -145,7 +146,7 @@ fn torn_part_tail_is_repaired_on_resume_not_parsed() {
     spec.warmup_cycles = 50_000;
     spec.attack_cycles = 100_000;
     spec.shard_jobs = 4;
-    let (expected, _) = run_campaign_with_metrics(&spec.to_config().unwrap());
+    let expected = run_campaign(&spec.to_config().unwrap());
 
     let store = CampaignStore::create(&root, spec).unwrap();
     let outcome = session(store.clone()).run(Some(2), None).unwrap();

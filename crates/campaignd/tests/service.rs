@@ -4,7 +4,7 @@
 //! the control protocol survives malformed input.
 
 use mavr_campaignd::{merge_store, CampaignSpec, CampaignStore, Service};
-use mavr_fleet::run_campaign_with_metrics;
+use mavr_fleet::run_campaign;
 use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -35,7 +35,8 @@ fn sliced_interrupted_service_run_merges_byte_identical_to_direct_run() {
     assert_eq!(spec.total_jobs(), 8, "2 scenarios x 2 faults x 2 boards");
 
     // The oracle: one uninterrupted, unsharded engine run.
-    let (expected, expected_metrics) = run_campaign_with_metrics(&spec.to_config().unwrap());
+    let expected = run_campaign(&spec.to_config().unwrap());
+    let expected_metrics = expected.metrics();
 
     // Session 1: submit, then run a 2-job slice — that stops *mid-shard*
     // (shards hold 3 jobs).

@@ -46,60 +46,88 @@ pub struct Args {
     pub flags: std::collections::HashSet<String>,
 }
 
-/// Options that take a value (everything else with `--` is a flag).
-const VALUED: &[&str] = &[
-    "-o",
-    "--out",
-    "--seed",
-    "--cycles",
-    "--max-insns",
-    "--start",
-    "--len",
-    "--target",
-    "--values",
-    "--variant",
-    "--toolchain",
-    "--scenario",
-    "--boards",
-    "--loss",
-    "--fault",
-    "--threads",
-    "--capacity",
-    "--warmup",
-    "--restore",
-    "--digest",
-    "--interval",
-    "--checkpoint",
-    "--max-jobs",
-    "--metrics-out",
-    "--top",
-    "--folded",
-    "--steps",
-    "--tenant",
-    "--socket",
-    "--spec",
-    "--dir",
-    "--campaign",
-    "--shard-jobs",
-    "--deadline-s",
-    "--store-fault",
-    "--store-fault-seed",
+/// Whether an option consumes the argument after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Takes {
+    /// `--key value`, stored in [`Args::options`] under `--key`.
+    Value,
+    /// A bare `--flag`, stored in [`Args::flags`] without its dashes.
+    Nothing,
+}
+
+/// Every option any command understands. Anything else that starts with
+/// `-` is a usage error, so a misspelt option fails loudly instead of
+/// being ignored.
+const OPTIONS: &[(&str, Takes)] = &[
+    ("-o", Takes::Value),
+    ("--out", Takes::Value),
+    ("--seed", Takes::Value),
+    ("--cycles", Takes::Value),
+    ("--max-insns", Takes::Value),
+    ("--start", Takes::Value),
+    ("--len", Takes::Value),
+    ("--target", Takes::Value),
+    ("--values", Takes::Value),
+    ("--variant", Takes::Value),
+    ("--toolchain", Takes::Value),
+    ("--scenario", Takes::Value),
+    ("--boards", Takes::Value),
+    ("--loss", Takes::Value),
+    ("--fault", Takes::Value),
+    ("--threads", Takes::Value),
+    ("--capacity", Takes::Value),
+    ("--warmup", Takes::Value),
+    ("--restore", Takes::Value),
+    ("--digest", Takes::Value),
+    ("--interval", Takes::Value),
+    ("--checkpoint", Takes::Value),
+    ("--max-jobs", Takes::Value),
+    ("--metrics-out", Takes::Value),
+    ("--top", Takes::Value),
+    ("--folded", Takes::Value),
+    ("--steps", Takes::Value),
+    ("--tenant", Takes::Value),
+    ("--socket", Takes::Value),
+    ("--spec", Takes::Value),
+    ("--dir", Takes::Value),
+    ("--campaign", Takes::Value),
+    ("--shard-jobs", Takes::Value),
+    ("--deadline-s", Takes::Value),
+    ("--store-fault", Takes::Value),
+    ("--store-fault-seed", Takes::Value),
+    ("--vulnerable", Takes::Nothing),
+    ("--bootloader", Takes::Nothing),
+    ("--verify", Takes::Nothing),
+    ("--no-dedup", Takes::Nothing),
+    ("--listing", Takes::Nothing),
+    ("--progress", Takes::Nothing),
+    ("--json", Takes::Nothing),
+    ("--jsonl", Takes::Nothing),
+    ("--no-fusion", Takes::Nothing),
+    ("--physics", Takes::Nothing),
+    ("--stdio", Takes::Nothing),
 ];
 
 /// Split raw arguments into positionals, options and flags.
 pub fn parse_args(raw: &[String]) -> Result<Args, CliError> {
     let mut args = Args::default();
-    let mut it = raw.iter().peekable();
+    let mut it = raw.iter();
     while let Some(a) = it.next() {
-        if VALUED.contains(&a.as_str()) {
-            let v = it
-                .next()
-                .ok_or_else(|| CliError::Usage(format!("{a} needs a value")))?;
-            args.options.insert(a.clone(), v.clone());
-        } else if let Some(stripped) = a.strip_prefix("--") {
-            args.flags.insert(stripped.to_string());
-        } else {
+        if !a.starts_with('-') {
             args.positional.push(a.clone());
+            continue;
+        }
+        match OPTIONS.iter().find(|(name, _)| name == a) {
+            Some((_, Takes::Value)) => {
+                let v = it
+                    .next()
+                    .ok_or_else(|| CliError::Usage(format!("{a} needs a value")))?;
+                args.options.insert(a.clone(), v.clone());
+            }
+            Some((_, Takes::Nothing)) => {
+                args.flags.insert(a.trim_start_matches('-').to_string());
+            }
+            None => return Err(CliError::Usage(format!("unknown option `{a}`"))),
         }
     }
     Ok(args)
@@ -1373,7 +1401,11 @@ fn write_metrics(
 /// Shared implementation of `fleet` and `chaos` — the two differ only in
 /// the default fault sweep.
 fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, CliError> {
-    use mavr_fleet::{parse_scenarios, run_campaign_with_metrics, CampaignConfig};
+    use mavr_fleet::{
+        merge_shard_checkpoints, parse_scenarios, run_shard_resume, CampaignConfig,
+        PreparedCampaign, ShardCheckpoint,
+    };
+    use std::io::Write;
 
     let defaults = CampaignConfig::default();
     let app = match args.positional.first() {
@@ -1426,17 +1458,21 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
         cfg.telemetry = telemetry::Telemetry::new(ProgressPrinter::default());
     }
 
+    // Every mix of flags runs the same way: one shard over the whole job
+    // space — loaded from `--checkpoint` when it exists — run, optionally
+    // streamed, saved, and merged.
     let file_out = args.options.get("-o").or(args.options.get("--out"));
-    let (report, metrics) = if let Some(ckpt_path) = args.options.get("--checkpoint") {
-        use mavr_fleet::{run_campaign_resume, Checkpoint};
+    let ckpt_path = args.options.get("--checkpoint");
+    let mut shard = ShardCheckpoint::whole_campaign(&cfg);
+    let mut budget = None;
+    if let Some(path) = ckpt_path {
         // Ctrl-C / SIGTERM trip the cooperative flag: workers finish the
         // boards they hold and the checkpoint below is flushed valid.
         cfg.interrupt = mavr_campaignd::signal::install();
-        let mut ckpt = match std::fs::read(ckpt_path) {
-            Ok(blob) => Checkpoint::from_bytes(&blob).map_err(fail)?,
-            Err(_) => Checkpoint::new(&cfg),
-        };
-        let budget = args
+        if let Ok(blob) = std::fs::read(path) {
+            shard = ShardCheckpoint::from_bytes(&blob).map_err(fail)?;
+        }
+        budget = args
             .options
             .get("--max-jobs")
             .map(|v| {
@@ -1444,91 +1480,71 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
                     .map_err(|_| CliError::Usage("bad --max-jobs".into()))
             })
             .transpose()?;
-        let done_before = ckpt.outcomes.len();
-        let result = run_campaign_resume(&cfg, &mut ckpt, budget).map_err(CliError::Failed)?;
+    }
+    // `--jsonl -o FILE` on a fresh run streams outcome lines to the file
+    // *as boards finish* (tail -f friendly); the final bytes are
+    // to_jsonl()'s, line for line.
+    let stream_to = file_out.filter(|_| ckpt_path.is_none() && args.flags.contains("jsonl"));
+    let mut sink = stream_to
+        .map(|path| std::fs::File::create(path).map(std::io::BufWriter::new))
+        .transpose()
+        .map_err(fail)?;
+    let mut stream_err = None;
+    let done_before = shard.outcomes.len();
+    let status = run_shard_resume(
+        &cfg,
+        &PreparedCampaign::new(&cfg),
+        &mut shard,
+        budget,
+        done_before,
+        |_, o| {
+            if let (Some(w), None) = (sink.as_mut(), &stream_err) {
+                stream_err = writeln!(w, "{}", o.to_json_line()).err();
+            }
+        },
+    )
+    .map_err(CliError::Failed)?;
+    if let Some(mut w) = sink {
+        w.flush().map_err(fail)?;
+    }
+    if let Some(e) = stream_err {
+        return Err(fail(e));
+    }
+    if let Some(path) = ckpt_path {
         // Write-to-temp + rename: a kill during the flush leaves the
         // previous checkpoint intact, never a torn file.
-        mavr_campaignd::write_file_atomic(std::path::Path::new(ckpt_path), &ckpt.to_bytes())
+        mavr_campaignd::write_file_atomic(std::path::Path::new(path), &shard.to_bytes())
             .map_err(CliError::Failed)?;
-        match result {
-            // A resumed campaign's metrics are a pure fold over its
-            // outcomes, so the stitched registry is byte-identical to an
-            // uninterrupted run's.
-            Some(report) => {
-                let metrics = report.metrics();
-                (report, metrics)
-            }
-            None => {
-                let total = cfg.total_jobs();
-                return Ok(format!(
-                    "campaign {}checkpointed to {ckpt_path}: {}/{total} jobs done \
-                     (+{} this run); rerun with the same arguments to continue\n",
-                    if cfg.interrupted() {
-                        "interrupted; "
-                    } else {
-                        ""
-                    },
-                    ckpt.outcomes.len(),
-                    ckpt.outcomes.len() - done_before,
-                ));
-            }
+        if !status.complete {
+            return Ok(format!(
+                "campaign {}checkpointed to {path}: {}/{} jobs done \
+                 (+{} this run); rerun with the same arguments to continue\n",
+                if status.interrupted {
+                    "interrupted; "
+                } else {
+                    ""
+                },
+                shard.outcomes.len(),
+                cfg.total_jobs(),
+                status.ran,
+            ));
         }
-    } else if let (true, Some(path)) = (args.flags.contains("jsonl"), file_out) {
-        // Stream outcome lines to the file *as boards finish* (tail -f
-        // friendly); the final bytes are to_jsonl()'s, line for line.
-        use mavr_fleet::{
-            merge_shard_checkpoints, run_shard_resume, PreparedCampaign, ShardCheckpoint, ShardPlan,
-        };
-        let plan = ShardPlan::new(&cfg, cfg.total_jobs().max(1) as u64);
-        let mut shard = ShardCheckpoint::new(&cfg, &plan, 0);
-        let mut sink = std::io::BufWriter::new(std::fs::File::create(path).map_err(fail)?);
-        let mut stream_err = None;
-        run_shard_resume(
-            &cfg,
-            &PreparedCampaign::new(&cfg),
-            &mut shard,
-            None,
-            0,
-            |_, o| {
-                use std::io::Write;
-                if stream_err.is_none() {
-                    stream_err = writeln!(sink, "{}", o.to_json_line()).err();
-                }
-            },
-        )
-        .map_err(CliError::Failed)?;
-        use std::io::Write;
-        sink.flush().map_err(fail)?;
-        if let Some(e) = stream_err {
-            return Err(fail(e));
-        }
-        let (report, metrics) =
-            merge_shard_checkpoints(&cfg, vec![shard]).map_err(CliError::Failed)?;
-        let mut metrics_note = String::new();
-        if let Some(mpath) = args.options.get("--metrics-out") {
-            write_metrics(mpath, &metrics)?;
-            metrics_note = format!("wrote campaign metrics to {mpath}\n");
-        }
-        return Ok(format!(
-            "{}streamed campaign outcomes to {path}\n{metrics_note}",
-            report.render()
-        ));
-    } else {
-        run_campaign_with_metrics(&cfg)
-    };
+    }
+    // A resumed campaign's report and metrics are pure folds over its
+    // outcomes, so they are byte-identical to an uninterrupted run's.
+    let (report, metrics) = merge_shard_checkpoints(&cfg, vec![shard]).map_err(CliError::Failed)?;
     let mut metrics_note = String::new();
     if let Some(mpath) = args.options.get("--metrics-out") {
         write_metrics(mpath, &metrics)?;
         metrics_note = format!("wrote campaign metrics to {mpath}\n");
     }
-    let rendered = if args.flags.contains("jsonl") {
-        report.to_jsonl()
-    } else if args.flags.contains("json") {
-        report.to_json()
-    } else {
-        report.render()
-    };
-    if let Some(path) = args.options.get("-o").or(args.options.get("--out")) {
+    if let Some(path) = file_out {
+        if stream_to.is_some() {
+            return Ok(format!(
+                "{}streamed campaign outcomes to {path}\n{metrics_note}",
+                report.render()
+            ));
+        }
         // A file sink defaults to the machine-readable form.
         let payload = if args.flags.contains("jsonl") {
             report.to_jsonl()
@@ -1540,11 +1556,13 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
             "{}wrote campaign report to {path}\n{metrics_note}",
             report.render()
         ))
-    } else if args.flags.contains("jsonl") || args.flags.contains("json") {
+    } else if args.flags.contains("jsonl") {
         // Machine-readable stdout stays pure JSON.
-        Ok(rendered)
+        Ok(report.to_jsonl())
+    } else if args.flags.contains("json") {
+        Ok(report.to_json())
     } else {
-        Ok(format!("{rendered}{metrics_note}"))
+        Ok(format!("{}{metrics_note}", report.render()))
     }
 }
 
@@ -1924,34 +1942,11 @@ halt:
                 "HELP does not document subcommand `{name}`"
             );
         }
-        // Every option that takes a value must be documented too — a
-        // VALUED entry that HELP never mentions is either dead or a
-        // silently undocumented feature.
-        for opt in VALUED {
-            assert!(
-                HELP.contains(opt),
-                "HELP does not document valued option `{opt}`"
-            );
-        }
-        // Same drift guard for the bare flags the commands consult: keep
-        // this list in sync with every `flags.contains(..)` site.
-        for flag in [
-            "vulnerable",
-            "bootloader",
-            "verify",
-            "no-dedup",
-            "listing",
-            "progress",
-            "json",
-            "jsonl",
-            "no-fusion",
-            "physics",
-            "stdio",
-        ] {
-            assert!(
-                HELP.contains(&format!("--{flag}")),
-                "HELP does not document flag `--{flag}`"
-            );
+        // Every option the parser accepts must be documented too — an
+        // entry that HELP never mentions is either dead or a silently
+        // undocumented feature.
+        for (opt, _) in OPTIONS {
+            assert!(HELP.contains(opt), "HELP does not document option `{opt}`");
         }
     }
 
@@ -2169,6 +2164,18 @@ halt:
         let mut a = common.to_vec();
         a.extend(["--seed", "9", "--checkpoint", &ckpt]);
         assert!(matches!(run(&s(&a)), Err(CliError::Failed(_))));
+        // So is a file of the retired whole-campaign checkpoint kind (tag
+        // 4): a typed failure, never a panic or a silent fresh start.
+        let mut stale = std::fs::read(&ckpt).unwrap();
+        stale[10] = 4;
+        std::fs::write(&ckpt, &stale).unwrap();
+        let mut a = common.to_vec();
+        a.extend(["--checkpoint", &ckpt]);
+        match run(&s(&a)) {
+            Err(CliError::Failed(e)) => assert!(e.contains("unknown snapshot kind 4"), "{e}"),
+            other => panic!("stale checkpoint kind accepted: {other:?}"),
+        }
+        assert_eq!(std::fs::read(&ckpt).unwrap(), stale, "file left untouched");
     }
 
     #[test]
@@ -2186,6 +2193,12 @@ halt:
         ));
         assert!(matches!(run(&s(&["submit"])), Err(CliError::Usage(_))));
         assert!(matches!(run(&s(&["merge"])), Err(CliError::Usage(_))));
+        // A misspelt option is refused before anything flies, instead of
+        // being ignored (this once flew the default 8 boards).
+        assert!(matches!(
+            run(&s(&["fleet", "tiny", "--bords", "1", "--json"])),
+            Err(CliError::Usage(_))
+        ));
     }
 
     #[test]

@@ -60,8 +60,8 @@ fn sigkill_at_seeded_instants_resumes_to_byte_identical_report() {
 
     // The oracle: one uninterrupted, unsharded in-process engine run.
     let spec = mavr_campaignd::CampaignSpec::from_json(SPEC).unwrap();
-    let (expected, expected_metrics) =
-        mavr_fleet::run_campaign_with_metrics(&spec.to_config().unwrap());
+    let expected = mavr_fleet::run_campaign(&spec.to_config().unwrap());
+    let expected_metrics = expected.metrics();
 
     // Three SIGKILLs at seeded instants spread across the campaign's
     // lifetime. A kill that lands after completion is a no-op rerun — the

@@ -1,30 +1,21 @@
-//! Campaign checkpoint/resume: kill a fleet campaign mid-flight, restart
-//! it later, and get the byte-identical [`CampaignReport`] the
-//! uninterrupted run would have produced.
+//! The campaign checkpoint wire: the config fingerprint that keeps a
+//! checkpoint from ever resuming a *different* campaign, and the
+//! `BoardOutcome` codec [`crate::ShardCheckpoint`] serializes through the
+//! `mavr-snapshot` wire format (CRC-guarded, versioned).
 //!
 //! A campaign is a pure function of its [`CampaignConfig`], and every job
 //! (one board's full flight) is independent of every other, so the only
 //! state worth persisting is *which jobs already finished and what they
-//! observed*. A [`Checkpoint`] is exactly that: a fingerprint of the
-//! config (so a checkpoint can never silently resume a *different*
-//! campaign) plus the completed `job index → BoardOutcome` map, serialized
-//! through the `mavr-snapshot` wire format (CRC-guarded, versioned).
-//!
-//! Fleet-wide [`RouterTotals`] are *not* stored: they are a pure fold over
-//! the per-board outcomes ([`totals_from_outcomes`]), which is what makes
-//! resumed reports bit-identical to uninterrupted ones.
-//!
-//! [`CampaignReport`]: crate::CampaignReport
-//! [`CampaignConfig`]: crate::CampaignConfig
+//! observed*. Fleet-wide [`RouterTotals`] are *not* stored: they are a
+//! pure fold over the per-board outcomes ([`totals_from_outcomes`]), which
+//! is what makes resumed reports bit-identical to uninterrupted ones.
 
 use crate::report::{BoardOutcome, JobFailure, JobFailureKind};
 use crate::scenario::Scenario;
 use crate::CampaignConfig;
 use mavlink_lite::channel::ChannelStats;
 use mavlink_lite::RouterTotals;
-use mavr_snapshot::{Kind, Reader, SnapshotError, Writer};
-use std::collections::BTreeMap;
-use telemetry::metrics::QuantileSketch;
+use mavr_snapshot::{Reader, SnapshotError, Writer};
 
 /// FNV-1a over the campaign identity: everything that changes the result,
 /// nothing that doesn't (`threads` and telemetry wiring are excluded).
@@ -64,10 +55,8 @@ pub fn config_fingerprint(cfg: &CampaignConfig) -> u64 {
     h
 }
 
-/// Fleet-wide totals reconstructed from per-board outcomes — identical to
-/// what [`mavlink_lite::Router::totals`] reports after adopting every
-/// board's ground-station session (each outcome carries its session's
-/// lifetime counters).
+/// Fleet-wide totals folded from per-board outcomes: each outcome carries
+/// its ground-station session's lifetime counters.
 pub fn totals_from_outcomes(outcomes: &[BoardOutcome]) -> RouterTotals {
     let mut t = RouterTotals {
         links: outcomes.len(),
@@ -81,96 +70,6 @@ pub fn totals_from_outcomes(outcomes: &[BoardOutcome]) -> RouterTotals {
         t.packets_lost += o.packets_lost;
     }
     t
-}
-
-/// Persistent progress of a partially run campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Checkpoint {
-    /// [`config_fingerprint`] of the campaign this progress belongs to.
-    pub fingerprint: u64,
-    /// Completed jobs: campaign job index → that board's outcome.
-    pub outcomes: BTreeMap<u64, BoardOutcome>,
-    /// Detection latencies of the completed jobs, as a mergeable sketch —
-    /// O(1) in campaign size, and what the wire format carries instead of
-    /// a latency vector. Maintained by [`Checkpoint::insert_outcome`]; a
-    /// resumed run can show MTTR-so-far without replaying anything.
-    pub latency_sketch: QuantileSketch,
-}
-
-impl Checkpoint {
-    /// An empty checkpoint for `cfg` (no jobs completed yet).
-    pub fn new(cfg: &CampaignConfig) -> Self {
-        Checkpoint {
-            fingerprint: config_fingerprint(cfg),
-            outcomes: BTreeMap::new(),
-            latency_sketch: QuantileSketch::new(),
-        }
-    }
-
-    /// Whether this checkpoint belongs to `cfg`.
-    pub fn matches(&self, cfg: &CampaignConfig) -> bool {
-        self.fingerprint == config_fingerprint(cfg)
-    }
-
-    /// Record a completed job: stores the outcome and folds its detection
-    /// latency (if any) into the running sketch. Inserting the same job
-    /// index twice is a caller bug (the latency would double-count), so
-    /// it panics.
-    pub fn insert_outcome(&mut self, job: u64, outcome: BoardOutcome) {
-        if let Some(latency) = outcome.time_to_recovery {
-            self.latency_sketch.record(latency);
-        }
-        assert!(
-            self.outcomes.insert(job, outcome).is_none(),
-            "job {job} checkpointed twice"
-        );
-    }
-
-    /// Serialize as a CRC-guarded snapshot blob ([`Kind::Checkpoint`]).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u64(self.fingerprint);
-        w.put_bytes(&self.latency_sketch.to_bytes());
-        w.put_u64(self.outcomes.len() as u64);
-        for (&job, outcome) in &self.outcomes {
-            w.put_u64(job);
-            put_outcome(&mut w, outcome);
-        }
-        w.finish(Kind::Checkpoint)
-    }
-
-    /// Deserialize a blob written by [`Checkpoint::to_bytes`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut r = Reader::open_expecting(bytes, Kind::Checkpoint)?;
-        let fingerprint = r.u64()?;
-        let sketch_bytes = r.bytes()?;
-        let latency_sketch = QuantileSketch::from_bytes(&sketch_bytes)
-            .ok_or_else(|| SnapshotError::Malformed("latency sketch".to_string()))?;
-        let n = r.u64()? as usize;
-        let mut outcomes = BTreeMap::new();
-        for _ in 0..n {
-            let job = r.u64()?;
-            outcomes.insert(job, get_outcome(&mut r)?);
-        }
-        r.done()?;
-        let ckpt = Checkpoint {
-            fingerprint,
-            outcomes,
-            latency_sketch,
-        };
-        // The sketch is derived state; a blob whose sketch disagrees with
-        // its own outcomes was hand-edited or corrupted past the CRC.
-        let mut derived = QuantileSketch::new();
-        for l in ckpt.outcomes.values().filter_map(|o| o.time_to_recovery) {
-            derived.record(l);
-        }
-        if derived != ckpt.latency_sketch {
-            return Err(SnapshotError::Malformed(
-                "latency sketch disagrees with outcomes".to_string(),
-            ));
-        }
-        Ok(ckpt)
-    }
 }
 
 fn scenario_tag(s: Scenario) -> u8 {
@@ -298,9 +197,7 @@ pub(crate) fn get_outcome(r: &mut Reader<'_>) -> Result<BoardOutcome, SnapshotEr
         sim_block_count: r.u64()?,
         up_stats: get_stats(r)?,
         down_stats: get_stats(r)?,
-        // v2 checkpoints predate the physics arena: no world fields on the
-        // wire, and no physics campaign could have written them.
-        world: if r.version() >= 3 {
+        world: {
             let present = r.bool()?;
             let wm = crate::report::WorldMetrics {
                 peak_alt_err_m: f64::from_bits(r.u64()?),
@@ -309,12 +206,8 @@ pub(crate) fn get_outcome(r: &mut Reader<'_>) -> Result<BoardOutcome, SnapshotEr
                 recoveries_caught: r.u32()?,
             };
             present.then_some(wm)
-        } else {
-            None
         },
-        // v3 checkpoints predate job supervision: nothing the unsupervised
-        // engine ran could have been quarantined.
-        failure: if r.version() >= 4 {
+        failure: {
             let present = r.bool()?;
             let kind = r.u8()?;
             let attempts = r.u32()?;
@@ -326,8 +219,6 @@ pub(crate) fn get_outcome(r: &mut Reader<'_>) -> Result<BoardOutcome, SnapshotEr
             } else {
                 None
             }
-        } else {
-            None
         },
     })
 }
@@ -336,8 +227,8 @@ pub(crate) fn get_outcome(r: &mut Reader<'_>) -> Result<BoardOutcome, SnapshotEr
 pub(crate) mod tests {
     use super::*;
 
-    /// A fully-populated outcome, shared with the shard checkpoint tests
-    /// so both wire formats round-trip the same payload.
+    /// A fully-populated outcome, shared with the shard checkpoint tests.
+    /// Even jobs carry world metrics, job 4 a failure record.
     pub(crate) fn sample_outcome(job: usize) -> BoardOutcome {
         BoardOutcome {
             scenario: Scenario::V2Stealthy,
@@ -388,29 +279,18 @@ pub(crate) mod tests {
 
     #[test]
     fn checkpoint_round_trips() {
-        let cfg = CampaignConfig::default();
-        let mut ckpt = Checkpoint::new(&cfg);
+        let cfg = CampaignConfig {
+            boards: 5,
+            scenarios: vec![Scenario::V2Stealthy],
+            ..CampaignConfig::default()
+        };
+        let mut ckpt = crate::ShardCheckpoint::whole_campaign(&cfg);
+        // World metrics and failure records, each both set and unset.
         for job in 0..5u64 {
             ckpt.insert_outcome(job, sample_outcome(job as usize));
         }
-        // Outcomes 0, 2 and 4 carry latencies; the wire sketch tracks them.
-        assert_eq!(ckpt.latency_sketch.count(), 3);
         let blob = ckpt.to_bytes();
-        assert_eq!(Checkpoint::from_bytes(&blob).unwrap(), ckpt);
-    }
-
-    #[test]
-    fn corrupt_checkpoint_is_rejected() {
-        let cfg = CampaignConfig::default();
-        let mut ckpt = Checkpoint::new(&cfg);
-        ckpt.insert_outcome(0, sample_outcome(0));
-        let mut blob = ckpt.to_bytes();
-        let mid = blob.len() / 2;
-        blob[mid] ^= 1;
-        assert!(matches!(
-            Checkpoint::from_bytes(&blob),
-            Err(SnapshotError::CrcMismatch { .. })
-        ));
+        assert_eq!(crate::ShardCheckpoint::from_bytes(&blob).unwrap(), ckpt);
     }
 
     #[test]
@@ -458,12 +338,12 @@ pub(crate) mod tests {
             let mut c = cfg.clone();
             mutate(&mut c);
             assert_ne!(config_fingerprint(&c), base);
-            assert!(!Checkpoint::new(&cfg).matches(&c));
+            assert!(!crate::ShardCheckpoint::whole_campaign(&cfg).matches(&c));
         }
     }
 
     #[test]
-    fn totals_fold_matches_router_semantics() {
+    fn totals_fold_sums_every_session() {
         let outs: Vec<BoardOutcome> = (0..3).map(sample_outcome).collect();
         let t = totals_from_outcomes(&outs);
         assert_eq!(t.links, 3);

@@ -21,8 +21,14 @@
 //! * aggregated into a [`CampaignReport`]: per-cell attack success rate,
 //!   recovery rate, time-to-recovery distribution, and link statistics
 //!   (sequence gaps, estimated packet loss, checksum garbage), with every
-//!   per-board [`GroundStation`] session adopted into one [`Router`] for
-//!   the fleet-wide operator view.
+//!   per-board [`GroundStation`] session's counters summed into the
+//!   fleet-wide [`RouterTotals`].
+//!
+//! **One unit of work.** Every campaign runs as [`ShardCheckpoint`]s
+//! through [`run_shard_resume`] and is folded by
+//! [`merge_shard_checkpoints`]: [`run_campaign`] is one in-memory shard
+//! over the whole job space, `fleet --checkpoint` persists that same
+//! shard, and the campaign service runs many.
 //!
 //! **Determinism.** A campaign is a pure function of its
 //! [`CampaignConfig`]: board seeds and both channel seeds derive from the
@@ -40,7 +46,7 @@ pub mod report;
 pub mod scenario;
 pub mod shard;
 
-pub use checkpoint::{config_fingerprint, totals_from_outcomes, Checkpoint};
+pub use checkpoint::{config_fingerprint, totals_from_outcomes};
 pub use mavlink_lite::RouterTotals;
 pub use report::{
     fold_outcome_metrics, json_prelude, registry_from_outcomes, BoardOutcome, CampaignAggregate,
@@ -53,7 +59,7 @@ pub use shard::{
 };
 
 use mavlink_lite::channel::{ChannelStats, LossConfig, LossyChannel};
-use mavlink_lite::{GroundStation, Router};
+use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
 use mavr_board::{ChaosConfig, FaultPlan, MasterError, MavrBoard};
 use mavr_world::{FlightHarness, World, CYCLES_PER_STEP};
@@ -64,7 +70,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use synth_firmware::{apps, build, layout, AppSpec, BuildOptions};
-use telemetry::metrics::MetricsRegistry;
 use telemetry::{kinds, Telemetry, Value};
 
 /// The 3-byte sensor write every attack scenario attempts (gyro state, as
@@ -362,7 +367,7 @@ fn run_board(
     image: &avr_core::image::FirmwareImage,
     payloads: Option<&[Vec<u8>]>,
     job: Job,
-) -> (BoardOutcome, GroundStation) {
+) -> BoardOutcome {
     let stream_base = cfg.stream_base();
     let board_seed = derive_seed(stream_base, job.base_index as u64 * 3);
     let loss_cfg = LossConfig {
@@ -391,7 +396,7 @@ fn run_board(
     ) else {
         // The very first boot exhausted its retries (there is no
         // last-known-good image yet): dead on the bench.
-        let outcome = BoardOutcome {
+        return BoardOutcome {
             scenario: job.scenario,
             loss: job.loss,
             fault: job.fault,
@@ -419,7 +424,6 @@ fn run_board(
             world: None,
             failure: None,
         };
-        return (outcome, gcs);
     };
     board.app.machine.set_block_fusion(cfg.block_fusion);
 
@@ -496,7 +500,7 @@ fn run_board(
             .find(|&c| c >= at)
             .map(|c| c - at)
     });
-    let outcome = BoardOutcome {
+    BoardOutcome {
         scenario: job.scenario,
         loss: job.loss,
         fault: job.fault,
@@ -523,8 +527,7 @@ fn run_board(
         down_stats: down.stats,
         world,
         failure: None,
-    };
-    (outcome, gcs)
+    }
 }
 
 /// Supervised retry cap: attempts a job gets before quarantine. The cap
@@ -625,7 +628,7 @@ fn run_board_attempt(
     payloads: Option<&[Vec<u8>]>,
     job: Job,
     attempt: u32,
-) -> Result<(BoardOutcome, GroundStation), JobFailureKind> {
+) -> Result<BoardOutcome, JobFailureKind> {
     match sabotage_mode(cfg, job, attempt) {
         Sabotage::Pass => {}
         Sabotage::Panic => panic!(
@@ -634,11 +637,11 @@ fn run_board_attempt(
         ),
         Sabotage::Hang => return Err(fly_until_watchdog(cfg, image, job)),
     }
-    let done = run_board(cfg, image, payloads, job);
-    if done.0.final_cycle > job_cycle_budget(cfg) {
+    let outcome = run_board(cfg, image, payloads, job);
+    if outcome.final_cycle > job_cycle_budget(cfg) {
         return Err(JobFailureKind::Timeout);
     }
-    Ok(done)
+    Ok(outcome)
 }
 
 /// Deterministic exponential backoff before retry `attempt + 1`: base
@@ -666,13 +669,13 @@ fn run_board_supervised(
     image: &avr_core::image::FirmwareImage,
     payloads: Option<&[Vec<u8>]>,
     job: Job,
-) -> (BoardOutcome, GroundStation) {
+) -> BoardOutcome {
     let mut last = JobFailureKind::Panic;
     for attempt in 0..JOB_RETRY_CAP {
         match catch_unwind(AssertUnwindSafe(|| {
             run_board_attempt(cfg, image, payloads, job, attempt)
         })) {
-            Ok(Ok(done)) => return done,
+            Ok(Ok(outcome)) => return outcome,
             Ok(Err(kind)) => last = kind,
             Err(_panic_payload) => last = JobFailureKind::Panic,
         }
@@ -698,10 +701,7 @@ fn run_board_supervised(
         kind: last,
         attempts: JOB_RETRY_CAP,
     };
-    (
-        quarantined_outcome(cfg, job, failure),
-        GroundStation::with_capacity(cfg.gcs_capacity),
-    )
+    quarantined_outcome(cfg, job, failure)
 }
 
 /// The outcome of a quarantined job: real matrix coordinates (so cell
@@ -738,50 +738,43 @@ fn quarantined_outcome(cfg: &CampaignConfig, job: Job, failure: JobFailure) -> B
     }
 }
 
-/// The per-campaign artifacts every job shares: the (unprotected) firmware
-/// image and one canned payload set per scenario.
-struct Prepared {
+/// Per-campaign artifacts every job shares — the (unprotected) firmware
+/// image and one canned payload set per scenario — prepared once and
+/// shared across shard runs, so a service running thousands of shards
+/// doesn't rebuild the firmware and re-craft the payload set per shard.
+pub struct PreparedCampaign {
     image: avr_core::image::FirmwareImage,
     payloads: Vec<Option<Vec<Vec<u8>>>>,
 }
 
-/// Per-campaign artifacts, prepared once and shared across shard runs —
-/// an opaque handle so a service running thousands of shards doesn't
-/// rebuild the firmware and re-craft the payload set per shard.
-pub struct PreparedCampaign(Prepared);
-
 impl PreparedCampaign {
     /// Build the campaign's firmware image and per-scenario payload set.
     pub fn new(cfg: &CampaignConfig) -> Self {
-        PreparedCampaign(prepare(cfg))
-    }
-}
-
-fn prepare(cfg: &CampaignConfig) -> Prepared {
-    let fw = build(&cfg.app, &BuildOptions::vulnerable_mavr()).expect("campaign app builds");
-    let ctx = AttackContext::discover(&fw.image).expect("attack discovery on campaign app");
-    // One payload set per scenario, crafted against the unprotected image.
-    let payloads: Vec<Option<Vec<Vec<u8>>>> = cfg
-        .scenarios
-        .iter()
-        .map(|s| {
-            s.attack_kind().map(|k| {
-                ctx.packets(k, &[(ATTACK_TARGET, ATTACK_VALUES)])
-                    .expect("payload builds")
+        let fw = build(&cfg.app, &BuildOptions::vulnerable_mavr()).expect("campaign app builds");
+        let ctx = AttackContext::discover(&fw.image).expect("attack discovery on campaign app");
+        // One payload set per scenario, crafted against the unprotected image.
+        let payloads = cfg
+            .scenarios
+            .iter()
+            .map(|s| {
+                s.attack_kind().map(|k| {
+                    ctx.packets(k, &[(ATTACK_TARGET, ATTACK_VALUES)])
+                        .expect("payload builds")
+                })
             })
-        })
-        .collect();
-    Prepared {
-        image: fw.image,
-        payloads,
+            .collect();
+        PreparedCampaign {
+            image: fw.image,
+            payloads,
+        }
     }
 }
 
 /// The job at position `index` of the campaign matrix, computed directly
 /// from the index arithmetic (matrix order is scenario-major: scenario,
 /// then loss, then fault, then board). This is the *definition* of the job
-/// order — [`build_jobs`] materializes it, shard runners evaluate it
-/// lazily so a million-job campaign never allocates a million-entry list.
+/// order; shard runners evaluate it lazily so a million-job campaign never
+/// allocates a million-entry list.
 fn job_at(cfg: &CampaignConfig, index: usize) -> Job {
     let per_fault = cfg.boards;
     let per_loss = cfg.fault_levels.len() * per_fault;
@@ -799,13 +792,6 @@ fn job_at(cfg: &CampaignConfig, index: usize) -> Job {
         job_index: index,
         base_index: (scenario_idx * cfg.loss_levels.len() + loss_idx) * cfg.boards + board_index,
     }
-}
-
-/// The campaign's full job list, in matrix (scenario-major) order. Job
-/// indices are positions in this list; seeds derive from them, so the list
-/// must be rebuilt identically on resume.
-fn build_jobs(cfg: &CampaignConfig) -> Vec<Job> {
-    (0..cfg.total_jobs()).map(|i| job_at(cfg, i)).collect()
 }
 
 /// Wall-clock-throttled `campaign.progress` heartbeat emitter, shared by
@@ -922,7 +908,7 @@ impl<'a> ProgressMeter<'a> {
 /// Completed-but-not-yet-emitted results, keyed by position in the job
 /// batch. Workers insert out of order; the coordinator drains in order.
 struct Reorder {
-    ready: BTreeMap<usize, (BoardOutcome, GroundStation)>,
+    ready: BTreeMap<usize, BoardOutcome>,
     workers_live: usize,
 }
 
@@ -937,17 +923,14 @@ struct Reorder {
 /// — which is exactly what makes a post-interrupt checkpoint valid.
 ///
 /// Returns the number of jobs that ran (`< jobs.len()` only when
-/// interrupted) and the merged per-worker metrics shards (each worker
-/// folds its outcomes into a private [`MetricsRegistry`]; shard merge is
-/// order-insensitive, so the merged registry is identical at any thread
-/// count).
+/// interrupted).
 fn execute_jobs_streaming(
     cfg: &CampaignConfig,
-    prepared: &Prepared,
+    prepared: &PreparedCampaign,
     jobs: &[Job],
     meter: &ProgressMeter<'_>,
-    mut sink: impl FnMut(usize, BoardOutcome, GroundStation),
-) -> (usize, MetricsRegistry) {
+    mut sink: impl FnMut(usize, BoardOutcome),
+) -> usize {
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -961,12 +944,10 @@ fn execute_jobs_streaming(
         workers_live: threads,
     });
     let ready_cond = Condvar::new();
-    let shards: Mutex<Vec<MetricsRegistry>> = Mutex::new(Vec::with_capacity(threads));
     let mut emitted = 0usize;
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
-                let mut shard = MetricsRegistry::new();
                 loop {
                     if cfg.interrupted() {
                         break;
@@ -978,26 +959,24 @@ fn execute_jobs_streaming(
                     // The job's fault domain: panics, hangs and retries
                     // all stay inside this call — a poison job yields a
                     // quarantined outcome, never a dead worker.
-                    let result = run_board_supervised(
+                    let outcome = run_board_supervised(
                         cfg,
                         &prepared.image,
                         prepared.payloads[job.scenario_idx].as_deref(),
                         job,
                     );
-                    fold_outcome_metrics(&mut shard, &result.0);
-                    meter.observe(&result.0);
+                    meter.observe(&outcome);
                     reorder
                         .lock()
                         .expect("no poisoned queue")
                         .ready
-                        .insert(i, result);
+                        .insert(i, outcome);
                     ready_cond.notify_all();
                 }
                 let mut q = reorder.lock().expect("no poisoned queue");
                 q.workers_live -= 1;
                 drop(q);
                 ready_cond.notify_all();
-                shards.lock().expect("no poisoned shard list").push(shard);
             });
         }
         // In-order drain, on the caller's thread: emit result `k` only
@@ -1019,37 +998,13 @@ fn execute_jobs_streaming(
                     q = ready_cond.wait(q).expect("no poisoned queue");
                 }
             };
-            let Some((outcome, gcs)) = item else { break };
-            sink(emitted, outcome, gcs);
+            let Some(outcome) = item else { break };
+            sink(emitted, outcome);
             emitted += 1;
         }
     });
     meter.emit(true);
-    // Shard arrival order depends on thread scheduling; the merge does
-    // not — it is associative and commutative by construction.
-    let mut metrics = MetricsRegistry::new();
-    for shard in shards.into_inner().expect("workers done") {
-        metrics.merge(&shard);
-    }
-    (emitted, metrics)
-}
-
-/// [`execute_jobs_streaming`] with a collecting sink: results come back
-/// positionally aligned with `jobs`. The O(jobs)-memory path, used by the
-/// all-in-one [`run_campaign`] (whose report holds every outcome anyway).
-fn execute_jobs(
-    cfg: &CampaignConfig,
-    prepared: &Prepared,
-    jobs: &[Job],
-    meter: &ProgressMeter<'_>,
-) -> (Vec<(BoardOutcome, GroundStation)>, MetricsRegistry) {
-    let mut results = Vec::with_capacity(jobs.len());
-    let (emitted, metrics) =
-        execute_jobs_streaming(cfg, prepared, jobs, meter, |_, outcome, gcs| {
-            results.push((outcome, gcs));
-        });
-    debug_assert_eq!(emitted, results.len());
-    (results, metrics)
+    emitted
 }
 
 /// The report-header echo of a config — what `"config"` serializes to in
@@ -1071,124 +1026,23 @@ pub fn summarize(cfg: &CampaignConfig) -> CampaignSummary {
 
 /// Run the full campaign matrix: `scenarios × loss_levels × fault_levels
 /// × boards` jobs, distributed over a worker pool, stitched back in job
-/// order.
+/// order. One in-memory [`ShardCheckpoint`] over the whole job space, run
+/// by [`run_shard_resume`] and folded by [`merge_shard_checkpoints`]; the
+/// campaign's metrics are [`CampaignReport::metrics`].
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    run_campaign_with_metrics(cfg).0
-}
-
-/// [`run_campaign`], also returning the campaign metrics registry the
-/// worker shards merged into. The registry is byte-identical
-/// (`to_prometheus`/`to_jsonl`) to [`CampaignReport::metrics`] — the
-/// shard path just avoids a second pass over the outcomes — and contains
-/// no wall-clock data, so two same-seed runs' expositions diff clean.
-pub fn run_campaign_with_metrics(cfg: &CampaignConfig) -> (CampaignReport, MetricsRegistry) {
-    let prepared = prepare(cfg);
-    let jobs = build_jobs(cfg);
-    let meter = ProgressMeter::new(cfg, 0, jobs.len());
-    let (results, mut metrics) = execute_jobs(cfg, &prepared, &jobs, &meter);
-
-    let mut router = Router::with_capacity(cfg.gcs_capacity);
-    let mut outcomes = Vec::with_capacity(jobs.len());
-    for (i, (outcome, gcs)) in results.into_iter().enumerate() {
-        router.adopt(i as u64, gcs);
-        outcomes.push(outcome);
-    }
-    let fleet = router.totals();
-    // The checkpoint/resume path rebuilds fleet totals from outcomes alone;
-    // resumed reports are byte-identical only because this fold agrees with
-    // the router.
-    debug_assert_eq!(fleet, totals_from_outcomes(&outcomes));
-    metrics.set_gauge("campaign_jobs_total", &[], outcomes.len() as f64);
-    // Same contract for metrics: the shard-merged registry must agree with
-    // the pure fold over the outcome list, or resumed campaigns would
-    // expose different bytes.
-    debug_assert_eq!(metrics, registry_from_outcomes(&outcomes));
-
-    let report = CampaignReport::assemble(
-        summarize(cfg),
-        fleet,
-        outcomes,
-        &cfg.scenarios,
-        &cfg.loss_levels,
-        &cfg.fault_levels,
-    );
-    (report, metrics)
-}
-
-/// Continue a campaign from `checkpoint`, running at most `budget_jobs`
-/// of the still-pending jobs (`None` = all of them). Newly completed
-/// outcomes are folded into `checkpoint` (persist it with
-/// [`Checkpoint::to_bytes`] between calls).
-///
-/// Returns `Ok(None)` while the campaign is still incomplete, and
-/// `Ok(Some(report))` once every job has run — a report byte-identical
-/// (`CampaignReport::to_json`) to an uninterrupted [`run_campaign`] at any
-/// thread count. Fails if `checkpoint` fingerprints a different campaign.
-pub fn run_campaign_resume(
-    cfg: &CampaignConfig,
-    checkpoint: &mut Checkpoint,
-    budget_jobs: Option<usize>,
-) -> Result<Option<CampaignReport>, String> {
-    if !checkpoint.matches(cfg) {
-        return Err(format!(
-            "checkpoint fingerprint {:#018x} does not match this campaign ({:#018x}) — \
-             refusing to mix results from different configurations",
-            checkpoint.fingerprint,
-            config_fingerprint(cfg)
-        ));
-    }
-    let jobs = build_jobs(cfg);
-    let done_before = checkpoint.outcomes.len();
-    if done_before > 0 {
-        let pending = jobs.len() - done_before;
-        cfg.telemetry.emit(kinds::CHECKPOINT_RESUMED, None, || {
-            vec![
-                ("jobs_done", Value::U64(done_before as u64)),
-                ("jobs_pending", Value::U64(pending as u64)),
-            ]
-        });
-    }
-    let mut pending: Vec<Job> = jobs
-        .iter()
-        .filter(|j| !checkpoint.outcomes.contains_key(&(j.job_index as u64)))
-        .copied()
-        .collect();
-    if let Some(budget) = budget_jobs {
-        pending.truncate(budget);
-    }
-    let prepared = prepare(cfg);
-    let meter = ProgressMeter::new(cfg, done_before, jobs.len());
-    // Stream each outcome into the checkpoint as its prefix completes, so
-    // an interrupt mid-batch leaves the checkpoint holding exactly the
-    // jobs that ran — nothing in flight is lost, nothing partial is kept.
-    let (ran, _shard_metrics) =
-        execute_jobs_streaming(cfg, &prepared, &pending, &meter, |i, outcome, _gcs| {
-            checkpoint.insert_outcome(pending[i].job_index as u64, outcome);
-        });
-    if cfg.interrupted() {
-        cfg.telemetry.emit(kinds::CAMPAIGN_INTERRUPTED, None, || {
-            vec![
-                ("jobs_done", Value::U64(checkpoint.outcomes.len() as u64)),
-                ("jobs_run_now", Value::U64(ran as u64)),
-                ("jobs_total", Value::U64(jobs.len() as u64)),
-            ]
-        });
-    }
-    if checkpoint.outcomes.len() < jobs.len() {
-        return Ok(None);
-    }
-    // Complete: outcomes iterate in job-index order (BTreeMap), matching
-    // the uninterrupted run's stitching order.
-    let outcomes: Vec<BoardOutcome> = checkpoint.outcomes.values().cloned().collect();
-    let fleet = totals_from_outcomes(&outcomes);
-    Ok(Some(CampaignReport::assemble(
-        summarize(cfg),
-        fleet,
-        outcomes,
-        &cfg.scenarios,
-        &cfg.loss_levels,
-        &cfg.fault_levels,
-    )))
+    let mut shard = ShardCheckpoint::whole_campaign(cfg);
+    run_shard_resume(
+        cfg,
+        &PreparedCampaign::new(cfg),
+        &mut shard,
+        None,
+        0,
+        |_, _| {},
+    )
+    .expect("a fresh shard belongs to its own campaign");
+    merge_shard_checkpoints(cfg, vec![shard])
+        .expect("only a tripped cfg.interrupt leaves run_campaign's shard incomplete")
+        .0
 }
 
 #[cfg(test)]
@@ -1203,6 +1057,22 @@ mod tests {
             attack_cycles: 4_000_000,
             ..CampaignConfig::default()
         }
+    }
+
+    /// Resume a whole-campaign shard the way `fleet --checkpoint` does:
+    /// fly at most `budget` pending jobs, and merge the report once the
+    /// shard is complete.
+    fn resume(
+        cfg: &CampaignConfig,
+        shard: &mut ShardCheckpoint,
+        budget: Option<usize>,
+    ) -> Result<Option<CampaignReport>, String> {
+        let done = shard.outcomes.len();
+        let prepared = PreparedCampaign::new(cfg);
+        let status = run_shard_resume(cfg, &prepared, shard, budget, done, |_, _| {})?;
+        Ok(status
+            .complete
+            .then(|| merge_shard_checkpoints(cfg, vec![shard.clone()]).unwrap().0))
     }
 
     #[test]
@@ -1315,13 +1185,14 @@ mod tests {
             threads: 1,
             ..small_cfg()
         };
-        let (report, metrics) = run_campaign_with_metrics(&cfg);
-        let (wide, wide_metrics) = run_campaign_with_metrics(&CampaignConfig {
+        let report = run_campaign(&cfg);
+        let wide = run_campaign(&CampaignConfig {
             threads: 4,
             ..cfg.clone()
         });
+        let metrics = report.metrics();
         assert_eq!(report.to_json(), wide.to_json());
-        assert_eq!(metrics.to_prometheus(), wide_metrics.to_prometheus());
+        assert_eq!(metrics.to_prometheus(), wide.metrics().to_prometheus());
 
         assert_eq!(report.outcomes.len(), cfg.total_jobs());
         for o in &report.outcomes {
@@ -1410,11 +1281,12 @@ mod tests {
 
     #[test]
     fn fusion_toggle_is_invisible_in_reports_but_visible_in_metrics() {
-        let (fused, fused_metrics) = run_campaign_with_metrics(&small_cfg());
-        let (plain, plain_metrics) = run_campaign_with_metrics(&CampaignConfig {
+        let fused = run_campaign(&small_cfg());
+        let plain = run_campaign(&CampaignConfig {
             block_fusion: false,
             ..small_cfg()
         });
+        let (fused_metrics, plain_metrics) = (fused.metrics(), plain.metrics());
         // The engine toggle must be architecturally invisible: identical
         // report JSON and JSONL, byte for byte.
         assert_eq!(fused.to_json(), plain.to_json());
@@ -1435,15 +1307,14 @@ mod tests {
     #[test]
     fn checkpointed_campaign_is_byte_identical_to_uninterrupted() {
         let cfg = small_cfg();
-        let (uninterrupted, uninterrupted_metrics) = run_campaign_with_metrics(&cfg);
+        let uninterrupted = run_campaign(&cfg);
+        let uninterrupted_metrics = uninterrupted.metrics();
 
         // Kill after one job, serialize the checkpoint, resume in a second
-        // "process" (fresh Checkpoint from bytes) with a different thread
+        // "process" (fresh checkpoint from bytes) with a different thread
         // count and telemetry attached.
-        let mut ckpt = Checkpoint::new(&cfg);
-        assert!(run_campaign_resume(&cfg, &mut ckpt, Some(1))
-            .unwrap()
-            .is_none());
+        let mut ckpt = ShardCheckpoint::whole_campaign(&cfg);
+        assert!(resume(&cfg, &mut ckpt, Some(1)).unwrap().is_none());
         assert_eq!(ckpt.outcomes.len(), 1);
         let blob = ckpt.to_bytes();
 
@@ -1452,14 +1323,13 @@ mod tests {
             telemetry: Telemetry::new(telemetry::RingRecorder::new(8)),
             ..small_cfg()
         };
-        let mut ckpt2 = Checkpoint::from_bytes(&blob).unwrap();
-        let report = run_campaign_resume(&resumed_cfg, &mut ckpt2, None)
+        let mut ckpt2 = ShardCheckpoint::from_bytes(&blob).unwrap();
+        let report = resume(&resumed_cfg, &mut ckpt2, None)
             .unwrap()
             .expect("all remaining jobs fit in an unbounded budget");
         assert_eq!(report.to_json(), uninterrupted.to_json());
         // Metrics survive the kill/serialize/resume cycle byte-identically
-        // too: the registry is a pure fold over outcomes, and the wire
-        // format carried the latency sketch, not a vector.
+        // too: the registry is a pure fold over outcomes.
         assert_eq!(
             report.metrics().to_prometheus(),
             uninterrupted_metrics.to_prometheus()
@@ -1467,10 +1337,6 @@ mod tests {
         assert_eq!(
             report.metrics().to_jsonl(),
             uninterrupted_metrics.to_jsonl()
-        );
-        assert_eq!(
-            ckpt2.latency_sketch, uninterrupted.cells[1].latency_sketch,
-            "checkpoint wire sketch must equal the stealthy cell's sketch"
         );
         resumed_cfg
             .telemetry
@@ -1484,9 +1350,12 @@ mod tests {
             seed: 0x9999,
             ..small_cfg()
         };
-        assert!(
-            run_campaign_resume(&other, &mut Checkpoint::from_bytes(&blob).unwrap(), None).is_err()
-        );
+        assert!(resume(
+            &other,
+            &mut ShardCheckpoint::from_bytes(&blob).unwrap(),
+            None
+        )
+        .is_err());
     }
 
     fn physics_cfg() -> CampaignConfig {
@@ -1548,7 +1417,8 @@ mod tests {
         // The physics axis must be invisible when off: no impact columns
         // on outcome lines, cells, the summary header, or the metrics
         // plane — the report is the pre-physics engine's, byte for byte.
-        let (report, metrics) = run_campaign_with_metrics(&small_cfg());
+        let report = run_campaign(&small_cfg());
+        let metrics = report.metrics();
         for text in [report.to_json(), report.to_jsonl(), report.render()] {
             assert!(!text.contains("peak_alt_err_m"));
             assert!(!text.contains("physics"));
@@ -1562,13 +1432,11 @@ mod tests {
         let cfg = physics_cfg();
         let uninterrupted = run_campaign(&cfg);
 
-        let mut ckpt = Checkpoint::new(&cfg);
-        assert!(run_campaign_resume(&cfg, &mut ckpt, Some(1))
-            .unwrap()
-            .is_none());
+        let mut ckpt = ShardCheckpoint::whole_campaign(&cfg);
+        assert!(resume(&cfg, &mut ckpt, Some(1)).unwrap().is_none());
         let blob = ckpt.to_bytes();
-        let mut ckpt2 = Checkpoint::from_bytes(&blob).unwrap();
-        let report = run_campaign_resume(
+        let mut ckpt2 = ShardCheckpoint::from_bytes(&blob).unwrap();
+        let report = resume(
             &CampaignConfig {
                 threads: 4,
                 ..cfg.clone()
@@ -1586,9 +1454,12 @@ mod tests {
             physics: false,
             ..cfg.clone()
         };
-        assert!(
-            run_campaign_resume(&bare, &mut Checkpoint::from_bytes(&blob).unwrap(), None).is_err()
-        );
+        assert!(resume(
+            &bare,
+            &mut ShardCheckpoint::from_bytes(&blob).unwrap(),
+            None
+        )
+        .is_err());
     }
 
     #[test]
@@ -1673,14 +1544,22 @@ mod tests {
             }),
             ..icfg
         };
-        let mut ckpt = Checkpoint::new(&icfg);
+        let mut ckpt = ShardCheckpoint::whole_campaign(&icfg);
+        let status = run_shard_resume(
+            &icfg,
+            &PreparedCampaign::new(&icfg),
+            &mut ckpt,
+            None,
+            0,
+            |_, _| {},
+        )
+        .unwrap();
         assert!(
-            run_campaign_resume(&icfg, &mut ckpt, None)
-                .unwrap()
-                .is_none(),
+            status.interrupted && !status.complete,
             "an interrupted campaign reports incomplete, never a partial report"
         );
         let ran = ckpt.outcomes.len();
+        assert_eq!(status.ran, ran);
         assert!(
             (1..4).contains(&ran),
             "the tripwire stops the campaign mid-flight, saw {ran}/4"
@@ -1695,8 +1574,8 @@ mod tests {
         // resume in a fresh "process" — `small_cfg()` carries a fresh,
         // untripped interrupt flag (`cfg`'s Arc is shared with the
         // tripwire and stays set).
-        let mut ckpt2 = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        let report = run_campaign_resume(&small_cfg(), &mut ckpt2, None)
+        let mut ckpt2 = ShardCheckpoint::from_bytes(&ckpt.to_bytes()).unwrap();
+        let report = resume(&small_cfg(), &mut ckpt2, None)
             .unwrap()
             .expect("resume completes the matrix");
         assert_eq!(report.to_json(), uninterrupted.to_json());
@@ -1705,10 +1584,8 @@ mod tests {
         // and the (empty) checkpoint is still resumable.
         let pre = small_cfg();
         pre.interrupt.store(true, Ordering::Relaxed);
-        let mut empty = Checkpoint::new(&pre);
-        assert!(run_campaign_resume(&pre, &mut empty, None)
-            .unwrap()
-            .is_none());
+        let mut empty = ShardCheckpoint::whole_campaign(&pre);
+        assert!(resume(&pre, &mut empty, None).unwrap().is_none());
         assert_eq!(empty.outcomes.len(), 0);
     }
 
@@ -1718,10 +1595,8 @@ mod tests {
         // report `done_before + 1` jobs done, not restart from 1 — and
         // every heartbeat carries this-run throughput and an ETA.
         let cfg = small_cfg();
-        let mut ckpt = Checkpoint::new(&cfg);
-        assert!(run_campaign_resume(&cfg, &mut ckpt, Some(2))
-            .unwrap()
-            .is_none());
+        let mut ckpt = ShardCheckpoint::whole_campaign(&cfg);
+        assert!(resume(&cfg, &mut ckpt, Some(2)).unwrap().is_none());
 
         let resumed = CampaignConfig {
             telemetry: Telemetry::new(telemetry::RingRecorder::new(64)),
@@ -1729,7 +1604,7 @@ mod tests {
             threads: 1,
             ..small_cfg()
         };
-        run_campaign_resume(&resumed, &mut ckpt, None)
+        resume(&resumed, &mut ckpt, None)
             .unwrap()
             .expect("resume completes the matrix");
         resumed

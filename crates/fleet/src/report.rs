@@ -451,17 +451,16 @@ impl CellReport {
     }
 }
 
-/// Fold one board's outcome into a metrics registry shard.
+/// Fold one board's outcome into a metrics registry.
 ///
 /// This is the **single** aggregation function behind campaign metrics:
-/// worker threads call it on their private shards as jobs finish, and
-/// [`CampaignReport::metrics`] calls it over the final outcome list. Both
-/// paths produce byte-identical expositions because registry merge is
-/// order-insensitive — which is also what makes resumed-from-checkpoint
-/// metrics byte-identical to uninterrupted runs (outcomes are outcomes,
-/// however they were scheduled). Labels are the cell coordinates; values
-/// are counters, one latency sketch, and one packets histogram per cell,
-/// so memory is O(cells), not O(boards).
+/// [`CampaignReport::metrics`] calls it over the final outcome list, and
+/// [`CampaignAggregate`] one outcome at a time as shards stream in. Both
+/// produce byte-identical expositions — which is also what makes
+/// resumed-from-checkpoint metrics byte-identical to uninterrupted runs
+/// (outcomes are outcomes, however they were scheduled). Labels are the
+/// cell coordinates; values are counters, one latency sketch, and one
+/// packets histogram per cell, so memory is O(cells), not O(boards).
 pub fn fold_outcome_metrics(reg: &mut MetricsRegistry, o: &BoardOutcome) {
     let loss = format!("{:.4}", o.loss);
     let fault = format!("{}", o.fault);
@@ -527,8 +526,8 @@ pub fn fold_outcome_metrics(reg: &mut MetricsRegistry, o: &BoardOutcome) {
 
 /// Build the complete campaign registry from an outcome list: every
 /// outcome folded via [`fold_outcome_metrics`] plus the job-count gauge.
-/// Pure and deterministic — the oracle the sharded production path is
-/// checked against.
+/// Pure and deterministic — the oracle the streaming
+/// [`CampaignAggregate`] is checked against.
 pub fn registry_from_outcomes(outcomes: &[BoardOutcome]) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     for o in outcomes {

@@ -26,6 +26,7 @@ use crate::{
 use mavr_snapshot::{Kind, Reader, SnapshotError, Writer};
 use std::collections::BTreeMap;
 use telemetry::metrics::MetricsRegistry;
+use telemetry::{kinds, Value};
 
 /// How a campaign's job space is cut into shards: contiguous ranges of at
 /// most `shard_jobs` jobs, in job order. The plan is *not* part of the
@@ -63,8 +64,10 @@ impl ShardPlan {
 
 /// Persistent progress of one shard: its identity (campaign fingerprint,
 /// plan coordinates, job range) and the outcomes of the range's completed
-/// jobs. Serialized as [`Kind::ShardCheckpoint`] — a distinct wire kind
-/// from whole-campaign checkpoints, so the two can never be confused.
+/// jobs. The fleet engine's only unit of work and only checkpoint: an
+/// unsharded campaign is one shard over the whole job space
+/// ([`ShardCheckpoint::whole_campaign`]). Serialized as
+/// [`Kind::ShardCheckpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCheckpoint {
     /// [`config_fingerprint`] of the campaign this shard belongs to.
@@ -94,6 +97,13 @@ impl ShardCheckpoint {
             job_hi: range.end,
             outcomes: BTreeMap::new(),
         }
+    }
+
+    /// The one shard covering `cfg`'s whole job space `[0, total_jobs)`:
+    /// what [`crate::run_campaign`] runs in memory and `fleet --checkpoint`
+    /// persists.
+    pub fn whole_campaign(cfg: &CampaignConfig) -> Self {
+        ShardCheckpoint::new(cfg, &ShardPlan::new(cfg, cfg.total_jobs() as u64), 0)
     }
 
     /// Whether this shard belongs to `cfg`.
@@ -203,7 +213,12 @@ pub struct ShardRunStatus {
 /// JSONL streaming) in job order. `progress_done_offset` seeds the
 /// heartbeat counter with the jobs completed before this call, campaign-
 /// wide, so a service's progress stream counts monotonically across
-/// shards and restarts.
+/// shards and restarts. Resuming a shard that already holds outcomes
+/// emits one `campaign.checkpoint_resumed` event.
+///
+/// When `cfg.interrupt` trips, workers stop claiming jobs but finish the
+/// ones they hold, so the checkpoint always holds a contiguous prefix of
+/// the pending jobs — a valid checkpoint to persist and resume.
 ///
 /// Jobs are constructed lazily from their indices — a shard run allocates
 /// O(shard jobs), never O(campaign jobs).
@@ -235,20 +250,27 @@ pub fn run_shard_resume(
         .filter(|j| !ckpt.outcomes.contains_key(j))
         .map(|j| crate::job_at(cfg, j as usize))
         .collect();
+    if !ckpt.outcomes.is_empty() {
+        cfg.telemetry.emit(kinds::CHECKPOINT_RESUMED, None, || {
+            vec![
+                ("jobs_done", Value::U64(ckpt.outcomes.len() as u64)),
+                ("jobs_pending", Value::U64(pending.len() as u64)),
+            ]
+        });
+    }
     if let Some(budget) = budget_jobs {
         pending.truncate(budget);
     }
     let meter = ProgressMeter::new(cfg, progress_done_offset, cfg.total_jobs());
     let outcomes = &mut ckpt.outcomes;
-    let (ran, _shard_metrics) =
-        crate::execute_jobs_streaming(cfg, &prepared.0, &pending, &meter, |i, outcome, _gcs| {
-            let job = pending[i].job_index as u64;
-            on_outcome(job, &outcome);
-            assert!(
-                outcomes.insert(job, outcome).is_none(),
-                "job {job} checkpointed twice"
-            );
-        });
+    let ran = crate::execute_jobs_streaming(cfg, prepared, &pending, &meter, |i, outcome| {
+        let job = pending[i].job_index as u64;
+        on_outcome(job, &outcome);
+        assert!(
+            outcomes.insert(job, outcome).is_none(),
+            "job {job} checkpointed twice"
+        );
+    });
     Ok(ShardRunStatus {
         ran,
         complete: ckpt.complete(),
@@ -257,8 +279,8 @@ pub fn run_shard_resume(
 }
 
 /// Fold complete shards back into the campaign's report and metrics —
-/// byte-identical (`to_json`, `to_prometheus`, `to_jsonl`) to an unsharded
-/// [`crate::run_campaign_with_metrics`] at any thread count.
+/// byte-identical (`to_json`, `to_prometheus`, `to_jsonl`) however the job
+/// space was cut, and at any thread count.
 ///
 /// Accepts the shards in any order, from any contiguous partition of the
 /// job space (they need not share a [`ShardPlan`]); fails if a shard
@@ -304,11 +326,10 @@ pub fn merge_shard_checkpoints(
         ));
     }
     // Shards are contiguous and sorted, so per-shard job order concatenates
-    // into the campaign's job order — the exact list the unsharded run
-    // stitches.
+    // into the campaign's job order.
     let outcomes: Vec<BoardOutcome> = shards
-        .iter()
-        .flat_map(|s| s.outcomes.values().cloned())
+        .into_iter()
+        .flat_map(|s| s.outcomes.into_values())
         .collect();
     let fleet = totals_from_outcomes(&outcomes);
     let report = CampaignReport::assemble(
@@ -358,13 +379,18 @@ mod tests {
         let mut bad = blob.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 1;
-        assert!(ShardCheckpoint::from_bytes(&bad).is_err());
-        // A whole-campaign checkpoint blob is a different wire kind.
-        let ckpt = crate::Checkpoint::new(&cfg);
         assert!(matches!(
-            ShardCheckpoint::from_bytes(&ckpt.to_bytes()),
-            Err(SnapshotError::WrongKind { .. })
+            ShardCheckpoint::from_bytes(&bad),
+            Err(SnapshotError::CrcMismatch { .. })
         ));
+        // A file from the retired whole-campaign checkpoint kind (tag 4)
+        // is refused at the header.
+        let mut stale = blob.clone();
+        stale[10] = 4;
+        assert_eq!(
+            ShardCheckpoint::from_bytes(&stale),
+            Err(SnapshotError::BadKind(4))
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Partition invariance of the campaign observability fold.
 //!
 //! The engine's guarantee is that `--metrics-out` bytes depend only on the
-//! outcome list — never on how the scheduler partitioned jobs across
-//! worker shards. That holds because [`fold_outcome_metrics`] is the
+//! outcome list — never on how its jobs were partitioned into registry
+//! shards. That holds because [`fold_outcome_metrics`] is the
 //! single aggregation function and registry merge is associative and
 //! commutative; this test drives the *fleet-specific* fold (every counter,
 //! the latency sketch, the packets histogram — including the engine's

@@ -10,9 +10,9 @@
 //! have written.
 
 use mavr_fleet::{
-    config_fingerprint, json_prelude, merge_shard_checkpoints, run_campaign_with_metrics,
-    run_shard_resume, summarize, BoardOutcome, CampaignAggregate, CampaignConfig, PreparedCampaign,
-    Scenario, ShardCheckpoint, JSON_EPILOGUE,
+    config_fingerprint, json_prelude, merge_shard_checkpoints, run_campaign, run_shard_resume,
+    summarize, BoardOutcome, CampaignAggregate, CampaignConfig, PreparedCampaign, Scenario,
+    ShardCheckpoint, JSON_EPILOGUE,
 };
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -37,7 +37,8 @@ fn cfg() -> CampaignConfig {
 fn oracle() -> &'static (String, String, String) {
     static ORACLE: OnceLock<(String, String, String)> = OnceLock::new();
     ORACLE.get_or_init(|| {
-        let (report, metrics) = run_campaign_with_metrics(&cfg());
+        let report = run_campaign(&cfg());
+        let metrics = report.metrics();
         (
             report.to_json(),
             metrics.to_prometheus(),

@@ -11,6 +11,24 @@ use telemetry::{Counters, Telemetry, Value};
 /// MAVLink system id conventionally used by ground stations.
 pub const GCS_SYSID: u8 = 255;
 
+/// Fleet-wide aggregate counters, summed over many ground-station
+/// sessions (one per link): the `fleet` block of a campaign report.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RouterTotals {
+    /// Links with a session.
+    pub links: usize,
+    /// Checksum-valid packets across all links.
+    pub packets: u64,
+    /// Decoded heartbeats across all links.
+    pub heartbeats: u64,
+    /// Checksum failures across all links.
+    pub bad_checksums: u64,
+    /// Sequence-gap events across all links.
+    pub seq_gaps: u64,
+    /// Estimated packets lost (from sequence deltas) across all links.
+    pub packets_lost: u64,
+}
+
 /// A ground-station endpoint.
 ///
 /// One instance models either the legitimate operator console or the
@@ -205,9 +223,9 @@ impl GroundStation {
         }
     }
 
-    /// Ingest one already-parsed packet (the [`crate::Router`] path, where
-    /// framing happened on a per-link parser).
-    pub fn ingest_packet(&mut self, pkt: Packet) {
+    /// Decode one framed packet into the session's telemetry and
+    /// sequence-gap accounting.
+    fn ingest_packet(&mut self, pkt: Packet) {
         self.track_seq(pkt.sysid, pkt.seq);
         self.counters.add("gcs.packets", 1);
         match pkt.msgid {

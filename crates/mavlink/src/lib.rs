@@ -17,9 +17,8 @@
 //!   station of the paper's threat model, which emits oversized packets
 //!   that a length-check-disabled receiver will copy past its buffer,
 //! * a deterministic [`LossyChannel`] link model (per-byte drop / corrupt
-//!   / duplicate / delay from a seeded RNG) and a [`Router`] that
-//!   multiplexes many per-board links into one operator console — the
-//!   substrate of fleet campaigns.
+//!   / duplicate / delay from a seeded RNG) — the substrate of fleet
+//!   campaigns, which sum their per-link sessions into [`RouterTotals`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,13 +28,11 @@ pub mod ground_station;
 pub mod history;
 pub mod msg;
 mod packet;
-pub mod router;
 
 pub use channel::{ChannelStats, LossConfig, LossyChannel};
-pub use ground_station::GroundStation;
+pub use ground_station::{GroundStation, RouterTotals};
 pub use history::History;
 pub use packet::{crc_x25, Packet, Parser, MAGIC, MAX_PAYLOAD, MIN_PAYLOAD};
-pub use router::{Router, RouterTotals};
 
 /// Errors from decoding packets or payloads.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -21,24 +21,16 @@
 
 use avr_sim::{
     AdcState, EepromState, Fault, HeartbeatState, Machine, MachineState, Pwm, Timer0State,
-    UartState, WatchdogState, DIRTY_PAGE_SIZE, PORTB_ADDR,
+    UartState, WatchdogState, DIRTY_PAGE_SIZE,
 };
 use mavr_board::BoardState;
 
 /// Leading magic of every snapshot blob.
 pub const MAGIC: &[u8; 8] = b"MAVRSNAP";
 
-/// Current format version. Bump on any payload layout change.
-/// v2: board payloads carry the fault plan's RNG state and the master's
-/// resilience counters.
-/// v3: machine payloads carry the physical-world peripherals — ADC,
-/// PWM compare latches, and the PORTB output latch. v2 blobs still
-/// decode: the new fields default and the PORTB latch is backfilled
-/// from the data image, where v2 encoders stored it.
-/// v4: campaign checkpoint outcomes carry the supervised-job failure
-/// record (quarantine kind + attempts). v3 blobs still decode: no job
-/// the pre-supervision engine ran could have been quarantined, so the
-/// field defaults to "no failure".
+/// Current format version. Bump on any payload layout change: readers
+/// accept exactly this version, so a blob from an older layout is
+/// refused at the header instead of being misparsed.
 pub const VERSION: u16 = 4;
 
 /// What a snapshot blob contains.
@@ -50,14 +42,10 @@ pub enum Kind {
     MachineDelta,
     /// A complete [`BoardState`].
     Board,
-    /// A fleet campaign checkpoint (payload owned by the `fleet` crate).
-    Checkpoint,
     /// A [`mavr_world::WorldState`]: the physical arena around a board.
     World,
-    /// One shard of a sharded fleet campaign: a contiguous job range and
-    /// its completed outcomes (payload owned by the `fleet` crate). Kept
-    /// distinct from [`Kind::Checkpoint`] so a shard file can never be
-    /// resumed as a whole-campaign checkpoint or vice versa.
+    /// A fleet campaign checkpoint: a contiguous job range and its
+    /// completed outcomes (payload owned by the `fleet` crate).
     ShardCheckpoint,
 }
 
@@ -67,7 +55,8 @@ impl Kind {
             Kind::MachineFull => 1,
             Kind::MachineDelta => 2,
             Kind::Board => 3,
-            Kind::Checkpoint => 4,
+            // Tag 4 was the retired whole-campaign checkpoint; it stays
+            // reserved so a stale file decodes as `BadKind(4)`.
             Kind::World => 5,
             Kind::ShardCheckpoint => 6,
         }
@@ -78,7 +67,6 @@ impl Kind {
             1 => Some(Kind::MachineFull),
             2 => Some(Kind::MachineDelta),
             3 => Some(Kind::Board),
-            4 => Some(Kind::Checkpoint),
             5 => Some(Kind::World),
             6 => Some(Kind::ShardCheckpoint),
             _ => None,
@@ -98,7 +86,7 @@ pub enum SnapshotError {
     },
     /// The blob does not start with [`MAGIC`].
     BadMagic,
-    /// The blob's version is newer than this decoder.
+    /// The blob's version is not this decoder's [`VERSION`].
     UnsupportedVersion(u16),
     /// Unknown [`Kind`] byte.
     BadKind(u8),
@@ -249,14 +237,11 @@ impl Writer {
     }
 }
 
-/// Bounds-checked little-endian payload cursor. Carries the blob's
-/// declared format version so payload decoders can gate fields that were
-/// appended in later versions.
+/// Bounds-checked little-endian payload cursor.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    version: u16,
 }
 
 impl<'a> Reader<'a> {
@@ -280,24 +265,25 @@ impl<'a> Reader<'a> {
             });
         }
         let version = u16::from_le_bytes([blob[8], blob[9]]);
-        if version > VERSION {
+        if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let kind = Kind::from_u8(blob[10]).ok_or(SnapshotError::BadKind(blob[10]))?;
-        let len = u64::from_le_bytes(blob[11..19].try_into().expect("8 bytes")) as usize;
-        let total = header + len + 4;
+        let len = u64::from_le_bytes(blob[11..19].try_into().expect("8 bytes"));
+        // A hostile length must not overflow the bounds arithmetic: any
+        // length that does is longer than every blob that can exist.
+        let total = usize::try_from(len)
+            .ok()
+            .and_then(|len| len.checked_add(header + 4))
+            .unwrap_or(usize::MAX);
         if blob.len() < total {
             return Err(SnapshotError::Truncated {
                 needed: total,
                 have: blob.len(),
             });
         }
-        let payload = &blob[header..header + len];
-        let stored = u32::from_le_bytes(
-            blob[header + len..header + len + 4]
-                .try_into()
-                .expect("4 bytes"),
-        );
+        let (payload, crc) = blob[header..total].split_at(total - header - 4);
+        let stored = u32::from_le_bytes(crc.try_into().expect("4 bytes"));
         let computed = crc32(payload);
         if stored != computed {
             return Err(SnapshotError::CrcMismatch { stored, computed });
@@ -307,14 +293,8 @@ impl<'a> Reader<'a> {
             Reader {
                 buf: payload,
                 pos: 0,
-                version,
             },
         ))
-    }
-
-    /// The format version the blob declares (`<=` [`VERSION`]).
-    pub fn version(&self) -> u16 {
-        self.version
     }
 
     /// Like [`Reader::open`], additionally requiring the blob's kind.
@@ -471,7 +451,7 @@ fn put_machine_core(w: &mut Writer, s: &MachineState) {
     w.put_u8(s.timer0.timsk);
     w.put_u8(s.timer0.tifr);
     w.put_u64(s.timer0.residual);
-    // ADC (v3+).
+    // ADC.
     w.put_u8(s.adc.admux);
     w.put_u8(s.adc.control);
     w.put_u8(s.adc.adcsrb);
@@ -483,7 +463,7 @@ fn put_machine_core(w: &mut Writer, s: &MachineState) {
     for ch in s.adc.channels {
         w.put_u16(ch);
     }
-    // PWM compare latches and the PORTB output latch (v3+).
+    // PWM compare latches and the PORTB output latch.
     w.put_u8(s.pwm.ocr0a);
     w.put_u8(s.pwm.ocr0b);
     w.put_u8(s.portb);
@@ -524,38 +504,33 @@ fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), Snap
         tifr: r.u8()?,
         residual: r.u64()?,
     };
-    if r.version() >= 3 {
-        let admux = r.u8()?;
-        let control = r.u8()?;
-        let adcsrb = r.u8()?;
-        let data = r.u16()?;
-        let in_flight = r.bool()?;
-        let left = r.u64()?;
-        let adif = r.bool()?;
-        let first = r.bool()?;
-        let mut channels = [0u16; avr_sim::adc::ADC_CHANNELS];
-        for ch in &mut channels {
-            *ch = r.u16()?;
-        }
-        s.adc = AdcState {
-            admux,
-            control,
-            adcsrb,
-            data,
-            converting: in_flight.then_some(left),
-            adif,
-            first,
-            channels,
-        };
-        s.pwm = Pwm {
-            ocr0a: r.u8()?,
-            ocr0b: r.u8()?,
-        };
-        s.portb = r.u8()?;
+    let admux = r.u8()?;
+    let control = r.u8()?;
+    let adcsrb = r.u8()?;
+    let data = r.u16()?;
+    let in_flight = r.bool()?;
+    let left = r.u64()?;
+    let adif = r.bool()?;
+    let first = r.bool()?;
+    let mut channels = [0u16; avr_sim::adc::ADC_CHANNELS];
+    for ch in &mut channels {
+        *ch = r.u16()?;
     }
-    // v2 blobs predate the physical-world peripherals: `s` keeps its
-    // defaults (or, for deltas, the keyframe's values). The PORTB latch is
-    // backfilled from the data image by the callers that have one.
+    s.adc = AdcState {
+        admux,
+        control,
+        adcsrb,
+        data,
+        converting: in_flight.then_some(left),
+        adif,
+        first,
+        channels,
+    };
+    s.pwm = Pwm {
+        ocr0a: r.u8()?,
+        ocr0b: r.u8()?,
+    };
+    s.portb = r.u8()?;
     Ok(())
 }
 
@@ -611,12 +586,6 @@ fn get_machine_state(r: &mut Reader<'_>) -> Result<MachineState, SnapshotError> 
     s.flash = r.bytes()?;
     s.data = r.bytes()?;
     s.eeprom = get_eeprom(r)?;
-    if r.version() < 3 {
-        // v2 encoders kept the PORTB latch only in the data image.
-        if let Some(&v) = s.data.get(usize::from(PORTB_ADDR)) {
-            s.portb = v;
-        }
-    }
     Ok(s)
 }
 
@@ -728,12 +697,6 @@ pub fn apply_machine_delta(
     }
     if r.bool()? {
         s.eeprom = get_eeprom(&mut r)?;
-    }
-    if r.version() < 3 {
-        // As in full decodes: the v2 latch of record is the data image.
-        if let Some(&v) = s.data.get(usize::from(PORTB_ADDR)) {
-            s.portb = v;
-        }
     }
     r.done()?;
     Ok(s)
@@ -927,16 +890,39 @@ mod tests {
             decode_machine(&bad),
             Err(SnapshotError::UnsupportedVersion(_))
         ));
-        // Unknown kind byte.
-        let mut bad = blob.clone();
-        bad[10] = 9;
-        assert_eq!(decode_machine(&bad), Err(SnapshotError::BadKind(9)));
+        // Unknown kind byte, and the retired checkpoint tag.
+        for tag in [9, 4] {
+            let mut bad = blob.clone();
+            bad[10] = tag;
+            assert_eq!(decode_machine(&bad), Err(SnapshotError::BadKind(tag)));
+        }
         // Wrong (but valid) kind.
-        let board_kind = Writer::new().finish(Kind::Checkpoint);
+        let board_kind = Writer::new().finish(Kind::Board);
         assert!(matches!(
             decode_machine(&board_kind),
             Err(SnapshotError::WrongKind { .. })
         ));
+        // A declared payload length near `u64::MAX` is a truncation, not
+        // an overflow in the bounds arithmetic.
+        let mut huge = blob[..19].to_vec();
+        huge[11..19].copy_from_slice(&(u64::MAX - 15).to_le_bytes());
+        huge.extend_from_slice(&[0; 8]);
+        assert!(matches!(
+            decode_machine(&huge),
+            Err(SnapshotError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn older_versions_are_refused() {
+        // The CRC covers the payload only, so restamping the header keeps
+        // the frame otherwise valid: only the version check can refuse it.
+        let mut blob = encode_machine(&busy_machine().capture_state());
+        blob[8..10].copy_from_slice(&3u16.to_le_bytes());
+        assert_eq!(
+            decode_machine(&blob),
+            Err(SnapshotError::UnsupportedVersion(3))
+        );
     }
 
     #[test]
@@ -981,110 +967,6 @@ mod tests {
         a.run(50_000);
         b.run(50_000);
         assert_eq!(a.capture_state(), b.capture_state());
-    }
-
-    /// The exact v2 `put_machine_core` layout: everything up to and
-    /// including Timer0, none of the physical-world peripherals.
-    fn put_machine_core_v2(w: &mut Writer, s: &MachineState) {
-        w.put_u32(s.pc);
-        w.put_u64(s.cycles);
-        put_fault(w, s.fault);
-        w.put_bool(s.irq_delay);
-        w.put_u64(s.insns_retired);
-        w.put_u64(s.interrupts_taken);
-        w.put_bytes(&s.uart0.rx);
-        w.put_bytes(&s.uart0.tx);
-        w.put_u64(s.uart0.rx_bytes);
-        w.put_u64(s.uart0.tx_bytes);
-        w.put_u64(s.heartbeat.toggles.len() as u64);
-        for &t in &s.heartbeat.toggles {
-            w.put_u64(t);
-        }
-        w.put_bool(s.heartbeat.last_level);
-        w.put_bool(s.watchdog.timeout.is_some());
-        w.put_u64(s.watchdog.timeout.unwrap_or(0));
-        w.put_u64(s.watchdog.last_reset);
-        w.put_u8(s.timer0.tcnt);
-        w.put_u8(s.timer0.tccr_b);
-        w.put_u8(s.timer0.timsk);
-        w.put_u8(s.timer0.tifr);
-        w.put_u64(s.timer0.residual);
-    }
-
-    /// Stamp a freshly framed blob as an older version. The CRC covers the
-    /// payload only, so rewriting the header version keeps the blob valid.
-    fn stamp_version(mut blob: Vec<u8>, version: u16) -> Vec<u8> {
-        blob[8..10].copy_from_slice(&version.to_le_bytes());
-        blob
-    }
-
-    fn encode_machine_v2(s: &MachineState) -> Vec<u8> {
-        let mut w = Writer::new();
-        put_machine_core_v2(&mut w, s);
-        w.put_bytes(&s.flash);
-        w.put_bytes(&s.data);
-        put_eeprom(&mut w, &s.eeprom);
-        stamp_version(w.finish(Kind::MachineFull), 2)
-    }
-
-    #[test]
-    fn v2_machine_blob_still_round_trips() {
-        let m = busy_machine();
-        let mut state = m.capture_state();
-        // A v2 writer never carried the PORTB latch as its own field; it
-        // lived only in the data image.
-        state.data[usize::from(PORTB_ADDR)] = 0xa5;
-        let got = decode_machine(&encode_machine_v2(&state)).unwrap();
-        assert_eq!(got.portb, 0xa5, "latch backfilled from the data image");
-        assert_eq!(got.adc, AdcState::default());
-        assert_eq!(got.pwm, Pwm::default());
-        let mut expect = state;
-        expect.portb = 0xa5;
-        assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn v2_board_blob_still_round_trips() {
-        use mavr::policy::RandomizationPolicy;
-        use synth_firmware::{apps, build, BuildOptions};
-        let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
-        let mut board =
-            mavr_board::MavrBoard::provision(&fw.image, 11, RandomizationPolicy::default())
-                .unwrap();
-        board.run(500_000).unwrap();
-        let state = board.capture_state();
-
-        let mut w = Writer::new();
-        put_machine_core_v2(&mut w, &state.app);
-        w.put_bytes(&state.app.flash);
-        w.put_bytes(&state.app.data);
-        put_eeprom(&mut w, &state.app.eeprom);
-        w.put_bool(state.app_locked);
-        for word in state.master_rng {
-            w.put_u64(word);
-        }
-        w.put_u32(state.boot_count);
-        w.put_u32(state.wear_cycles);
-        w.put_u64(state.watch_since);
-        w.put_u64(state.heartbeat_timeout);
-        for word in state.chaos.rng {
-            w.put_u64(word);
-        }
-        w.put_u64(state.chaos.injected);
-        w.put_u64(state.reflash_retries);
-        w.put_u64(state.degraded_boots);
-        let blob = stamp_version(w.finish(Kind::Board), 2);
-
-        let got = decode_board(&blob).unwrap();
-        // The heartbeat firmware drives PORTB, so the board's latch is
-        // live — the v2 data image must reproduce it exactly.
-        assert_eq!(got.app.portb, state.app.portb);
-        assert_eq!(
-            got.app.portb,
-            state.app.data[usize::from(PORTB_ADDR)],
-            "latch and data image agree"
-        );
-        assert_eq!(got, state);
     }
 
     #[test]

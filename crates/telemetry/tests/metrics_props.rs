@@ -1,7 +1,7 @@
 //! Property tests for the mergeable metrics plane: sharded merges must be
-//! associative, commutative and partition-invariant (the guarantee the
-//! fleet engine's per-worker shards lean on for byte-identical expositions
-//! at any thread count), sketches must round-trip their wire format, and
+//! associative, commutative and partition-invariant (so a registry's
+//! expositions never depend on how its observations were split), sketches
+//! must round-trip their wire format, and
 //! quantile answers must stay inside the documented relative-error bound.
 
 use proptest::collection::vec as pvec;

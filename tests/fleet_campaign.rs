@@ -3,7 +3,7 @@
 //! canned exploit; the master recovers crashed boards; lossy links are
 //! visible in the sequence-gap accounting but never fabricate recoveries).
 
-use mavr_repro::mavr_fleet::{run_campaign, run_campaign_with_metrics, CampaignConfig, Scenario};
+use mavr_repro::mavr_fleet::{run_campaign, CampaignConfig, Scenario};
 
 /// A campaign small enough to run three times in one test.
 fn small_cfg() -> CampaignConfig {
@@ -18,14 +18,15 @@ fn small_cfg() -> CampaignConfig {
 
 #[test]
 fn report_json_is_byte_identical_across_runs_and_thread_counts() {
-    let (one_thread, metrics_one) = run_campaign_with_metrics(&CampaignConfig {
+    let one_thread = run_campaign(&CampaignConfig {
         threads: 1,
         ..small_cfg()
     });
-    let (four_threads, metrics_four) = run_campaign_with_metrics(&CampaignConfig {
+    let four_threads = run_campaign(&CampaignConfig {
         threads: 4,
         ..small_cfg()
     });
+    let (metrics_one, metrics_four) = (one_thread.metrics(), four_threads.metrics());
     let one_thread_again = run_campaign(&CampaignConfig {
         threads: 1,
         ..small_cfg()
@@ -41,12 +42,14 @@ fn report_json_is_byte_identical_across_runs_and_thread_counts() {
         "identical configs must replay byte-identically"
     );
     assert_eq!(one_thread.to_jsonl(), four_threads.to_jsonl());
-    // The shard-merged metrics registry obeys the same contract: worker
-    // count must not leak into either exposition, and the shards must
-    // agree with the pure fold over the report's outcomes.
+    // The metrics registry obeys the same contract: worker count must not
+    // leak into either exposition.
     assert_eq!(metrics_one.to_prometheus(), metrics_four.to_prometheus());
     assert_eq!(metrics_one.to_jsonl(), metrics_four.to_jsonl());
-    assert_eq!(metrics_one.to_jsonl(), one_thread.metrics().to_jsonl());
+    assert_eq!(
+        metrics_one.to_jsonl(),
+        one_thread_again.metrics().to_jsonl()
+    );
     // Sanity on shape: scenario-major cell order, every board reported.
     assert_eq!(one_thread.cells.len(), 4);
     assert_eq!(one_thread.outcomes.len(), 8);
