@@ -130,7 +130,7 @@ pub fn scan_block(table: &[Predecoded], start: usize, policy: impl Fn(&Insn) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode::predecode_image;
+    use crate::decode::{predecode_pages, UNDECODED};
     use crate::encode::encode;
     use crate::Reg;
 
@@ -140,7 +140,13 @@ mod tests {
             .flat_map(|i| encode(i).unwrap())
             .flat_map(|w| w.to_le_bytes())
             .collect();
-        predecode_image(&bytes)
+        decoded(&bytes)
+    }
+
+    fn decoded(bytes: &[u8]) -> Vec<Predecoded> {
+        let mut table = vec![UNDECODED; bytes.len() / 2];
+        predecode_pages(&mut table, bytes, 0, usize::MAX);
+        table
     }
 
     fn fuse_all(_: &Insn) -> FuseStep {
@@ -214,7 +220,7 @@ mod tests {
 
     #[test]
     fn erased_flash_ends_immediately() {
-        let table = predecode_image(&[0xff; 64]);
+        let table = decoded(&[0xff; 64]);
         let b = scan_block(&table, 3, fuse_all);
         assert_eq!(b.insns, 0, "0xffff decodes Invalid, a structural end");
     }

@@ -16,15 +16,37 @@ use crate::{Insn, PtrReg, Reg, YZ};
 /// per executed instruction. Entries exist for *every* word address —
 /// including addresses in the middle of two-word instructions — because the
 /// AVR program counter (and the paper's ROP chains) can land anywhere.
+///
+/// Tables are filled lazily, a page at a time ([`predecode_pages`]); a slot
+/// not decoded yet holds [`UNDECODED`], the one entry of width 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Predecoded {
     /// The decoded instruction.
     pub insn: Insn,
-    /// Width in words (1 or 2).
+    /// Width in words (1 or 2; 0 only in [`UNDECODED`]).
     pub width: u8,
     /// Base (not-taken / fall-through) cycles; dynamic extras are added by
     /// the simulator.
     pub cycles: u8,
+}
+
+/// Placeholder for a table slot that has not been decoded yet. Its width of
+/// 0 is what [`Predecoded::is_decoded`] tests; it is never executed.
+pub const UNDECODED: Predecoded = Predecoded {
+    insn: Insn::Invalid(0xffff),
+    width: 0,
+    cycles: 0,
+};
+
+/// Words per lazily decoded page: 256 bytes, the ATmega2560's flash page.
+pub const PREDECODE_PAGE_WORDS: usize = 128;
+
+impl Predecoded {
+    /// Whether this slot holds a decoded instruction (not [`UNDECODED`]).
+    #[inline]
+    pub fn is_decoded(&self) -> bool {
+        self.width != 0
+    }
 }
 
 /// Decode the single instruction starting at word address `word_addr` of a
@@ -42,27 +64,38 @@ pub fn predecode_at(bytes: &[u8], word_addr: usize) -> Predecoded {
     }
 }
 
-/// Predecode a whole image into a dense table indexed by word address.
-pub fn predecode_image(bytes: &[u8]) -> Vec<Predecoded> {
+/// Decode every still-[`UNDECODED`] slot of the [`PREDECODE_PAGE_WORDS`]
+/// pages of `table` that overlap word addresses `lo..hi` (clamped to the
+/// table). `bytes` is the whole image the table shadows, so an instruction
+/// whose second word sits on the next page decodes exactly.
+pub fn predecode_pages(table: &mut [Predecoded], bytes: &[u8], lo: usize, hi: usize) {
+    let hi = hi.min(table.len());
+    if lo >= hi {
+        return;
+    }
     // Erased flash reads 0xffff, which decodes to a one-word Invalid no
     // matter what follows it; deriving the entry from the decoder once and
-    // reusing it skips the full decode for the (usually vast) erased tail.
+    // reusing it skips the full decode for erased words.
     let erased = predecode_at(&[0xff; 4], 0);
-    (0..bytes.len() / 2)
-        .map(|w| {
-            if bytes[w * 2] == 0xff && bytes[w * 2 + 1] == 0xff {
-                erased
-            } else {
-                predecode_at(bytes, w)
-            }
-        })
-        .collect()
+    let first = lo / PREDECODE_PAGE_WORDS * PREDECODE_PAGE_WORDS;
+    let last = hi.div_ceil(PREDECODE_PAGE_WORDS) * PREDECODE_PAGE_WORDS;
+    for (w, entry) in table.iter_mut().enumerate().take(last).skip(first) {
+        if entry.is_decoded() {
+            continue;
+        }
+        *entry = if bytes.get(w * 2..w * 2 + 2) == Some(&[0xff, 0xff]) {
+            erased
+        } else {
+            predecode_at(bytes, w)
+        };
+    }
 }
 
 /// Re-decode the entries affected by a write of `len` bytes at byte address
 /// `byte_addr`. A changed byte at word `w` invalidates the entry at `w`
 /// *and* at `w - 1` (whose second word it may be), so the patched range is
-/// widened by one word on the left.
+/// widened by one word on the left. Slots not decoded yet stay that way:
+/// they will decode the new bytes on first use.
 pub fn predecode_patch(table: &mut [Predecoded], bytes: &[u8], byte_addr: usize, len: usize) {
     if len == 0 {
         return;
@@ -70,7 +103,9 @@ pub fn predecode_patch(table: &mut [Predecoded], bytes: &[u8], byte_addr: usize,
     let lo = (byte_addr / 2).saturating_sub(1);
     let hi = ((byte_addr + len - 1) / 2 + 1).min(table.len());
     for (w, entry) in table.iter_mut().enumerate().take(hi).skip(lo) {
-        *entry = predecode_at(bytes, w);
+        if entry.is_decoded() {
+            *entry = predecode_at(bytes, w);
+        }
     }
 }
 
@@ -524,6 +559,21 @@ pub fn decode_at(bytes: &[u8], byte_offset: usize) -> Option<(Insn, u32)> {
     }
 }
 
+/// Width in words of the instruction starting at `byte_offset`, exactly as
+/// [`decode_at`] reports it, read from the opcode bits alone: only `lds`,
+/// `sts`, `jmp` and `call` take a second word (when one is present).
+/// Returns `None` if fewer than two bytes remain.
+pub fn width_at(bytes: &[u8], byte_offset: usize) -> Option<u32> {
+    let w = word_at(bytes, byte_offset)?;
+    // lds/sts: 1001 00sd dddd 0000; jmp/call: 1001 010k kkkk 11ck.
+    let two_word = w & 0xfc0f == 0x9000 || w & 0xfe0c == 0x940c;
+    Some(if two_word && word_at(bytes, byte_offset + 2).is_some() {
+        2
+    } else {
+        1
+    })
+}
+
 fn word_at(bytes: &[u8], off: usize) -> Option<u16> {
     let hi = *bytes.get(off + 1)?;
     let lo = bytes[off];
@@ -598,6 +648,25 @@ mod tests {
     }
 
     #[test]
+    fn width_at_agrees_with_the_decoder_on_every_word() {
+        for w in 0..=u16::MAX {
+            let [lo, hi] = w.to_le_bytes();
+            let pair = [lo, hi, 0x34, 0x12];
+            assert_eq!(
+                width_at(&pair, 0),
+                decode_at(&pair, 0).map(|d| d.1),
+                "{w:#06x}"
+            );
+            assert_eq!(
+                width_at(&pair[..2], 0),
+                Some(1),
+                "{w:#06x} at the image end"
+            );
+        }
+        assert_eq!(width_at(&[0x0c], 0), None);
+    }
+
+    #[test]
     fn decode_at_handles_bounds() {
         let bytes = [0x08, 0x95, 0x0c];
         assert_eq!(decode_at(&bytes, 0), Some((Insn::Ret, 1)));
@@ -605,12 +674,19 @@ mod tests {
         assert_eq!(decode_at(&[], 0), None);
     }
 
+    /// A fully decoded table over `bytes`.
+    fn decoded(bytes: &[u8]) -> Vec<Predecoded> {
+        let mut table = vec![UNDECODED; bytes.len() / 2];
+        predecode_pages(&mut table, bytes, 0, usize::MAX);
+        table
+    }
+
     #[test]
     fn predecode_matches_decode_at_everywhere() {
         // ret; call 6; nop; jmp truncated at the image edge.
         let words: [u16; 5] = [0x9508, 0x940e, 0x0006, 0x0000, 0x940c];
         let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
-        let table = predecode_image(&bytes);
+        let table = decoded(&bytes);
         assert_eq!(table.len(), 5);
         for (w, entry) in table.iter().enumerate() {
             let (insn, width) = decode_at(&bytes, w * 2).unwrap();
@@ -624,6 +700,41 @@ mod tests {
     }
 
     #[test]
+    fn pages_decode_on_demand_and_straddlers_read_the_next_page() {
+        // A call whose operand word is the first word of page 1.
+        let mut bytes = vec![0u8; 4 * PREDECODE_PAGE_WORDS * 2];
+        let last = PREDECODE_PAGE_WORDS - 1;
+        bytes[last * 2..last * 2 + 4].copy_from_slice(&[0x0e, 0x94, 0x42, 0x00]);
+        let mut table = vec![UNDECODED; bytes.len() / 2];
+        predecode_pages(&mut table, &bytes, last, last + 1);
+        assert!(table[..PREDECODE_PAGE_WORDS]
+            .iter()
+            .all(Predecoded::is_decoded));
+        assert!(!table[PREDECODE_PAGE_WORDS..]
+            .iter()
+            .any(Predecoded::is_decoded));
+        assert_eq!(table[last].insn, Insn::Call { k: 0x42 });
+        // A range spanning a page edge decodes both pages, and no more.
+        predecode_pages(
+            &mut table,
+            &bytes,
+            2 * PREDECODE_PAGE_WORDS - 1,
+            2 * PREDECODE_PAGE_WORDS + 1,
+        );
+        assert!(table[..3 * PREDECODE_PAGE_WORDS]
+            .iter()
+            .all(Predecoded::is_decoded));
+        assert!(!table[3 * PREDECODE_PAGE_WORDS..]
+            .iter()
+            .any(Predecoded::is_decoded));
+        assert_eq!(table, {
+            let mut full = decoded(&bytes);
+            full[3 * PREDECODE_PAGE_WORDS..].fill(UNDECODED);
+            full
+        });
+    }
+
+    #[test]
     fn predecode_patch_redecodes_neighbouring_word() {
         // call 6 at word 0 spans words 0..2; patching word 1 must re-decode
         // word 0 too, because word 1 is its second word.
@@ -631,13 +742,24 @@ mod tests {
             .iter()
             .flat_map(|w| w.to_le_bytes())
             .collect();
-        let mut table = predecode_image(&bytes);
+        let mut table = decoded(&bytes);
         assert_eq!(table[0].insn, Insn::Call { k: 6 });
 
         bytes[2..4].copy_from_slice(&0x0042u16.to_le_bytes());
         predecode_patch(&mut table, &bytes, 2, 2);
         assert_eq!(table[0].insn, Insn::Call { k: 0x42 });
         assert_eq!(table[2].insn, Insn::Ret, "untouched word must survive");
-        assert_eq!(table, predecode_image(&bytes));
+        assert_eq!(table, decoded(&bytes));
+    }
+
+    #[test]
+    fn predecode_patch_leaves_undecoded_slots_for_later() {
+        let mut bytes = vec![0u8; 8];
+        let mut table = vec![UNDECODED; 4];
+        bytes[0..2].copy_from_slice(&0x9508u16.to_le_bytes());
+        predecode_patch(&mut table, &bytes, 0, 2);
+        assert_eq!(table, vec![UNDECODED; 4]);
+        predecode_pages(&mut table, &bytes, 0, 1);
+        assert_eq!(table[0].insn, Insn::Ret);
     }
 }

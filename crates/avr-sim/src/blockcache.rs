@@ -43,6 +43,7 @@
 //! (remaining) timer advance to one update per block.
 
 use avr_core::block::{scan_block, structural_end, FuseStep, MAX_BLOCK_WORDS};
+use avr_core::decode::predecode_pages;
 use avr_core::{io, sreg, Insn, Predecoded, PtrReg, Reg};
 
 use crate::adc::{ADCH_ADDR, ADCL_ADDR, ADCSRA_ADDR, ADMUX_ADDR};
@@ -627,15 +628,11 @@ pub(crate) struct BlockCache {
 }
 
 impl BlockCache {
-    /// Make the index cover `words` flash words, resetting it if the flash
-    /// geometry changed or the cache was dropped.
+    /// Make the index cover `words` flash words — the predecode table's
+    /// extent — keeping every block already discovered below it.
     pub fn ensure(&mut self, words: usize) {
-        if self.index.len() != words {
-            self.index.clear();
+        if self.index.len() < words {
             self.index.resize(words, UNDISCOVERED);
-            self.blocks.clear();
-            self.mops.clear();
-            self.live = 0;
         }
     }
 
@@ -644,19 +641,40 @@ impl BlockCache {
         self.live
     }
 
-    /// The fused block starting at word `pc`, discovering it on a miss.
-    /// `None` when `pc` is out of range or the block is too small to fuse.
-    pub fn lookup(&mut self, icache: &[Predecoded], pc: u32) -> Option<FusedBlock> {
+    /// The fused block starting at word `pc`, discovering it on a miss —
+    /// after decoding the predecode pages its scan can reach out of
+    /// `flash`. `None` when `pc` is out of range or the block is too small
+    /// to fuse.
+    pub fn lookup(
+        &mut self,
+        icache: &mut [Predecoded],
+        flash: &[u8],
+        pc: u32,
+    ) -> Option<FusedBlock> {
         let slot = *self.index.get(pc as usize)?;
         match slot {
             TINY => None,
-            UNDISCOVERED => self.discover(icache, pc),
+            UNDISCOVERED => self.discover(icache, flash, pc),
             i => Some(self.blocks[i as usize]),
         }
     }
 
-    fn discover(&mut self, icache: &[Predecoded], pc: u32) -> Option<FusedBlock> {
-        let b = scan_block(icache, pc as usize, classify);
+    #[cold]
+    #[inline(never)]
+    fn discover(&mut self, icache: &mut [Predecoded], flash: &[u8], pc: u32) -> Option<FusedBlock> {
+        // Decode the pages the walk reaches, and only those: an undecoded
+        // slot reads as a terminator, so a walk that stops on the next
+        // page's first slot decodes that page and walks again. A walk spans
+        // at most MAX_BLOCK_WORDS + 1 slots, so it touches two pages at most.
+        let w = pc as usize;
+        predecode_pages(icache, flash, w, w + 1);
+        let mut b = scan_block(icache, w, classify);
+        let stop = w + usize::from(b.words);
+        if icache.get(stop).is_some_and(|e| !e.is_decoded()) {
+            predecode_pages(icache, flash, stop, stop + 1);
+            b = scan_block(icache, w, classify);
+        }
+        let icache = &*icache;
         if b.insns < 1 {
             // A bare terminator: dispatching it as a block would just be
             // stepping with lookup overhead. Single-instruction bodies stay
@@ -758,7 +776,7 @@ impl BlockCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avr_core::decode::predecode_image;
+    use avr_core::decode::UNDECODED;
     use avr_core::encode::encode;
     use avr_core::Reg;
 
@@ -768,7 +786,9 @@ mod tests {
             .flat_map(|i| encode(i).unwrap())
             .flat_map(|w| w.to_le_bytes())
             .collect();
-        predecode_image(&bytes)
+        let mut table = vec![UNDECODED; bytes.len() / 2];
+        predecode_pages(&mut table, &bytes, 0, usize::MAX);
+        table
     }
 
     #[test]
@@ -914,7 +934,7 @@ mod tests {
 
     #[test]
     fn lookup_discovers_and_memoizes() {
-        let t = table(&[
+        let mut t = table(&[
             Insn::Ldi { d: Reg::R16, k: 1 },
             Insn::Ldi { d: Reg::R17, k: 2 },
             Insn::Add {
@@ -925,24 +945,68 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = c.lookup(&mut t, &[], 0).unwrap();
         assert_eq!((b.insns, b.words, b.cycles), (3, 3, 3));
         assert!(b.pure);
         assert_eq!(b.mop_len, 3, "three live micro-ops");
         assert_eq!(c.live(), 1);
         // Memoized: same record back.
-        assert_eq!(c.lookup(&t, 0), Some(b));
+        assert_eq!(c.lookup(&mut t, &[], 0), Some(b));
         // Entering mid-block creates an overlapping (shorter) block.
-        let b2 = c.lookup(&t, 1).unwrap();
+        let b2 = c.lookup(&mut t, &[], 1).unwrap();
         assert_eq!(b2.insns, 2);
         assert_eq!(c.live(), 2);
         // A one-instruction tail still fuses (its terminator tail-steps in
         // the same dispatch); a terminator start is empty and stays tiny.
-        let b3 = c.lookup(&t, 2).unwrap();
+        let b3 = c.lookup(&mut t, &[], 2).unwrap();
         assert_eq!(b3.insns, 1);
         assert_eq!(c.live(), 3);
-        assert_eq!(c.lookup(&t, 3), None);
-        assert_eq!(c.lookup(&t, 100), None, "out of range");
+        assert_eq!(c.lookup(&mut t, &[], 3), None);
+        assert_eq!(c.lookup(&mut t, &[], 100), None, "out of range");
+    }
+
+    #[test]
+    fn lazily_decoded_pages_discover_the_blocks_a_full_table_does() {
+        // Straight-line code (with a two-word lds every few words, so
+        // blocks straddle page edges at every alignment) over three pages,
+        // then a terminator. Discovery on an undecoded table must decode
+        // exactly what its walks reach and find the same blocks.
+        use avr_core::decode::PREDECODE_PAGE_WORDS as PAGE;
+        let mut insns = Vec::new();
+        while insns.len() < 3 * PAGE - 2 {
+            insns.push(if insns.len() % 7 == 3 {
+                Insn::Lds {
+                    d: Reg::R24,
+                    k: 0x300,
+                }
+            } else {
+                Insn::Inc { d: Reg::R24 }
+            });
+        }
+        insns.push(Insn::Ret);
+        let flash: Vec<u8> = insns
+            .iter()
+            .flat_map(|i| encode(i).unwrap())
+            .flat_map(|w| w.to_le_bytes())
+            .collect();
+        let mut full = table(&insns);
+        let (mut lazy_cache, mut full_cache) = (BlockCache::default(), BlockCache::default());
+        for pc in [0, 1, PAGE - 1, PAGE - 2, PAGE, 2 * PAGE - 1, 2 * PAGE + 5] {
+            let mut lazy = vec![UNDECODED; full.len()];
+            for c in [&mut lazy_cache, &mut full_cache] {
+                c.drop_cache();
+                c.ensure(full.len());
+            }
+            let pc = pc as u32;
+            assert_eq!(
+                lazy_cache.lookup(&mut lazy, &flash, pc),
+                full_cache.lookup(&mut full, &flash, pc),
+                "block at {pc}"
+            );
+            // Only the start page, and the next one when the walk reached it.
+            let decoded = lazy.iter().filter(|e| e.is_decoded()).count();
+            assert!(decoded == PAGE || decoded == 2 * PAGE, "pc {pc}: {decoded}");
+        }
     }
 
     #[test]
@@ -957,30 +1021,30 @@ mod tests {
             Insn::Ldi { d: Reg::R19, k: 4 },
             Insn::Ret,
         ]);
-        let t = table(&insns);
+        let mut t = table(&insns);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        c.lookup(&t, 0).unwrap();
-        c.lookup(&t, 3).unwrap();
+        c.lookup(&mut t, &[], 0).unwrap();
+        c.lookup(&mut t, &[], 3).unwrap();
         assert_eq!(c.live(), 2);
         // Patch word 4 (byte 8): only the second block overlaps.
         c.invalidate_range(8, 2);
         assert_eq!(c.live(), 1);
         assert_eq!(c.invalidations, 1);
-        assert!(c.lookup(&t, 0).is_some(), "first block survives");
+        assert!(c.lookup(&mut t, &[], 0).is_some(), "first block survives");
     }
 
     #[test]
     fn clear_charges_only_flash_mutations() {
-        let t = table(&[Insn::Ldi { d: Reg::R16, k: 1 }, Insn::Nop, Insn::Ret]);
+        let mut t = table(&[Insn::Ldi { d: Reg::R16, k: 1 }, Insn::Nop, Insn::Ret]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        c.lookup(&t, 0).unwrap();
+        c.lookup(&mut t, &[], 0).unwrap();
         c.clear(false);
         assert_eq!(c.invalidations, 0, "host reconfiguration is free");
         assert!(c.index.is_empty(), "clear drops the table");
         c.ensure(t.len());
-        c.lookup(&t, 0).unwrap();
+        c.lookup(&mut t, &[], 0).unwrap();
         let hits_before = c.hits;
         c.clear(true);
         assert_eq!(c.invalidations, 1, "erase charges the live count");
@@ -992,7 +1056,7 @@ mod tests {
         // cp's flags are fully recomputed by subi before anything reads
         // them; subi's own flags die into the second subi. Only the last
         // op's flags survive to the terminator.
-        let t = table(&[
+        let mut t = table(&[
             Insn::Cp {
                 d: Reg::R0,
                 r: Reg::R1,
@@ -1003,7 +1067,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = c.lookup(&mut t, &[], 0).unwrap();
         assert!(b.pure);
         assert_eq!((b.insns, b.mop_len), (3, 2), "cp deleted outright");
         let ops = &c.mops[b.mops as usize..b.mops as usize + usize::from(b.mop_len)];
@@ -1014,7 +1078,7 @@ mod tests {
     #[test]
     fn compile_keeps_flags_live_across_readers() {
         // adc reads C: the add before it must stay flagged.
-        let t = table(&[
+        let mut t = table(&[
             Insn::Add {
                 d: Reg::R0,
                 r: Reg::R2,
@@ -1027,7 +1091,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = c.lookup(&mut t, &[], 0).unwrap();
         let ops = &c.mops[b.mops as usize..b.mops as usize + usize::from(b.mop_len)];
         assert_eq!(ops[0].op, Mop::Add);
         assert_eq!(ops[1].op, Mop::Adc);
@@ -1038,7 +1102,7 @@ mod tests {
         // An indirect load can alias SREG in data space (X = 0x5f reads the
         // flags as a plain byte), so `cp` must survive even though `sub`
         // recomputes every flag before the terminator.
-        let t = table(&[
+        let mut t = table(&[
             Insn::Cp {
                 d: Reg::R0,
                 r: Reg::R1,
@@ -1055,7 +1119,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = c.lookup(&mut t, &[], 0).unwrap();
         assert!(b.pure);
         assert_eq!(b.mop_len, 3, "cp is pinned live by the dynamic read");
         let ops = &c.mops[b.mops as usize..b.mops as usize + usize::from(b.mop_len)];
@@ -1065,7 +1129,7 @@ mod tests {
 
     #[test]
     fn compile_records_stack_excursion() {
-        let t = table(&[
+        let mut t = table(&[
             Insn::Push { r: Reg::R0 },
             Insn::Push { r: Reg::R1 },
             Insn::Pop { d: Reg::R2 },
@@ -1073,7 +1137,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = c.lookup(&mut t, &[], 0).unwrap();
         assert!(b.pure && b.stack);
         // Accesses at sp+0 (push), sp-1 (push), sp-1 (pop).
         assert_eq!((b.sp_lo, b.sp_hi), (-1, 0));
@@ -1083,7 +1147,7 @@ mod tests {
     fn compile_demotes_stack_ops_after_sp_write() {
         // `out SPL, r28` retargets the stack; a later push would escape the
         // entry-SP margin proof, so the block must fall to the careful path.
-        let t = table(&[
+        let mut t = table(&[
             Insn::Out {
                 a: io::SPL,
                 r: Reg::R28,
@@ -1093,7 +1157,7 @@ mod tests {
         ]);
         let mut c = BlockCache::default();
         c.ensure(t.len());
-        let b = c.lookup(&t, 0).unwrap();
+        let b = c.lookup(&mut t, &[], 0).unwrap();
         assert!(!b.pure, "SP write before a stack op demotes the block");
     }
 

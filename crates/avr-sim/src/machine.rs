@@ -2,7 +2,9 @@
 
 use std::collections::HashSet;
 
-use avr_core::decode::{predecode_at, predecode_image, predecode_patch};
+use avr_core::decode::{
+    predecode_at, predecode_pages, predecode_patch, PREDECODE_PAGE_WORDS, UNDECODED,
+};
 use avr_core::device::{Device, ATMEGA2560};
 use avr_core::{io, Insn, Predecoded, PtrReg, Reg};
 
@@ -134,13 +136,19 @@ pub struct Machine {
     /// [`Machine::enable_cycle_profile`]). Boxed: it is cold and large
     /// relative to the hot machine state.
     cycle_profile: Option<Box<CycleProfile>>,
-    /// Predecoded instruction cache, one entry per flash word. Empty means
-    /// "not built yet" — it is built lazily by the first fast [`run`] and
-    /// patched in place on every flash mutation, so cached and uncached
-    /// execution are bit-for-bit identical.
+    /// Predecoded instruction cache, one entry per word of the programmed
+    /// extent. Empty means "not built yet": the first fast [`run`] sizes it
+    /// to the extent, every slot [`UNDECODED`], and 256-byte pages decode
+    /// on first use — at block discovery, or on a fetch miss. Flash writes
+    /// patch decoded slots in place, so cached and uncached execution are
+    /// bit-for-bit identical.
     ///
     /// [`run`]: Machine::run
     icache: Vec<Predecoded>,
+    /// Flash words, from 0, that may hold programmed bytes: every word past
+    /// the extent reads erased (`0xffff`). Page-rounded; grown by
+    /// [`Machine::load_flash`], zeroed by [`Machine::erase_flash`].
+    extent_words: usize,
     /// Whether the predecode cache (and the fast run loop that depends on
     /// it) is enabled. On by default; see [`Machine::set_predecode`].
     predecode: bool,
@@ -205,6 +213,7 @@ impl Machine {
             profile: None,
             cycle_profile: None,
             icache: Vec::new(),
+            extent_words: 0,
             predecode: true,
             bcache: BlockCache::default(),
             block_fusion: true,
@@ -241,9 +250,14 @@ impl Machine {
         let a = addr as usize;
         self.flash[a..a + bytes.len()].copy_from_slice(bytes);
         self.mark_flash_dirty(a, bytes.len());
-        if !self.icache.is_empty() {
-            predecode_patch(&mut self.icache, &self.flash, a, bytes.len());
+        if !bytes.is_empty() {
+            let end_words =
+                (a + bytes.len()).div_ceil(2 * PREDECODE_PAGE_WORDS) * PREDECODE_PAGE_WORDS;
+            self.extent_words = self.extent_words.max(end_words);
         }
+        // Slots past the table's end join it, undecoded, on the next fast
+        // run; only decoded slots need the new bytes now.
+        predecode_patch(&mut self.icache, &self.flash, a, bytes.len());
         self.bcache.invalidate_range(a, bytes.len());
     }
 
@@ -253,15 +267,14 @@ impl Machine {
         &self.flash
     }
 
-    /// Erase all of flash to `0xff`.
+    /// Erase all of flash to `0xff`. The predecode table truncates to the
+    /// (now empty) programmed extent, keeping its allocation for the next
+    /// image.
     pub fn erase_flash(&mut self) {
         self.flash.fill(0xff);
         self.dirty_flash.fill(!0);
-        if !self.icache.is_empty() {
-            // Every erased word decodes identically (0xffff is reserved),
-            // so a single repeated entry refreshes the whole cache.
-            self.icache.fill(predecode_at(&self.flash, 0));
-        }
+        self.extent_words = 0;
+        self.icache.clear();
         self.bcache.clear(true);
     }
 
@@ -308,9 +321,11 @@ impl Machine {
         }
     }
 
+    /// Size the predecode table to the programmed extent; new slots start
+    /// undecoded, so this costs a fill, not a decode.
     fn ensure_icache(&mut self) {
-        if self.predecode && self.icache.is_empty() {
-            self.icache = predecode_image(&self.flash);
+        if self.predecode && self.icache.len() < self.extent_words {
+            self.icache.resize(self.extent_words, UNDECODED);
         }
     }
 
@@ -606,22 +621,37 @@ impl Machine {
     // ---- execution ----
 
     /// The decoded instruction starting at word address `pc`: out of the
-    /// cache when it is built, straight from the decoder otherwise. Both
-    /// paths share [`predecode_at`]'s edge semantics (a two-word opcode
-    /// truncated by the end of flash is `Invalid`, width 1).
+    /// cache when it is built (decoding the slot's page on a miss), straight
+    /// from the decoder otherwise — which is also how erased flash past the
+    /// programmed extent reads. Both paths share [`predecode_at`]'s edge
+    /// semantics (a two-word opcode truncated by the end of flash is
+    /// `Invalid`, width 1).
     #[inline]
-    fn fetch_at(&self, pc: u32) -> Result<Predecoded, Fault> {
-        if let Some(e) = self.icache.get(pc as usize) {
-            return Ok(*e);
+    fn fetch_at(&mut self, pc: u32) -> Result<Predecoded, Fault> {
+        let w = pc as usize;
+        if let Some(e) = self.icache.get(w) {
+            if !e.is_decoded() {
+                predecode_pages(&mut self.icache, &self.flash, w, w + 1);
+            }
+            return Ok(self.icache[w]);
         }
         if pc >= self.device.flash_words() {
             return Err(Fault::PcOutOfBounds { pc });
         }
-        Ok(predecode_at(&self.flash, pc as usize))
+        Ok(predecode_at(&self.flash, w))
+    }
+
+    /// [`Machine::fetch_at`] off the fast loop's hot path: an undecoded
+    /// page, erased flash past the extent (which faults as it executes), or
+    /// a PC past the end of flash (which faults here).
+    #[cold]
+    #[inline(never)]
+    fn fetch_miss(&mut self, pc: u32) -> Result<Predecoded, Fault> {
+        self.fetch_at(pc)
     }
 
     /// Width in words of the instruction at word address `pc` (for skips).
-    fn width_at(&self, pc: u32) -> u32 {
+    fn width_at(&mut self, pc: u32) -> u32 {
         self.fetch_at(pc).map_or(1, |e| u32::from(e.width))
     }
 
@@ -890,11 +920,14 @@ impl Machine {
     #[inline]
     fn step_tail(&mut self, rem: u64) -> Result<(), Fault> {
         let entry = match self.icache.get(self.pc as usize) {
-            Some(e) => *e,
-            None => {
-                self.advance_peripherals(rem);
-                return Err(Fault::PcOutOfBounds { pc: self.pc });
-            }
+            Some(e) if e.is_decoded() => *e,
+            _ => match self.fetch_miss(self.pc) {
+                Ok(e) => e,
+                Err(f) => {
+                    self.advance_peripherals(rem);
+                    return Err(f);
+                }
+            },
         };
         let merge = matches!(
             entry.insn,
@@ -946,7 +979,7 @@ impl Machine {
     ///    every instruction that could unmask or retrigger the interrupt
     ///    (SREG/TIMSK0/TCCR0B/TCNT0/TIFR0 writes, `sei`) ends a block.
     fn fused_block_at(&mut self, pc: u32, horizon: u64) -> Option<FusedBlock> {
-        let b = self.bcache.lookup(&self.icache, pc)?;
+        let b = self.bcache.lookup(&mut self.icache, &self.flash, pc)?;
         if self.cycles + u64::from(b.cycles) > horizon {
             return None;
         }
@@ -1830,7 +1863,14 @@ impl Machine {
         self.portb.value = s.portb;
         self.insns_retired = s.insns_retired;
         self.interrupts_taken = s.interrupts_taken;
-        self.icache = Vec::new();
+        self.extent_words = self
+            .flash
+            .iter()
+            .rposition(|&b| b != 0xff)
+            .map_or(0, |last| {
+                (last / (2 * PREDECODE_PAGE_WORDS) + 1) * PREDECODE_PAGE_WORDS
+            });
+        self.icache.clear();
         self.bcache.clear(false);
         self.dirty_data = !0;
         self.dirty_flash.fill(!0);

@@ -4,7 +4,10 @@
 //! indistinguishable from one stepping the predecode cache per instruction
 //! *and* from one decoding flash on every fetch — a three-way oracle, run
 //! through interrupts, a live watchdog, timer rewrites, heartbeat I/O and
-//! mid-run reflashes.
+//! mid-run reflashes. The predecode table covers only the programmed
+//! extent and decodes 256-byte pages on first use, so the layouts below
+//! also enter undecoded pages every way control can arrive, straddle page
+//! edges, resize the image, and run off its end.
 
 use avr_core::encode::encode_to_bytes;
 use avr_core::{Insn, PtrReg, Reg, YZ};
@@ -15,6 +18,28 @@ use proptest::prelude::*;
 
 /// Word address the structured programs run from, clear of the vector table.
 const PROG_WORD: u32 = 64;
+
+/// Words per lazily decoded predecode page (256 bytes).
+const PAGE: u32 = 128;
+
+/// Program `insns` at word address `word`.
+fn place(m: &mut Machine, word: u32, insns: &[Insn]) {
+    m.load_flash(word * 2, &encode_to_bytes(insns).unwrap());
+}
+
+/// Push a 3-byte return address so that `ret` lands on word `k`.
+fn ret_to(k: u32) -> Vec<Insn> {
+    let mut seq = Vec::new();
+    for byte in [k & 0xff, (k >> 8) & 0xff, k >> 16] {
+        seq.push(Insn::Ldi {
+            d: Reg::R24,
+            k: byte as u8,
+        });
+        seq.push(Insn::Push { r: Reg::R24 });
+    }
+    seq.push(Insn::Ret);
+    seq
+}
 
 fn arch(m: &Machine) -> (u32, u8, u16, u64, Option<Fault>, u64, u64) {
     (
@@ -288,6 +313,208 @@ proptest! {
             m.set_pc_bytes(PROG_WORD * 2);
         }
         lockstep_batched(&mut ms, &batches);
+    }
+}
+
+/// Straight-line filler that neither branches nor faults.
+fn filler_strategy() -> impl Strategy<Value = Insn> {
+    prop_oneof![
+        (any::<u8>()).prop_map(|k| Insn::Ldi { d: Reg::R24, k }),
+        (any::<u8>()).prop_map(|k| Insn::Ldi { d: Reg::R25, k }),
+        Just(Insn::Add {
+            d: Reg::R24,
+            r: Reg::R25
+        }),
+        Just(Insn::Inc { d: Reg::R25 }),
+        Just(Insn::Nop),
+        Just(Insn::Lds {
+            d: Reg::R25,
+            k: 0x300
+        }),
+    ]
+}
+
+proptest! {
+    /// Segments on separate pages, each linked to the next by `jmp`,
+    /// `call`, a pushed-address `ret` or `rjmp`, with the Timer0 vector
+    /// (page 0) jumping to a handler on a page of its own: every page is
+    /// first entered through one of those transfers, never by falling
+    /// into it, and segments may straddle their page's end.
+    #[test]
+    fn first_entry_into_undecoded_pages_executes_identically(
+        segs in pvec((pvec(insn_strategy(), 0..12), 0u8..4, 0u32..PAGE), 2..5),
+        prescale in 1u8..=3,
+        batches in batch_strategy(),
+    ) {
+        let bases: Vec<u32> = segs
+            .iter()
+            .enumerate()
+            .map(|(i, (_, _, off))| PAGE * (2 + 3 * i as u32) + off)
+            .collect();
+        const ISR_WORD: u32 = PAGE * 40 + 3;
+        let mut ms = triple(|m| {
+            place(m, avr_sim::timer::TIMER0_OVF_VECTOR * 2, &[Insn::Jmp { k: ISR_WORD }]);
+            place(m, ISR_WORD, &[Insn::Inc { d: Reg::R25 }, Insn::Reti]);
+            for (i, (body, link, _)) in segs.iter().enumerate() {
+                let next = bases[(i + 1) % bases.len()];
+                let mut code = body.clone();
+                match link {
+                    0 => code.push(Insn::Jmp { k: next }),
+                    1 => code.push(Insn::Call { k: next }),
+                    2 => code.extend(ret_to(next)),
+                    _ => {
+                        let here = bases[i] + encode_to_bytes(&code).unwrap().len() as u32 / 2;
+                        code.push(Insn::Rjmp { k: (next as i32 - here as i32 - 1) as i16 });
+                    }
+                }
+                place(m, bases[i], &code);
+            }
+            m.set_pc_bytes(bases[0] * 2);
+            m.set_sreg(1 << 7); // I
+            m.timer0.tccr_b = prescale;
+            m.timer0.timsk = TOV0;
+        });
+        lockstep_batched(&mut ms, &batches);
+    }
+
+    /// A skip as the last word of a page whose successor — a two-word
+    /// instruction, so the skip's width matters — opens the next,
+    /// still-undecoded page.
+    #[test]
+    fn skip_over_an_undecoded_successor_executes_identically(
+        r24 in any::<u8>(),
+        r25 in any::<u8>(),
+        bit in 0u8..8,
+        kind in 0u8..3,
+        successor in 0u8..3,
+        batches in batch_strategy(),
+    ) {
+        let skip_word = 5 * PAGE - 1;
+        let back = 5 * PAGE - 4;
+        let skip = match kind {
+            0 => Insn::Sbrs { r: Reg::R24, b: bit },
+            1 => Insn::Sbrc { r: Reg::R24, b: bit },
+            _ => Insn::Cpse { d: Reg::R24, r: Reg::R25 },
+        };
+        let two_word = match successor {
+            0 => Insn::Lds { d: Reg::R25, k: 0x300 },
+            1 => Insn::Jmp { k: 9 * PAGE },
+            _ => Insn::Call { k: 9 * PAGE },
+        };
+        let mut ms = triple(|m| {
+            m.set_reg(Reg::R24, r24);
+            m.set_reg(Reg::R25, r25);
+            place(m, back, &[Insn::Inc { d: Reg::R24 }, Insn::Nop, Insn::Nop, skip]);
+            place(m, skip_word + 1, &[two_word, Insn::Rjmp { k: -(PAGE as i16) - 2 }]);
+            place(m, 9 * PAGE, &[Insn::Inc { d: Reg::R25 }, Insn::Jmp { k: back }]);
+            m.set_pc_bytes(back * 2);
+        });
+        lockstep_batched(&mut ms, &batches);
+    }
+
+    /// A two-word `jmp` at the last word of page 6 takes its operand from
+    /// page 7. With only one of the two pages decoded, page 7 is
+    /// rewritten: the jump must follow the new operand.
+    #[test]
+    fn straddler_follows_a_rewrite_of_its_second_page(
+        operand_page_first in any::<bool>(),
+        body in pvec(filler_strategy(), 0..20),
+        batches in batch_strategy(),
+    ) {
+        let straddle = 7 * PAGE - 1;
+        let (old_target, new_target) = (20 * PAGE, 21 * PAGE);
+        let page7_loop = 7 * PAGE + 1;
+        let start = straddle - encode_to_bytes(&body).unwrap().len() as u32 / 2;
+        let mut ms = triple(|m| {
+            place(m, start, &body);
+            place(m, straddle, &[Insn::Jmp { k: old_target }]);
+            place(m, page7_loop, &[Insn::Inc { d: Reg::R25 }, Insn::Rjmp { k: -2 }]);
+            place(m, old_target, &[Insn::Ldi { d: Reg::R24, k: 1 }, Insn::Rjmp { k: -1 }]);
+            place(m, new_target, &[Insn::Ldi { d: Reg::R24, k: 2 }, Insn::Rjmp { k: -1 }]);
+            // Run on one side of the edge only: page 6 through the jump, or
+            // page 7's loop.
+            m.set_pc_bytes(if operand_page_first { page7_loop } else { start } * 2);
+        });
+        lockstep_batched(&mut ms, &batches);
+        for m in ms.iter_mut() {
+            // Rewrite page 7 whole: the operand now names the new target.
+            let mut page = encode_to_bytes(&[Insn::Jmp { k: new_target }]).unwrap()[2..].to_vec();
+            page.extend(encode_to_bytes(&[Insn::Inc { d: Reg::R25 }, Insn::Rjmp { k: -2 }]).unwrap());
+            page.resize(2 * PAGE as usize, 0xff);
+            m.load_flash(7 * PAGE * 2, &page);
+            m.set_pc_bytes(start * 2);
+        }
+        lockstep_batched(&mut ms, &[4096]);
+        for m in &ms {
+            prop_assert_eq!(m.reg(Reg::R24), 2, "the jump took the rewritten operand");
+        }
+    }
+
+    /// Reflash to a larger image, then to a smaller one whose code runs
+    /// off its end into the larger image's erased pages.
+    #[test]
+    fn reflash_to_larger_then_smaller_image_executes_identically(
+        small in pvec(filler_strategy(), 1..40),
+        large_pages in 2u32..6,
+        fill in pvec(filler_strategy(), 1..16),
+        batches in batch_strategy(),
+    ) {
+        let small_bytes = encode_to_bytes(&small).unwrap();
+        let mut large: Vec<Insn> = fill.iter().cycle().take((large_pages * PAGE) as usize).copied().collect();
+        large.push(Insn::Jmp { k: PROG_WORD });
+        let large_bytes = encode_to_bytes(&large).unwrap();
+        let mut ms = triple(|m| {
+            m.load_flash(PROG_WORD * 2, &small_bytes);
+            m.set_pc_bytes(PROG_WORD * 2);
+        });
+        lockstep_batched(&mut ms, &batches);
+        for bytes in [&large_bytes, &small_bytes] {
+            for m in ms.iter_mut() {
+                m.erase_flash();
+                m.load_flash(PROG_WORD * 2, bytes);
+                m.reset();
+                m.set_pc_bytes(PROG_WORD * 2);
+            }
+            lockstep_batched(&mut ms, &batches);
+        }
+        // The small image falls through into erased flash and faults there
+        // (given the cycles to get that far).
+        lockstep_batched(&mut ms, &[1_000_000]);
+        let off_the_end = PROG_WORD * 2 + small_bytes.len() as u32;
+        for m in &ms {
+            prop_assert_eq!(
+                m.fault(),
+                Some(Fault::InvalidOpcode { addr: off_the_end, word: 0xffff })
+            );
+        }
+    }
+
+    /// A jump into erased flash past the programmed extent faults exactly
+    /// as the uncached decoder does: an erased word inside flash is an
+    /// invalid opcode, a PC past the end of flash is out of bounds.
+    #[test]
+    fn pc_past_the_image_faults_like_the_uncached_path(
+        body in pvec(filler_strategy(), 0..20),
+        far in prop_oneof![3 * PAGE..0x2_0000, 0x2_0000u32..0x40_0000],
+        batches in batch_strategy(),
+    ) {
+        let mut code = body.clone();
+        code.push(Insn::Jmp { k: far });
+        let mut ms = triple(|m| {
+            place(m, PROG_WORD, &code);
+            m.set_pc_bytes(PROG_WORD * 2);
+        });
+        let mut schedule = batches.clone();
+        schedule.push(10_000);
+        lockstep_batched(&mut ms, &schedule);
+        let expected = if far < 0x2_0000 {
+            Fault::InvalidOpcode { addr: far * 2, word: 0xffff }
+        } else {
+            Fault::PcOutOfBounds { pc: far }
+        };
+        for m in &ms {
+            prop_assert_eq!(m.fault(), Some(expected));
+        }
     }
 }
 

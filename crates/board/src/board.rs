@@ -114,6 +114,22 @@ impl MavrBoard {
         })?;
         let mut ext_flash = ExternalFlash::new();
         ext_flash.upload(&container)?;
+        Self::from_uploaded(ext_flash, seed, policy, telemetry, chaos)
+    }
+
+    /// Assemble a board around an external flash chip that already holds
+    /// the container, and perform the first randomized boot. Clones of one
+    /// uploaded chip share its cells, so a campaign uploads once and
+    /// builds every board from that chip; each board's boots read it
+    /// exactly as [`MavrBoard::provision_chaos`]'s private upload would be
+    /// read.
+    pub fn from_uploaded(
+        ext_flash: ExternalFlash,
+        seed: u64,
+        policy: RandomizationPolicy,
+        telemetry: Telemetry,
+        chaos: crate::chaos::FaultPlan,
+    ) -> Result<Self, MasterError> {
         let mut master = MasterProcessor::new(seed, policy);
         master.telemetry = telemetry.clone();
         master.chaos = chaos;

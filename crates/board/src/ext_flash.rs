@@ -6,6 +6,8 @@
 //! external flash memory and the application processor never reads from
 //! this flash memory."
 
+use std::sync::Arc;
+
 use crate::chaos::FaultPlan;
 use hexfile::MavrContainer;
 
@@ -57,27 +59,70 @@ impl std::fmt::Display for FlashError {
 
 impl std::error::Error for FlashError {}
 
-/// CRC-32 (IEEE 802.3, reflected) over `data`. Bitwise — container-sized
-/// inputs are small enough that a table buys nothing here. The board crate
-/// carries its own copy because the snapshot crate (which also has one)
-/// sits *above* it in the dependency graph.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xffff_ffffu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte table,
+/// and `CRC_TABLES[k][n]` is the CRC of byte `n` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut n = 0;
+    while n < 256 {
+        let mut c = n as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = (c >> 1) ^ (0xedb8_8320 & (c & 1).wrapping_neg());
+            k += 1;
         }
+        t[0][n] = c;
+        n += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut n = 0;
+        while n < 256 {
+            let prev = t[k - 1][n];
+            t[k][n] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            n += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, reflected — the zlib/`cksum -o3` polynomial) over
+/// `data`, eight bytes per step. This is the workspace's one CRC: the
+/// container footer checked on every boot's read, and the snapshot
+/// framing, which re-exports it.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = !0u32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
 }
 
 /// The chip: stores the MAVR container verbatim, as `avrdude` would upload
 /// it (§VI-B2: "receives the HEX file and stores it verbatim").
+///
+/// The stored bytes are shared: a clone is one more handle on the same
+/// cells, so a campaign uploads once and every board it provisions reads
+/// that one copy. Nothing writes the cells after an upload (chaos reads
+/// mangle a transient copy), which is what makes sharing exact.
 #[derive(Debug, Clone, Default)]
 pub struct ExternalFlash {
-    contents: Option<Vec<u8>>,
+    contents: Option<Arc<[u8]>>,
 }
 
 impl ExternalFlash {
@@ -99,19 +144,15 @@ impl ExternalFlash {
         // encoded directive text (the footer counts: it occupies real
         // cells, so it must not push a near-capacity binary over §VI-B2's
         // line for free).
-        let mut text = container.to_text();
-        let footer = format!("{CRC_DIRECTIVE}{:08x}\n", crc32(text.as_bytes()));
-        text.push_str(&footer);
-        let directive_bytes: usize = text
-            .lines()
-            .filter(|l| l.starts_with(';'))
-            .map(|l| l.len() + 1)
-            .sum();
-        let required = container.image.bytes.len() + directive_bytes;
+        let mut text = Vec::new();
+        let header = container.write_text(&mut text);
+        let footer = format!("{CRC_DIRECTIVE}{:08x}\n", crc32(&text));
+        text.extend_from_slice(footer.as_bytes());
+        let required = container.image.bytes.len() + header + footer.len();
         if required > CAPACITY_BYTES {
             return Err(FlashError::TooLarge { required });
         }
-        self.contents = Some(text.into_bytes());
+        self.contents = Some(text.into());
         Ok(())
     }
 
@@ -130,7 +171,7 @@ impl ExternalFlash {
         if !chaos.is_active() {
             return Self::decode(bytes);
         }
-        let mut copy = bytes.clone();
+        let mut copy = bytes.to_vec();
         chaos.mangle_flash_read(&mut copy);
         Self::decode(&copy)
     }
@@ -211,7 +252,7 @@ mod tests {
         let mut bytes = stored.clone();
         let at = bytes.len() / 3;
         bytes[at] ^= 0x40;
-        tampered.contents = Some(bytes);
+        tampered.contents = Some(bytes.into());
         match tampered.read().unwrap_err() {
             FlashError::IntegrityFailure { expected, actual } => assert_ne!(expected, actual),
             other => panic!("expected IntegrityFailure, got {other:?}"),
@@ -220,7 +261,7 @@ mod tests {
         // A chip written without a footer (legacy or torn upload) is corrupt.
         let mut legacy = chip.clone();
         let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
-        legacy.contents = Some(stored[..body_end].to_vec());
+        legacy.contents = Some(stored[..body_end].into());
         assert!(matches!(legacy.read().unwrap_err(), FlashError::Corrupt(_)));
     }
 
@@ -238,6 +279,37 @@ mod tests {
         // The classic IEEE check value.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_definition_at_every_length() {
+        fn bitwise(data: &[u8]) -> u32 {
+            let mut crc = !0u32;
+            for &b in data {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+                }
+            }
+            !crc
+        }
+        let data: Vec<u8> = (0u32..300).map(|i| (i * 151 + 7) as u8).collect();
+        for len in 0..data.len() {
+            // Every head length and alignment exercises the 8-byte steps
+            // and the byte-wise remainder.
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "len {len}");
+            assert_eq!(crc32(&data[len..]), bitwise(&data[len..]), "tail {len}");
+        }
+    }
+
+    #[test]
+    fn clones_share_the_uploaded_cells() {
+        let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
+        let mut chip = ExternalFlash::new();
+        chip.upload(&mavr::preprocess(&fw.image).unwrap()).unwrap();
+        let twin = chip.clone();
+        let (a, b) = (chip.contents.as_ref(), twin.contents.as_ref());
+        assert!(Arc::ptr_eq(a.unwrap(), b.unwrap()));
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub use shard::{
 use mavlink_lite::channel::{ChannelStats, LossConfig, LossyChannel};
 use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
-use mavr_board::{ChaosConfig, FaultPlan, MasterError, MavrBoard};
+use mavr_board::{ChaosConfig, ExternalFlash, FaultPlan, MasterError, MavrBoard};
 use mavr_world::{FlightHarness, World, CYCLES_PER_STEP};
 use rop::attack::AttackContext;
 use std::collections::BTreeMap;
@@ -364,12 +364,36 @@ fn job_fault_plan(cfg: &CampaignConfig, job: Job) -> FaultPlan {
 /// bricked and the outcome records the fact.
 fn run_board(
     cfg: &CampaignConfig,
-    image: &avr_core::image::FirmwareImage,
+    flash: &ExternalFlash,
+    payloads: Option<&[Vec<u8>]>,
+    job: Job,
+) -> BoardOutcome {
+    let board = MavrBoard::from_uploaded(
+        flash.clone(),
+        job_board_seed(cfg, job),
+        RandomizationPolicy::default(),
+        Telemetry::off(),
+        job_fault_plan(cfg, job),
+    );
+    fly_board(cfg, board, payloads, job)
+}
+
+/// The job's board (randomization) seed.
+fn job_board_seed(cfg: &CampaignConfig, job: Job) -> u64 {
+    derive_seed(cfg.stream_base(), job.base_index as u64 * 3)
+}
+
+/// Fly a provisioned board — seeded by [`job_board_seed`], under
+/// [`job_fault_plan`] — through the job's scenario; a provisioning error
+/// is a board bricked on the bench.
+fn fly_board(
+    cfg: &CampaignConfig,
+    provisioned: Result<MavrBoard, MasterError>,
     payloads: Option<&[Vec<u8>]>,
     job: Job,
 ) -> BoardOutcome {
     let stream_base = cfg.stream_base();
-    let board_seed = derive_seed(stream_base, job.base_index as u64 * 3);
+    let board_seed = job_board_seed(cfg, job);
     let loss_cfg = LossConfig {
         drop: job.loss,
         corrupt: job.loss,
@@ -385,15 +409,8 @@ fn run_board(
         loss_cfg.with_seed(derive_seed(stream_base, job.base_index as u64 * 3 + 2)),
     );
     let mut gcs = GroundStation::with_capacity(cfg.gcs_capacity);
-    let chaos = job_fault_plan(cfg, job);
 
-    let Ok(mut board) = MavrBoard::provision_chaos(
-        image,
-        board_seed,
-        RandomizationPolicy::default(),
-        Telemetry::off(),
-        chaos,
-    ) else {
+    let Ok(mut board) = provisioned else {
         // The very first boot exhausted its retries (there is no
         // last-known-good image yet): dead on the bench.
         return BoardOutcome {
@@ -592,16 +609,11 @@ fn sabotage_mode(cfg: &CampaignConfig, job: Job, attempt: u32) -> Sabotage {
 /// A sabotaged non-terminating flight: the board keeps flying until the
 /// cycle-budget watchdog trips. This is the watchdog's proof that it
 /// actually bounds a runaway job — the loop's only exit is the budget.
-fn fly_until_watchdog(
-    cfg: &CampaignConfig,
-    image: &avr_core::image::FirmwareImage,
-    job: Job,
-) -> JobFailureKind {
-    let board_seed = derive_seed(cfg.stream_base(), job.base_index as u64 * 3);
+fn fly_until_watchdog(cfg: &CampaignConfig, flash: &ExternalFlash, job: Job) -> JobFailureKind {
     let budget = job_cycle_budget(cfg);
-    let Ok(mut board) = MavrBoard::provision_chaos(
-        image,
-        board_seed,
+    let Ok(mut board) = MavrBoard::from_uploaded(
+        flash.clone(),
+        job_board_seed(cfg, job),
         RandomizationPolicy::default(),
         Telemetry::off(),
         FaultPlan::none(),
@@ -624,7 +636,7 @@ fn fly_until_watchdog(
 /// up in [`run_board_supervised`].
 fn run_board_attempt(
     cfg: &CampaignConfig,
-    image: &avr_core::image::FirmwareImage,
+    flash: &ExternalFlash,
     payloads: Option<&[Vec<u8>]>,
     job: Job,
     attempt: u32,
@@ -635,9 +647,9 @@ fn run_board_attempt(
             "sabotage: poison job {} panicking on attempt {attempt}",
             job.job_index
         ),
-        Sabotage::Hang => return Err(fly_until_watchdog(cfg, image, job)),
+        Sabotage::Hang => return Err(fly_until_watchdog(cfg, flash, job)),
     }
-    let outcome = run_board(cfg, image, payloads, job);
+    let outcome = run_board(cfg, flash, payloads, job);
     if outcome.final_cycle > job_cycle_budget(cfg) {
         return Err(JobFailureKind::Timeout);
     }
@@ -666,14 +678,14 @@ fn job_backoff(cfg: &CampaignConfig, job: Job, attempt: u32) -> Duration {
 /// is never silently dropped.
 fn run_board_supervised(
     cfg: &CampaignConfig,
-    image: &avr_core::image::FirmwareImage,
+    flash: &ExternalFlash,
     payloads: Option<&[Vec<u8>]>,
     job: Job,
 ) -> BoardOutcome {
     let mut last = JobFailureKind::Panic;
     for attempt in 0..JOB_RETRY_CAP {
         match catch_unwind(AssertUnwindSafe(|| {
-            run_board_attempt(cfg, image, payloads, job, attempt)
+            run_board_attempt(cfg, flash, payloads, job, attempt)
         })) {
             Ok(Ok(outcome)) => return outcome,
             Ok(Err(kind)) => last = kind,
@@ -713,7 +725,7 @@ fn quarantined_outcome(cfg: &CampaignConfig, job: Job, failure: JobFailure) -> B
         loss: job.loss,
         fault: job.fault,
         board_index: job.board_index,
-        board_seed: derive_seed(cfg.stream_base(), job.base_index as u64 * 3),
+        board_seed: job_board_seed(cfg, job),
         attack_packets: 0,
         attack_succeeded: false,
         recoveries: 0,
@@ -738,19 +750,32 @@ fn quarantined_outcome(cfg: &CampaignConfig, job: Job, failure: JobFailure) -> B
     }
 }
 
-/// Per-campaign artifacts every job shares — the (unprotected) firmware
-/// image and one canned payload set per scenario — prepared once and
-/// shared across shard runs, so a service running thousands of shards
-/// doesn't rebuild the firmware and re-craft the payload set per shard.
+/// Per-campaign artifacts every job shares — the external flash chip
+/// holding the (unprotected) firmware's container, and one canned payload
+/// set per scenario — prepared once and shared across shard runs, so a
+/// service running thousands of shards doesn't rebuild the firmware,
+/// re-upload its container or re-craft the payload set per shard.
 pub struct PreparedCampaign {
-    image: avr_core::image::FirmwareImage,
+    flash: ExternalFlash,
     payloads: Vec<Option<Vec<Vec<u8>>>>,
 }
 
 impl PreparedCampaign {
-    /// Build the campaign's firmware image and per-scenario payload set.
+    /// Build the campaign's firmware image, preprocess it and upload the
+    /// container once, and craft the per-scenario payload set.
+    ///
+    /// Every job's board is built on a clone of that one chip (clones
+    /// share the stored cells). When the container cannot be made or does
+    /// not fit, the chip stays erased, and every board fails its first
+    /// boot reading it — exactly where a per-board upload would have
+    /// failed its provisioning.
     pub fn new(cfg: &CampaignConfig) -> Self {
         let fw = build(&cfg.app, &BuildOptions::vulnerable_mavr()).expect("campaign app builds");
+        let mut flash = ExternalFlash::new();
+        if let Ok(container) = mavr::preprocess(&fw.image) {
+            // A refused upload leaves the chip erased (see above).
+            let _ = flash.upload(&container);
+        }
         let ctx = AttackContext::discover(&fw.image).expect("attack discovery on campaign app");
         // One payload set per scenario, crafted against the unprotected image.
         let payloads = cfg
@@ -763,10 +788,7 @@ impl PreparedCampaign {
                 })
             })
             .collect();
-        PreparedCampaign {
-            image: fw.image,
-            payloads,
-        }
+        PreparedCampaign { flash, payloads }
     }
 }
 
@@ -961,7 +983,7 @@ fn execute_jobs_streaming(
                     // quarantined outcome, never a dead worker.
                     let outcome = run_board_supervised(
                         cfg,
-                        &prepared.image,
+                        &prepared.flash,
                         prepared.payloads[job.scenario_idx].as_deref(),
                         job,
                     );
@@ -1073,6 +1095,63 @@ mod tests {
         Ok(status
             .complete
             .then(|| merge_shard_checkpoints(cfg, vec![shard.clone()]).unwrap().0))
+    }
+
+    #[test]
+    fn shared_chip_flies_exactly_like_a_private_upload() {
+        // The oracle for uploading once per campaign: every job flown on a
+        // clone of the campaign's chip must match the same job flown on a
+        // board that preprocessed and uploaded the image itself — fault
+        // free, and at a bit-rot rate that forces container re-reads and
+        // reflash retries — and the chaos reads must leave the shared
+        // cells as uploaded.
+        let cfg = CampaignConfig {
+            boards: 3,
+            scenarios: vec![Scenario::V1Crash, Scenario::V2Stealthy],
+            loss_levels: vec![0.0],
+            fault_levels: vec![0.0, 2e-4],
+            attack_cycles: 1_000_000,
+            ..CampaignConfig::default()
+        };
+        let prepared = PreparedCampaign::new(&cfg);
+        let cells =
+            |chip: &ExternalFlash| -> Vec<u8> { (0..).map_while(|i| chip.read_byte(i)).collect() };
+        let uploaded = cells(&prepared.flash);
+        assert!(
+            !uploaded.is_empty(),
+            "the campaign chip holds the container"
+        );
+        let image = build(&cfg.app, &BuildOptions::vulnerable_mavr())
+            .unwrap()
+            .image;
+        let mut retries = 0;
+        for index in 0..cfg.total_jobs() {
+            let job = job_at(&cfg, index);
+            let payloads = prepared.payloads[job.scenario_idx].as_deref();
+            let shared = run_board(&cfg, &prepared.flash, payloads, job);
+            let private = MavrBoard::provision_chaos(
+                &image,
+                job_board_seed(&cfg, job),
+                RandomizationPolicy::default(),
+                Telemetry::off(),
+                job_fault_plan(&cfg, job),
+            );
+            assert_eq!(
+                shared,
+                fly_board(&cfg, private, payloads, job),
+                "job {index}"
+            );
+            retries += shared.reflash_retries;
+        }
+        assert!(
+            retries > 0,
+            "the faulted cells must exercise the retry path"
+        );
+        assert_eq!(
+            cells(&prepared.flash),
+            uploaded,
+            "chaos reads left the chip as uploaded"
+        );
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use avr_core::device::{Device, ATMEGA1284P, ATMEGA2560};
 use avr_core::image::{FirmwareImage, Symbol, SymbolKind};
 
-use crate::intel::{parse_ihex, write_ihex};
+use crate::intel::{encode_ihex, parse_ihex_within};
 use crate::ParseError;
 
 /// Format version emitted by this implementation.
@@ -44,9 +44,17 @@ impl MavrContainer {
 
     /// Serialize: symbol directives first, then the Intel HEX body.
     pub fn to_text(&self) -> String {
-        use std::fmt::Write;
+        let mut out = Vec::new();
+        self.write_text(&mut out);
+        String::from_utf8(out).expect("container text is UTF-8")
+    }
+
+    /// Append [`MavrContainer::to_text`]'s bytes to `out` and return the
+    /// length of the directive header that precedes the HEX body.
+    pub fn write_text(&self, out: &mut Vec<u8>) -> usize {
+        use std::io::Write;
         let img = &self.image;
-        let mut out = String::new();
+        let start = out.len();
         writeln!(out, ";MAVR {} {}", FORMAT_VERSION, img.device.name).unwrap();
         writeln!(out, ";TEXTEND {:#010x}", img.text_end).unwrap();
         for s in &img.symbols {
@@ -60,11 +68,13 @@ impl MavrContainer {
         for &p in &img.fn_ptr_locs {
             writeln!(out, ";PTR {p:#x}").unwrap();
         }
-        out.push_str(&write_ihex(&img.bytes, 0));
-        out
+        let header = out.len() - start;
+        encode_ihex(out, &img.bytes, 0);
+        header
     }
 
-    /// Parse a container produced by [`MavrContainer::to_text`].
+    /// Parse a container produced by [`MavrContainer::to_text`]. The HEX
+    /// body may span no more than the flash of the device the header names.
     pub fn parse(text: &str) -> Result<Self, ParseError> {
         let mut device: Option<Device> = None;
         let mut text_end = 0u32;
@@ -117,7 +127,7 @@ impl MavrContainer {
             }
         }
         let device = device.ok_or_else(|| bad(0, "missing ;MAVR header"))?;
-        let (base, bytes) = parse_ihex(text)?;
+        let (base, bytes) = parse_ihex_within(text, device.flash_bytes as usize)?;
         if base != 0 {
             return Err(bad(0, &format!("HEX body must load at 0, got {base:#x}")));
         }
@@ -153,6 +163,7 @@ fn parse_num(field: Option<&str>, line: usize) -> Result<u32, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::intel::{parse_ihex, write_ihex};
 
     fn sample_image() -> FirmwareImage {
         let mut img = FirmwareImage::new(ATMEGA2560);
@@ -226,6 +237,25 @@ mod tests {
     fn unknown_device_rejected() {
         let text = ";MAVR 1 Z80\n:00000001FF\n";
         assert!(MavrContainer::parse(text).is_err());
+    }
+
+    #[test]
+    fn body_span_is_bounded_by_the_header_device() {
+        // Two data bytes 0x30000 apart: within an ATmega2560's 256 KiB,
+        // beyond an ATmega1284P's 128 KiB.
+        let body = ":0100000000FF\n:020000040003F7\n:0100000000FF\n:00000001FF\n";
+        let err = MavrContainer::parse(&format!(";MAVR 1 ATmega1284P\n{body}")).unwrap_err();
+        assert_eq!(
+            err,
+            ParseError::SpanTooLarge {
+                span: 0x3_0001,
+                max_span: 128 * 1024,
+            }
+        );
+        // The ATmega2560 header admits the span; the odd-length image then
+        // fails validation instead.
+        let err = MavrContainer::parse(&format!(";MAVR 1 ATmega2560\n{body}")).unwrap_err();
+        assert!(matches!(err, ParseError::BadDirective { .. }), "{err:?}");
     }
 
     #[test]

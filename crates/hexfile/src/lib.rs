@@ -59,6 +59,14 @@ pub enum ParseError {
     },
     /// No type-01 EOF record at the end.
     MissingEof,
+    /// The loaded addresses span more bytes than the caller allows (for a
+    /// container, the flash of the device its header names).
+    SpanTooLarge {
+        /// Bytes from the lowest to one past the highest loaded address.
+        span: u64,
+        /// The caller's bound.
+        max_span: usize,
+    },
     /// A MAVR directive line was malformed.
     BadDirective {
         /// 1-based line number.
@@ -86,6 +94,10 @@ impl std::fmt::Display for ParseError {
                 write!(f, "line {line}: unknown record type {record_type:#04x}")
             }
             ParseError::MissingEof => write!(f, "missing EOF record"),
+            ParseError::SpanTooLarge { span, max_span } => write!(
+                f,
+                "records span {span} bytes, more than the {max_span} allowed"
+            ),
             ParseError::BadDirective { line, reason } => {
                 write!(f, "line {line}: bad MAVR directive: {reason}")
             }

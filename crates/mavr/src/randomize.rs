@@ -1,6 +1,6 @@
 //! The randomization engine and streaming patcher (§V-B2, §V-B3, §VI-B3).
 
-use avr_core::decode::decode_at;
+use avr_core::decode::{decode_at, width_at};
 use avr_core::encode::encode;
 use avr_core::image::{FirmwareImage, Symbol, SymbolKind};
 use avr_core::Insn;
@@ -219,14 +219,23 @@ pub fn randomize(
     // call/jmp is retargeted; relative branches must stay inside their
     // (moved) block.
     let mut report = PatchReport::default();
-    let mut off = 0u32;
-    while off + 1 < image.text_end {
-        let Some((insn, words)) = decode_at(&image.bytes, off as usize) else {
+    let mut next = 0u32;
+    while next + 1 < image.text_end {
+        let off = next;
+        let Some(words) = width_at(&image.bytes, off as usize) else {
             break;
         };
-        let new_off = map_addr(off, off).unwrap_or(off);
+        next += words * 2;
+        // Only calls and jumps need decoding; everything else is stepped
+        // over by its width.
+        if !is_call_or_jump(image.read_word(off)) {
+            continue;
+        }
+        let (insn, _) = decode_at(&image.bytes, off as usize).expect("width_at read this word");
         match insn {
             Insn::Call { k } | Insn::Jmp { k } => {
+                // Only a retargeted instruction needs its relocated offset.
+                let new_off = map_addr(off, off).unwrap_or(off);
                 let old_target = k * 2;
                 let new_target = map_addr(old_target, off)?;
                 match insn {
@@ -264,7 +273,6 @@ pub fn randomize(
             }
             _ => {}
         }
-        off += words * 2;
     }
 
     // Patch data-section function pointers (16-bit word addresses).
@@ -319,6 +327,13 @@ pub fn randomize(
         permutation: order_index,
         report,
     })
+}
+
+/// Whether `word` opens an absolute (`jmp`, `call`: `1001 010k kkkk 11ck`)
+/// or relative (`rjmp`, `rcall`: `110x kkkk kkkk kkkk`) call or jump — the
+/// only instructions the patch pass must decode.
+fn is_call_or_jump(word: u16) -> bool {
+    word & 0xfe0c == 0x940c || word >> 13 == 0b110
 }
 
 /// Rank (index in address order) of the movable symbol containing
@@ -386,6 +401,18 @@ mod tests {
         build(&apps::tiny_test_app(), &BuildOptions::safe_mavr())
             .unwrap()
             .image
+    }
+
+    #[test]
+    fn call_or_jump_prefilter_matches_the_decoder_on_every_word() {
+        use avr_core::decode::decode;
+        for w in 0..=u16::MAX {
+            let branch = matches!(
+                decode(&[w, 0x0100]).0,
+                Insn::Call { .. } | Insn::Jmp { .. } | Insn::Rcall { .. } | Insn::Rjmp { .. }
+            );
+            assert_eq!(is_call_or_jump(w), branch, "{w:#06x}");
+        }
     }
 
     #[test]

@@ -139,38 +139,10 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-// ---- CRC32 (IEEE 802.3, table-driven) ----
-
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut n = 0;
-    while n < 256 {
-        let mut c = n as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xedb8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[n] = c;
-        n += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = build_crc_table();
-
-/// IEEE CRC-32 over `bytes` (the `cksum -o3`/zlib polynomial).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xffff_ffffu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
-    }
-    c ^ 0xffff_ffff
-}
+/// IEEE CRC-32 (the `cksum -o3`/zlib polynomial) guarding every frame:
+/// the workspace's one slice-by-8 implementation, shared with the external
+/// flash's container footer.
+pub use mavr_board::ext_flash::crc32;
 
 // ---- payload writer / reader ----
 

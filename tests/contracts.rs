@@ -111,3 +111,29 @@ fn sensor_addresses_flow_into_telemetry() {
         .expect("RAW_IMU frame");
     assert_eq!(imu.gyro[2], 0x7f5a);
 }
+
+#[test]
+fn container_text_is_byte_stable_for_every_app() {
+    // The container text is what the external flash stores and what the
+    // master's footer CRC covers: its encoder may get faster, but its bytes
+    // must not move. Length and CRC-32 per app, vulnerable MAVR build.
+    use mavr_repro::mavr_board::ext_flash::crc32;
+    let expected = [
+        ("plane", 638_492, 0x1edd_1f1b),
+        ("copter", 705_169, 0xa0b4_e8e8),
+        ("rover", 514_112, 0xeb74_aab4),
+        ("tiny", 14_452, 0x140d_e756),
+        ("quad", 15_100, 0x7cfb_f67c),
+    ];
+    let names: Vec<&str> = apps::APP_NAMES.split(", ").collect();
+    assert_eq!(names, expected.map(|(name, _, _)| name));
+    for (name, len, crc) in expected {
+        let fw = build(
+            &apps::by_name(name).unwrap(),
+            &BuildOptions::vulnerable_mavr(),
+        )
+        .unwrap();
+        let text = mavr_repro::mavr::preprocess(&fw.image).unwrap().to_text();
+        assert_eq!((text.len(), crc32(text.as_bytes())), (len, crc), "{name}");
+    }
+}
