@@ -57,5 +57,5 @@ pub use machine::{Machine, MachineState, SimCounters, Trace, DIRTY_PAGE_SIZE, HE
 pub use periph::{
     Heartbeat, HeartbeatState, PortB, Pwm, Uart, UartState, Watchdog, WatchdogState, PORTB_ADDR,
 };
-pub use profiler::{CycleProfile, Flow, FuncCycles, PcProfile};
+pub use profiler::{CycleProfile, Flow, FuncCycles};
 pub use timer::{Timer0, Timer0State};

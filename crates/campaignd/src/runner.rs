@@ -3,17 +3,17 @@
 //! The runner is what makes a million-board campaign cost the same RAM as
 //! an 8-board one: it holds exactly one shard's outcomes at a time
 //! (plus the fixed-size cell matrix), streams each board's result to the
-//! shard's JSONL file the moment its prefix completes, and folds metrics
-//! through the associative registry merge instead of accumulating outcome
-//! vectors. The merge step is two O(largest-shard) passes that write the
-//! report **byte-identical** to an unsharded `run_campaign().to_json()` —
-//! the laws behind that identity are proptested in
-//! `mavr-fleet/tests/shard_props.rs`.
+//! shard's JSONL file the moment its prefix completes, and folds shards
+//! through the fleet's one merge law (`CampaignAggregate::fold_shard`)
+//! instead of accumulating outcome vectors. The merge step is two
+//! O(largest-shard) passes that write the report **byte-identical** to an
+//! unsharded `run_campaign().to_json()` — the laws behind that identity
+//! are proptested in `mavr-fleet/tests/shard_props.rs`.
 
 use crate::store::CampaignStore;
 use mavr_fleet::{
-    config_fingerprint, json_prelude, run_shard_resume, summarize, CampaignAggregate,
-    CampaignConfig, PreparedCampaign, ShardCheckpoint, JSON_EPILOGUE,
+    json_prelude, run_shard_resume, summarize, CampaignAggregate, CampaignConfig, PreparedCampaign,
+    ShardCheckpoint, JSON_EPILOGUE,
 };
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -309,31 +309,26 @@ fn intact_prefix(bytes: &[u8]) -> usize {
 pub fn merge_store(store: &CampaignStore) -> Result<(PathBuf, MetricsRegistry), String> {
     let cfg = store.spec.to_config()?;
     let plan = store.plan();
-    let fingerprint = config_fingerprint(&cfg);
 
-    // Pass 1: validate and fold every aggregate. Quarantined jobs are
+    // Pass 1: fold every shard through the merge law, which refuses a
+    // foreign, misplaced or incomplete one. Quarantined jobs are
     // collected for the explicit ledger — they are *also* folded into the
     // report like any other outcome, so totals never silently shrink.
-    let mut agg = CampaignAggregate::new(&cfg.scenarios, &cfg.loss_levels, &cfg.fault_levels);
-    let mut expect = 0u64;
+    let mut agg = CampaignAggregate::new(&cfg);
     let mut quarantine = String::new();
     let mut quarantined = 0u64;
     for index in 0..plan.shard_count() {
-        let shard = self_check(store.load_shard(&cfg, index)?, fingerprint, index, expect)?;
-        expect = shard.job_hi;
+        let shard = store.load_shard(&cfg, index)?;
+        agg.fold_shard(&shard)?;
         for (job, outcome) in &shard.outcomes {
             if outcome.failure.is_some() {
                 let line = outcome.to_json_line();
                 quarantine.push_str(&format!("{{\"job\":{job},{}\n", &line[1..]));
                 quarantined += 1;
             }
-            agg.fold(outcome)?;
         }
     }
-    if expect != plan.total_jobs {
-        return Err(format!("shards cover {expect} of {} jobs", plan.total_jobs));
-    }
-    let (cells, fleet, metrics) = agg.finish();
+    let (cells, fleet, metrics) = agg.finish()?;
 
     // Pass 2: stream the report to disk; no full-campaign string exists.
     let report_path = store.report_path();
@@ -374,31 +369,4 @@ pub fn merge_store(store: &CampaignStore) -> Result<(PathBuf, MetricsRegistry), 
         store.write_durable(&quarantine_path, quarantine.as_bytes())?;
     }
     Ok((report_path, metrics))
-}
-
-fn self_check(
-    shard: mavr_fleet::ShardCheckpoint,
-    fingerprint: u64,
-    index: u64,
-    expect_lo: u64,
-) -> Result<mavr_fleet::ShardCheckpoint, String> {
-    if shard.fingerprint != fingerprint {
-        return Err(format!(
-            "shard {index} fingerprints a different campaign — refusing to merge"
-        ));
-    }
-    if shard.job_lo != expect_lo {
-        return Err(format!(
-            "shard {index} starts at job {} (expected {expect_lo})",
-            shard.job_lo
-        ));
-    }
-    if !shard.complete() {
-        return Err(format!(
-            "shard {index} is incomplete ({}/{} jobs) — resume the campaign before merging",
-            shard.outcomes.len(),
-            shard.jobs()
-        ));
-    }
-    Ok(shard)
 }

@@ -98,34 +98,21 @@ impl CampaignSpec {
                 Some(j) => j.as_u64().ok_or(format!("`{key}` must be a u64")),
             }
         };
-        let prob_list = |key: &str, default: &[f64]| -> Result<Vec<f64>, String> {
+        let num_list = |key: &str, default: &[f64]| -> Result<Vec<f64>, String> {
             let Some(j) = v.get(key) else {
                 return Ok(default.to_vec());
             };
             let items = j.as_arr().ok_or(format!("`{key}` must be an array"))?;
-            if items.is_empty() {
-                return Err(format!("`{key}` must not be empty"));
-            }
             items
                 .iter()
-                .map(|p| {
-                    p.as_f64()
-                        .filter(|p| (0.0..=1.0).contains(p))
-                        .ok_or(format!("`{key}` entries must be probabilities in 0..=1"))
-                })
+                .map(|p| p.as_f64().ok_or(format!("`{key}` entries must be numbers")))
                 .collect()
         };
 
         spec.seed = u64_field("seed", spec.seed)?;
         spec.boards = u64_field("boards", spec.boards as u64)? as usize;
-        if spec.boards == 0 {
-            return Err("`boards` must be at least 1".into());
-        }
         if let Some(j) = v.get("scenarios") {
             let items = j.as_arr().ok_or("`scenarios` must be an array of names")?;
-            if items.is_empty() {
-                return Err("`scenarios` must not be empty".into());
-            }
             spec.scenarios = items
                 .iter()
                 .map(|s| {
@@ -135,8 +122,8 @@ impl CampaignSpec {
                 })
                 .collect::<Result<_, _>>()?;
         }
-        spec.loss_levels = prob_list("loss_levels", &spec.loss_levels)?;
-        spec.fault_levels = prob_list("fault_levels", &spec.fault_levels)?;
+        spec.loss_levels = num_list("loss_levels", &spec.loss_levels)?;
+        spec.fault_levels = num_list("fault_levels", &spec.fault_levels)?;
         spec.warmup_cycles = u64_field("warmup_cycles", spec.warmup_cycles)?;
         spec.attack_cycles = u64_field("attack_cycles", spec.attack_cycles)?;
         if let Some(j) = v.get("app") {
@@ -149,18 +136,15 @@ impl CampaignSpec {
         spec.threads = u64_field("threads", spec.threads as u64)? as usize;
         spec.shard_jobs = u64_field("shard_jobs", spec.shard_jobs)?.max(1);
 
-        let prob_field = |key: &str| -> Result<f64, String> {
+        let num_field = |key: &str| -> Result<f64, String> {
             match v.get(key) {
                 None => Ok(0.0),
-                Some(j) => j
-                    .as_f64()
-                    .filter(|p| (0.0..=1.0).contains(p))
-                    .ok_or(format!("`{key}` must be a probability in 0..=1")),
+                Some(j) => j.as_f64().ok_or(format!("`{key}` must be a number")),
             }
         };
-        spec.sabotage.panic_rate = prob_field("sabotage_panic")?;
-        spec.sabotage.hang_rate = prob_field("sabotage_hang")?;
-        spec.sabotage.flaky_rate = prob_field("sabotage_flaky")?;
+        spec.sabotage.panic_rate = num_field("sabotage_panic")?;
+        spec.sabotage.hang_rate = num_field("sabotage_hang")?;
+        spec.sabotage.flaky_rate = num_field("sabotage_flaky")?;
         spec.sabotage.seed = u64_field("sabotage_seed", 0)?;
 
         const KNOWN: &[&str] = &[
@@ -190,7 +174,7 @@ impl CampaignSpec {
                 ));
             }
         }
-        // Validate the app name at submit time, not first-run time.
+        // Validate the app and the matrix at submit time, not first-run time.
         spec.to_config()?;
         Ok(spec)
     }
@@ -239,15 +223,16 @@ impl CampaignSpec {
         Json::Obj(fields).to_text()
     }
 
-    /// The engine config this spec describes. Telemetry and the interrupt
-    /// flag are left at their defaults — the runner wires those.
+    /// The engine config this spec describes, checked by
+    /// [`CampaignConfig::validate`]. Telemetry and the interrupt flag are
+    /// left at their defaults — the runner wires those.
     pub fn to_config(&self) -> Result<CampaignConfig, String> {
         let app = synth_firmware::apps::by_name(&self.app).ok_or(format!(
             "unknown app `{}` ({})",
             self.app,
             synth_firmware::apps::APP_NAMES
         ))?;
-        Ok(CampaignConfig {
+        let cfg = CampaignConfig {
             seed: self.seed,
             boards: self.boards,
             scenarios: self.scenarios.clone(),
@@ -261,7 +246,9 @@ impl CampaignSpec {
             tenant: self.tenant,
             sabotage: self.sabotage,
             ..CampaignConfig::default()
-        })
+        };
+        cfg.validate()?;
+        Ok(cfg)
     }
 
     /// Total jobs in this spec's matrix.
@@ -332,6 +319,27 @@ mod tests {
             (r#"{"name": "ok", "boards": 0}"#, "zero boards"),
             (r#"{"name": "ok", "loss_levels": [1.5]}"#, "loss > 1"),
             (r#"{"name": "ok", "loss_levels": []}"#, "empty sweep"),
+            (r#"{"name": "ok", "scenarios": []}"#, "no scenarios"),
+            (
+                r#"{"name": "ok", "loss_levels": [0.01, 0.01]}"#,
+                "repeated loss level",
+            ),
+            (
+                r#"{"name": "ok", "loss_levels": [0.00001, 0.00002]}"#,
+                "loss levels that print alike",
+            ),
+            (
+                r#"{"name": "ok", "fault_levels": [0, 0]}"#,
+                "repeated fault level",
+            ),
+            (
+                r#"{"name": "ok", "fault_levels": [-0.0, 0]}"#,
+                "-0 repeats 0",
+            ),
+            (
+                r#"{"name": "ok", "scenarios": ["benign", "baseline"]}"#,
+                "a scenario and its alias",
+            ),
             (r#"{"name": "ok", "scenarios": ["v9"]}"#, "unknown scenario"),
             (r#"{"name": "ok", "app": "helicopter"}"#, "unknown app"),
             (r#"{"name": "ok", "seed": -1}"#, "negative seed"),

@@ -6,15 +6,14 @@
 //! A campaign is a pure function of its [`CampaignConfig`], and every job
 //! (one board's full flight) is independent of every other, so the only
 //! state worth persisting is *which jobs already finished and what they
-//! observed*. Fleet-wide [`RouterTotals`] are *not* stored: they are a
-//! pure fold over the per-board outcomes ([`totals_from_outcomes`]), which
-//! is what makes resumed reports bit-identical to uninterrupted ones.
+//! observed*. Cells, fleet totals and metrics are *not* stored: they are a
+//! pure fold over the per-board outcomes ([`crate::CampaignAggregate`]),
+//! which is what makes resumed reports bit-identical to uninterrupted ones.
 
 use crate::report::{BoardOutcome, JobFailure, JobFailureKind};
 use crate::scenario::Scenario;
 use crate::CampaignConfig;
 use mavlink_lite::channel::ChannelStats;
-use mavlink_lite::RouterTotals;
 use mavr_snapshot::{Reader, SnapshotError, Writer};
 
 /// FNV-1a over the campaign identity: everything that changes the result,
@@ -53,23 +52,6 @@ pub fn config_fingerprint(cfg: &CampaignConfig) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// Fleet-wide totals folded from per-board outcomes: each outcome carries
-/// its ground-station session's lifetime counters.
-pub fn totals_from_outcomes(outcomes: &[BoardOutcome]) -> RouterTotals {
-    let mut t = RouterTotals {
-        links: outcomes.len(),
-        ..RouterTotals::default()
-    };
-    for o in outcomes {
-        t.packets += o.packets;
-        t.heartbeats += o.heartbeats;
-        t.bad_checksums += o.bad_checksums;
-        t.seq_gaps += o.seq_gaps;
-        t.packets_lost += o.packets_lost;
-    }
-    t
 }
 
 fn scenario_tag(s: Scenario) -> u8 {
@@ -340,17 +322,5 @@ pub(crate) mod tests {
             assert_ne!(config_fingerprint(&c), base);
             assert!(!crate::ShardCheckpoint::whole_campaign(&cfg).matches(&c));
         }
-    }
-
-    #[test]
-    fn totals_fold_sums_every_session() {
-        let outs: Vec<BoardOutcome> = (0..3).map(sample_outcome).collect();
-        let t = totals_from_outcomes(&outs);
-        assert_eq!(t.links, 3);
-        assert_eq!(t.packets, 150);
-        assert_eq!(t.heartbeats, 126);
-        assert_eq!(t.seq_gaps, 3);
-        assert_eq!(t.packets_lost, 6);
-        assert_eq!(t.bad_checksums, 9);
     }
 }

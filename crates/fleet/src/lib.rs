@@ -46,7 +46,7 @@ pub mod report;
 pub mod scenario;
 pub mod shard;
 
-pub use checkpoint::{config_fingerprint, totals_from_outcomes};
+pub use checkpoint::config_fingerprint;
 pub use mavlink_lite::RouterTotals;
 pub use report::{
     fold_outcome_metrics, json_prelude, registry_from_outcomes, BoardOutcome, CampaignAggregate,
@@ -214,6 +214,58 @@ impl CampaignConfig {
     pub fn interrupted(&self) -> bool {
         self.interrupt.load(Ordering::Relaxed)
     }
+
+    /// The one check of a campaign matrix, shared by the CLI, campaign
+    /// specs and every shard run: at least one board, no empty axis, every
+    /// rate a probability, and no two matrix cells that would fold into
+    /// one report row or metrics series — a repeated scenario (aliases
+    /// parse to the same one), a repeated loss or fault level (compared
+    /// with `==`, so `-0` repeats `0`), or two loss levels that print
+    /// alike at the report's 4 decimals.
+    pub fn validate(&self) -> Result<(), String> {
+        let probability = |p: &f64| (0.0..=1.0).contains(p);
+        if self.boards == 0 {
+            return Err("boards must be at least 1".into());
+        }
+        if self.scenarios.is_empty() || self.loss_levels.is_empty() || self.fault_levels.is_empty()
+        {
+            return Err("the scenario, loss and fault lists must not be empty".into());
+        }
+        if let Some(s) = first_repeat(&self.scenarios, |a, b| a == b) {
+            return Err(format!("scenario `{}` is listed twice", s.name()));
+        }
+        for (axis, levels) in [("loss", &self.loss_levels), ("fault", &self.fault_levels)] {
+            if let Some(p) = levels.iter().find(|p| !probability(p)) {
+                return Err(format!("{axis} level {p} is not a probability in 0..=1"));
+            }
+            if let Some(p) = first_repeat(levels, |a, b| a == b) {
+                return Err(format!("{axis} level {p} is listed twice"));
+            }
+        }
+        if let Some(l) = first_repeat(&self.loss_levels, |a, b| {
+            format!("{a:.4}") == format!("{b:.4}")
+        }) {
+            return Err(format!(
+                "loss level {l} prints as {l:.4} like an earlier level — \
+                 their report rows and metrics series would merge"
+            ));
+        }
+        let chaos = &self.sabotage;
+        let rates = [chaos.panic_rate, chaos.hang_rate, chaos.flaky_rate];
+        if let Some(p) = rates.iter().find(|p| !probability(p)) {
+            return Err(format!("sabotage rate {p} is not a probability in 0..=1"));
+        }
+        Ok(())
+    }
+}
+
+/// The first item of `items` that `same` pairs with an earlier one.
+fn first_repeat<T>(items: &[T], same: impl Fn(&T, &T) -> bool) -> Option<&T> {
+    items
+        .iter()
+        .enumerate()
+        .find(|&(i, x)| items[..i].iter().any(|y| same(x, y)))
+        .map(|(_, x)| x)
 }
 
 /// Stream index reserved for the tenant mix — disjoint from the board/
@@ -1051,6 +1103,10 @@ pub fn summarize(cfg: &CampaignConfig) -> CampaignSummary {
 /// order. One in-memory [`ShardCheckpoint`] over the whole job space, run
 /// by [`run_shard_resume`] and folded by [`merge_shard_checkpoints`]; the
 /// campaign's metrics are [`CampaignReport::metrics`].
+///
+/// # Panics
+///
+/// If `cfg` fails [`CampaignConfig::validate`].
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let mut shard = ShardCheckpoint::whole_campaign(cfg);
     run_shard_resume(
@@ -1061,7 +1117,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         0,
         |_, _| {},
     )
-    .expect("a fresh shard belongs to its own campaign");
+    .unwrap_or_else(|e| panic!("run_campaign: {e}"));
     merge_shard_checkpoints(cfg, vec![shard])
         .expect("only a tripped cfg.interrupt leaves run_campaign's shard incomplete")
         .0

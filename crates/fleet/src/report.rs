@@ -7,6 +7,7 @@
 //! host information appears anywhere in this module.
 
 use crate::scenario::Scenario;
+use crate::{config_fingerprint, CampaignConfig, ShardCheckpoint};
 use mavlink_lite::channel::ChannelStats;
 use mavlink_lite::RouterTotals;
 use telemetry::metrics::{MetricsRegistry, QuantileSketch};
@@ -304,7 +305,6 @@ impl CellReport {
     /// aggregation — this incrementality is what lets sharded campaigns
     /// build their cells without ever holding the outcome list.
     fn fold(&mut self, o: &BoardOutcome) {
-        debug_assert!(o.scenario == self.scenario && o.loss == self.loss && o.fault == self.fault);
         if let Some(l) = o.time_to_recovery {
             self.latency_sketch.record(l);
         }
@@ -331,14 +331,6 @@ impl CellReport {
             cell.alt_lost_m += w.alt_lost_m;
             cell.recoveries_caught += u64::from(w.recoveries_caught);
         }
-    }
-
-    fn from_outcomes(scenario: Scenario, loss: f64, fault: f64, outs: &[&BoardOutcome]) -> Self {
-        let mut cell = CellReport::empty(scenario, loss, fault);
-        for o in outs {
-            cell.fold(o);
-        }
-        cell
     }
 
     /// Mean reflash retries per board — the cell's retry-rate point on
@@ -454,8 +446,8 @@ impl CellReport {
 /// Fold one board's outcome into a metrics registry.
 ///
 /// This is the **single** aggregation function behind campaign metrics:
-/// [`CampaignReport::metrics`] calls it over the final outcome list, and
-/// [`CampaignAggregate`] one outcome at a time as shards stream in. Both
+/// [`CampaignAggregate`] calls it one outcome at a time as shards fold
+/// in, and [`CampaignReport::metrics`] over a report's outcome list. Both
 /// produce byte-identical expositions — which is also what makes
 /// resumed-from-checkpoint metrics byte-identical to uninterrupted runs
 /// (outcomes are outcomes, however they were scheduled). Labels are the
@@ -525,9 +517,8 @@ pub fn fold_outcome_metrics(reg: &mut MetricsRegistry, o: &BoardOutcome) {
 }
 
 /// Build the complete campaign registry from an outcome list: every
-/// outcome folded via [`fold_outcome_metrics`] plus the job-count gauge.
-/// Pure and deterministic — the oracle the streaming
-/// [`CampaignAggregate`] is checked against.
+/// outcome folded via [`fold_outcome_metrics`] plus the job-count gauge —
+/// what [`CampaignAggregate::finish`] returns for the same outcomes.
 pub fn registry_from_outcomes(outcomes: &[BoardOutcome]) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     for o in outcomes {
@@ -537,68 +528,99 @@ pub fn registry_from_outcomes(outcomes: &[BoardOutcome]) -> MetricsRegistry {
     reg
 }
 
-/// Streaming campaign aggregation: the cell matrix, fleet totals and the
-/// metrics registry built one outcome at a time, in O(cells) memory —
-/// never O(boards). Folding the outcomes of K shards in job order yields
-/// exactly the state [`CampaignReport::assemble`] + [`registry_from_outcomes`]
-/// compute from the full outcome list (every constituent is a pure,
-/// incrementalizable fold), which is the memory model of the campaign
-/// service: a million-board cell costs what an 8-board cell costs.
+/// The campaign merge law: the cell matrix, fleet totals and metrics
+/// registry folded shard by shard, in job order, in O(cells) memory —
+/// never O(boards). It is the only path from shard checkpoints to those
+/// aggregates: [`crate::merge_shard_checkpoints`] (behind `run_campaign`
+/// and `fleet`) and the campaign service's streaming merge both fold
+/// through it, so sharded, resumed and unsharded runs differ only in how
+/// the job space was cut, never in how it was summed.
 #[derive(Debug)]
 pub struct CampaignAggregate {
-    scenarios: Vec<Scenario>,
-    loss_levels: Vec<f64>,
-    fault_levels: Vec<f64>,
+    fingerprint: u64,
+    boards: u64,
+    total_jobs: u64,
+    /// Where the next shard must start: one past the last folded job.
+    next_job: u64,
     cells: Vec<CellReport>,
     fleet: RouterTotals,
     metrics: MetricsRegistry,
 }
 
 impl CampaignAggregate {
-    /// An empty aggregate over the campaign matrix, cells pre-created in
+    /// An empty aggregate over `cfg`'s matrix, cells pre-created in
     /// matrix (scenario-major) order.
-    pub fn new(scenarios: &[Scenario], loss_levels: &[f64], fault_levels: &[f64]) -> Self {
-        let mut cells =
-            Vec::with_capacity(scenarios.len() * loss_levels.len() * fault_levels.len());
-        for &s in scenarios {
-            for &l in loss_levels {
-                for &fr in fault_levels {
+    pub fn new(cfg: &CampaignConfig) -> Self {
+        let mut cells = Vec::with_capacity(
+            cfg.scenarios.len() * cfg.loss_levels.len() * cfg.fault_levels.len(),
+        );
+        for &s in &cfg.scenarios {
+            for &l in &cfg.loss_levels {
+                for &fr in &cfg.fault_levels {
                     cells.push(CellReport::empty(s, l, fr));
                 }
             }
         }
         CampaignAggregate {
-            scenarios: scenarios.to_vec(),
-            loss_levels: loss_levels.to_vec(),
-            fault_levels: fault_levels.to_vec(),
+            fingerprint: config_fingerprint(cfg),
+            boards: cfg.boards as u64,
+            total_jobs: cfg.total_jobs() as u64,
+            next_job: 0,
             cells,
             fleet: RouterTotals::default(),
             metrics: MetricsRegistry::new(),
         }
     }
 
-    /// Fold one outcome into its cell, the fleet totals and the metrics
-    /// registry. Fails if the outcome's coordinates aren't on the matrix
-    /// (a shard from a different campaign).
-    pub fn fold(&mut self, o: &BoardOutcome) -> Result<(), String> {
-        let s = self
-            .scenarios
-            .iter()
-            .position(|&s| s == o.scenario)
-            .ok_or_else(|| format!("outcome scenario {} not in campaign", o.scenario.name()))?;
-        let l = self
-            .loss_levels
-            .iter()
-            .position(|&l| l == o.loss)
-            .ok_or_else(|| format!("outcome loss {} not in campaign", o.loss))?;
-        let fr = self
-            .fault_levels
-            .iter()
-            .position(|&f| f == o.fault)
-            .ok_or_else(|| format!("outcome fault {} not in campaign", o.fault))?;
-        let idx = (s * self.loss_levels.len() + l) * self.fault_levels.len() + fr;
-        self.cells[idx].fold(o);
-        // Mirror of `totals_from_outcomes`, one outcome at a time.
+    /// Fold the next shard in job order. Refuses a shard of a different
+    /// campaign, one that does not start where the previous shard ended,
+    /// an incomplete one, and an outcome that is not its job's cell.
+    pub fn fold_shard(&mut self, shard: &ShardCheckpoint) -> Result<(), String> {
+        if shard.fingerprint != self.fingerprint {
+            return Err(format!(
+                "shard {} fingerprints a different campaign ({:#018x} != {:#018x})",
+                shard.shard_index, shard.fingerprint, self.fingerprint
+            ));
+        }
+        if shard.job_lo != self.next_job {
+            return Err(format!(
+                "shard ranges do not partition the job space: expected a shard starting \
+                 at {}, found {}..{}",
+                self.next_job, shard.job_lo, shard.job_hi
+            ));
+        }
+        if !shard.complete() {
+            return Err(format!(
+                "shard {} is incomplete ({}/{} jobs) — finish or resume it before merging",
+                shard.shard_index,
+                shard.outcomes.len(),
+                shard.jobs()
+            ));
+        }
+        for (&job, o) in &shard.outcomes {
+            self.fold(job, o)?;
+        }
+        self.next_job = shard.job_hi;
+        Ok(())
+    }
+
+    /// Fold job `job`'s outcome into its cell (job order is matrix order,
+    /// `boards` jobs per cell), the fleet totals and the metrics registry.
+    fn fold(&mut self, job: u64, o: &BoardOutcome) -> Result<(), String> {
+        let cell = job
+            .checked_div(self.boards)
+            .and_then(|i| self.cells.get_mut(i as usize))
+            .filter(|c| c.scenario == o.scenario && c.loss == o.loss && c.fault == o.fault)
+            .ok_or_else(|| {
+                format!(
+                    "job {job} holds a {} outcome at loss {}, fault {}: not that job's cell \
+                     of the campaign matrix",
+                    o.scenario.name(),
+                    o.loss,
+                    o.fault
+                )
+            })?;
+        cell.fold(o);
         self.fleet.links += 1;
         self.fleet.packets += o.packets;
         self.fleet.heartbeats += o.heartbeats;
@@ -609,19 +631,20 @@ impl CampaignAggregate {
         Ok(())
     }
 
-    /// Outcomes folded so far.
-    pub fn jobs(&self) -> usize {
-        self.fleet.links
-    }
-
     /// Finish the aggregation: the cell matrix, fleet totals, and the
-    /// complete metrics registry (job-count gauge included) — exactly what
-    /// [`registry_from_outcomes`] builds from the full outcome list.
-    pub fn finish(mut self) -> (Vec<CellReport>, RouterTotals, MetricsRegistry) {
+    /// complete metrics registry (job-count gauge included). Refuses a
+    /// partition that stops short of the campaign's last job.
+    pub fn finish(mut self) -> Result<(Vec<CellReport>, RouterTotals, MetricsRegistry), String> {
+        if self.next_job != self.total_jobs {
+            return Err(format!(
+                "shard ranges cover {} of {} jobs — missing the tail",
+                self.next_job, self.total_jobs
+            ));
+        }
         let jobs = self.fleet.links;
         self.metrics
             .set_gauge("campaign_jobs_total", &[], jobs as f64);
-        (self.cells, self.fleet, self.metrics)
+        Ok((self.cells, self.fleet, self.metrics))
     }
 }
 
@@ -738,36 +761,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Group `outcomes` into cells following the campaign matrix order.
-    pub fn assemble(
-        config: CampaignSummary,
-        fleet: RouterTotals,
-        outcomes: Vec<BoardOutcome>,
-        scenarios: &[Scenario],
-        loss_levels: &[f64],
-        fault_levels: &[f64],
-    ) -> Self {
-        let mut cells =
-            Vec::with_capacity(scenarios.len() * loss_levels.len() * fault_levels.len());
-        for &s in scenarios {
-            for &l in loss_levels {
-                for &fr in fault_levels {
-                    let outs: Vec<&BoardOutcome> = outcomes
-                        .iter()
-                        .filter(|o| o.scenario == s && o.loss == l && o.fault == fr)
-                        .collect();
-                    cells.push(CellReport::from_outcomes(s, l, fr, &outs));
-                }
-            }
-        }
-        CampaignReport {
-            config,
-            cells,
-            fleet,
-            outcomes,
-        }
-    }
-
     /// The full report as pretty-stable JSON. Byte-identical for identical
     /// `(seed, boards, scenarios, loss)` campaigns, regardless of worker
     /// thread count.

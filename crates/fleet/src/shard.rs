@@ -5,12 +5,12 @@
 //!
 //! Why this is sound: the campaign is a pure function of its config, each
 //! job is independent, and every aggregate the report carries — cell
-//! matrix, fleet totals, metrics registry, latency sketches — is a pure
-//! fold over the outcome list in job order. A partition of `[0, total)`
-//! into contiguous ranges concatenates back into exactly that list, so
-//! merge determinism is inherited, not engineered. The proptests in
-//! `tests/shard_props.rs` enforce it for arbitrary partitions and
-//! mid-shard resumes.
+//! matrix, fleet totals, metrics registry, latency sketches — is one fold
+//! over the outcome list in job order ([`CampaignAggregate::fold_shard`]).
+//! A partition of `[0, total)` into contiguous ranges concatenates back
+//! into exactly that list, so merge determinism is inherited, not
+//! engineered. The proptests in `tests/shard_props.rs` enforce it for
+//! arbitrary partitions and mid-shard resumes.
 //!
 //! Memory model: running one shard holds O(shard jobs + cells); merging
 //! streams shard-by-shard and holds O(largest shard + cells). Neither
@@ -20,7 +20,7 @@
 use crate::checkpoint::{get_outcome, put_outcome};
 use crate::report::BoardOutcome;
 use crate::{
-    config_fingerprint, summarize, totals_from_outcomes, CampaignConfig, CampaignReport, Job,
+    config_fingerprint, summarize, CampaignAggregate, CampaignConfig, CampaignReport, Job,
     PreparedCampaign, ProgressMeter,
 };
 use mavr_snapshot::{Kind, Reader, SnapshotError, Writer};
@@ -230,6 +230,7 @@ pub fn run_shard_resume(
     progress_done_offset: usize,
     mut on_outcome: impl FnMut(u64, &BoardOutcome),
 ) -> Result<ShardRunStatus, String> {
+    cfg.validate()?;
     if !ckpt.matches(cfg) {
         return Err(format!(
             "shard fingerprint {:#018x} does not match this campaign ({:#018x}) — \
@@ -283,64 +284,32 @@ pub fn run_shard_resume(
 /// space was cut, and at any thread count.
 ///
 /// Accepts the shards in any order, from any contiguous partition of the
-/// job space (they need not share a [`ShardPlan`]); fails if a shard
-/// fingerprints a different campaign, is incomplete, or the ranges do not
-/// exactly partition `[0, total_jobs)`.
+/// job space (they need not share a [`ShardPlan`]): sorted by `job_lo`,
+/// each goes through [`CampaignAggregate::fold_shard`], which refuses a
+/// foreign, incomplete or misplaced shard, and [`CampaignAggregate::finish`]
+/// refuses a partition that stops short of `total_jobs`.
 pub fn merge_shard_checkpoints(
     cfg: &CampaignConfig,
     mut shards: Vec<ShardCheckpoint>,
 ) -> Result<(CampaignReport, MetricsRegistry), String> {
-    let fp = config_fingerprint(cfg);
-    for s in &shards {
-        if s.fingerprint != fp {
-            return Err(format!(
-                "shard {} fingerprints a different campaign ({:#018x} != {fp:#018x})",
-                s.shard_index, s.fingerprint
-            ));
-        }
-        if !s.complete() {
-            return Err(format!(
-                "shard {} is incomplete ({}/{} jobs) — finish or resume it before merging",
-                s.shard_index,
-                s.outcomes.len(),
-                s.jobs()
-            ));
-        }
-    }
     shards.sort_by_key(|s| s.job_lo);
-    let total = cfg.total_jobs() as u64;
-    let mut expect = 0u64;
+    let mut agg = CampaignAggregate::new(cfg);
     for s in &shards {
-        if s.job_lo != expect {
-            return Err(format!(
-                "shard ranges do not partition the job space: expected a shard starting \
-                 at {expect}, found {}..{}",
-                s.job_lo, s.job_hi
-            ));
-        }
-        expect = s.job_hi;
+        agg.fold_shard(s)?;
     }
-    if expect != total {
-        return Err(format!(
-            "shard ranges cover {expect} of {total} jobs — missing the tail"
-        ));
-    }
+    let (cells, fleet, metrics) = agg.finish()?;
     // Shards are contiguous and sorted, so per-shard job order concatenates
     // into the campaign's job order.
-    let outcomes: Vec<BoardOutcome> = shards
+    let outcomes = shards
         .into_iter()
         .flat_map(|s| s.outcomes.into_values())
         .collect();
-    let fleet = totals_from_outcomes(&outcomes);
-    let report = CampaignReport::assemble(
-        summarize(cfg),
+    let report = CampaignReport {
+        config: summarize(cfg),
+        cells,
         fleet,
         outcomes,
-        &cfg.scenarios,
-        &cfg.loss_levels,
-        &cfg.fault_levels,
-    );
-    let metrics = report.metrics();
+    };
     Ok((report, metrics))
 }
 
@@ -397,9 +366,20 @@ mod tests {
     fn merge_rejects_gaps_overlaps_and_foreign_shards() {
         let cfg = cfg();
         let plan = ShardPlan::new(&cfg, 3); // 6 jobs → 2 shards of 3
+
+        // Each job's outcome sits on its own cell of the matrix.
+        let on_matrix = |j: u64| {
+            let job = crate::job_at(&cfg, j as usize);
+            BoardOutcome {
+                scenario: job.scenario,
+                loss: job.loss,
+                fault: job.fault,
+                ..crate::checkpoint::tests::sample_outcome(j as usize)
+            }
+        };
         let fill = |s: &mut ShardCheckpoint| {
             for j in s.job_lo..s.job_hi {
-                s.insert_outcome(j, crate::checkpoint::tests::sample_outcome(j as usize));
+                s.insert_outcome(j, on_matrix(j));
             }
         };
         let mut a = ShardCheckpoint::new(&cfg, &plan, 0);
@@ -421,6 +401,19 @@ mod tests {
         );
         // Duplicate shard refused (overlap).
         assert!(merge_shard_checkpoints(&cfg, vec![a.clone(), a.clone(), b.clone()]).is_err());
+        // The on-matrix fixture merges, every job counted in a cell.
+        let (report, _) = merge_shard_checkpoints(&cfg, vec![b.clone(), a.clone()]).unwrap();
+        assert_eq!(report.cells.iter().map(|c| c.boards).sum::<usize>(), 6);
+        assert_eq!(report.fleet.links, 6);
+        // An outcome off its job's cell is refused: it would count in the
+        // fleet totals but in no cell.
+        let mut stray = b.clone();
+        stray
+            .outcomes
+            .insert(4, crate::checkpoint::tests::sample_outcome(4));
+        assert!(merge_shard_checkpoints(&cfg, vec![a.clone(), stray])
+            .unwrap_err()
+            .contains("campaign matrix"));
         // Foreign fingerprint refused.
         let other = CampaignConfig {
             seed: 0x9999,

@@ -12,7 +12,7 @@
 use mavr_fleet::{
     config_fingerprint, json_prelude, merge_shard_checkpoints, run_campaign, run_shard_resume,
     summarize, BoardOutcome, CampaignAggregate, CampaignConfig, PreparedCampaign, Scenario,
-    ShardCheckpoint, JSON_EPILOGUE,
+    ShardCheckpoint, ShardPlan, JSON_EPILOGUE,
 };
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -141,19 +141,18 @@ proptest! {
         prop_assert_eq!(&metrics.to_prometheus(), prom);
         prop_assert_eq!(&metrics.to_jsonl(), jsonl);
 
-        // The streaming merge the campaign service uses — an incremental
-        // CampaignAggregate fold plus prelude/lines/epilogue concatenation,
-        // never holding a CampaignReport — writes the same bytes.
+        // The streaming merge the campaign service uses — the same
+        // CampaignAggregate fold, shard by shard, plus prelude/lines/epilogue
+        // concatenation, never holding a CampaignReport — writes the same
+        // bytes.
         shards.sort_by_key(|s| s.job_lo);
-        let mut agg = CampaignAggregate::new(&cfg.scenarios, &cfg.loss_levels, &cfg.fault_levels);
+        let mut agg = CampaignAggregate::new(&cfg);
         let mut lines: Vec<String> = Vec::new();
         for shard in &shards {
-            for outcome in shard.outcomes.values() {
-                agg.fold(outcome).unwrap();
-                lines.push(outcome.to_json_line());
-            }
+            agg.fold_shard(shard).unwrap();
+            lines.extend(shard.outcomes.values().map(BoardOutcome::to_json_line));
         }
-        let (cells, fleet, agg_metrics) = agg.finish();
+        let (cells, fleet, agg_metrics) = agg.finish().unwrap();
         let mut streamed_json = json_prelude(&summarize(&cfg), &cells, &fleet);
         for (i, line) in lines.iter().enumerate() {
             if i > 0 {
@@ -169,26 +168,34 @@ proptest! {
     }
 }
 
-/// The aggregate refuses outcomes from outside the campaign matrix instead
-/// of silently misfiling them.
+/// The aggregate refuses a shard holding an outcome from outside the
+/// campaign matrix instead of silently misfiling it.
 #[test]
 fn aggregate_rejects_foreign_outcomes() {
     let cfg = cfg();
-    let mut agg = CampaignAggregate::new(&cfg.scenarios, &cfg.loss_levels, &cfg.fault_levels);
+    let plan = ShardPlan::new(&cfg, 1);
     let foreign = BoardOutcome {
         scenario: Scenario::V3Trampoline,
         loss: 0.01,
         fault: 0.0,
         ..sample()
     };
-    assert!(agg.fold(&foreign).is_err());
     let wrong_loss = BoardOutcome {
         scenario: Scenario::Benign,
         loss: 0.5,
         fault: 0.0,
         ..sample()
     };
-    assert!(agg.fold(&wrong_loss).is_err());
+    for outcome in [foreign, wrong_loss] {
+        let mut shard = ShardCheckpoint::new(&cfg, &plan, 0);
+        shard.insert_outcome(0, outcome);
+        let err = CampaignAggregate::new(&cfg).fold_shard(&shard).unwrap_err();
+        assert!(err.contains("campaign matrix"), "{err}");
+    }
+    // Job 0's own cell (benign, loss 0.01, fault 0) folds.
+    let mut shard = ShardCheckpoint::new(&cfg, &plan, 0);
+    shard.insert_outcome(0, sample());
+    CampaignAggregate::new(&cfg).fold_shard(&shard).unwrap();
 }
 
 fn sample() -> BoardOutcome {

@@ -6,7 +6,7 @@ use crate::msg::{self, Attitude, Heartbeat, ParamSet, SysStatus};
 use crate::packet::{Packet, Parser, HEADER_LEN, MAGIC};
 use crate::ProtocolError;
 use std::collections::BTreeMap;
-use telemetry::{Counters, Telemetry, Value};
+use telemetry::{Telemetry, Value};
 
 /// MAVLink system id conventionally used by ground stations.
 pub const GCS_SYSID: u8 = 255;
@@ -40,9 +40,10 @@ pub struct RouterTotals {
 ///
 /// Received traffic lands in bounded [`History`] rings (long campaigns
 /// would otherwise grow memory without limit); lifetime totals survive in
-/// each ring's counter and in [`GroundStation::counters`]. Sequence-number
-/// discontinuities per sender sysid are tracked as a packet-loss estimate —
-/// the number the fleet campaign report calls `seq_gap_bytes`.
+/// each ring's counter ([`History::total`]) and the parser's
+/// ([`GroundStation::packets_parsed`]). Sequence-number discontinuities
+/// per sender sysid are tracked as a packet-loss estimate — the number
+/// the fleet campaign report calls `seq_gap_bytes`.
 #[derive(Debug, Clone)]
 pub struct GroundStation {
     /// Our system id on the link.
@@ -68,9 +69,6 @@ pub struct GroundStation {
     seq_gaps: BTreeMap<u8, u64>,
     /// Sum of missing packets implied by the gaps (mod-256 deltas).
     packets_lost: u64,
-    /// Monotonic session counters (`gcs.packets`, `gcs.heartbeats`,
-    /// `gcs.seq_gaps`, `gcs.packets_lost`) — the telemetry-layer view.
-    pub counters: Counters,
     /// Optional flight-recorder handle; when attached, each detected
     /// sequence gap emits a `gcs.seq_gap` event.
     pub telemetry: Telemetry,
@@ -106,7 +104,6 @@ impl GroundStation {
             last_seq: BTreeMap::new(),
             seq_gaps: BTreeMap::new(),
             packets_lost: 0,
-            counters: Counters::default(),
             telemetry: Telemetry::off(),
         }
     }
@@ -227,11 +224,9 @@ impl GroundStation {
     /// sequence-gap accounting.
     fn ingest_packet(&mut self, pkt: Packet) {
         self.track_seq(pkt.sysid, pkt.seq);
-        self.counters.add("gcs.packets", 1);
         match pkt.msgid {
             msg::HEARTBEAT_ID => {
                 if let Ok(h) = Heartbeat::from_payload(pkt.msgid, &pkt.payload) {
-                    self.counters.add("gcs.heartbeats", 1);
                     self.heartbeats.push(h);
                 }
             }
@@ -260,8 +255,6 @@ impl GroundStation {
                 let missing = u64::from(delta.wrapping_sub(1));
                 *self.seq_gaps.entry(sysid).or_insert(0) += 1;
                 self.packets_lost += missing;
-                self.counters.add("gcs.seq_gaps", 1);
-                self.counters.add("gcs.packets_lost", missing);
                 self.telemetry.emit("gcs.seq_gap", None, || {
                     vec![
                         ("sysid", Value::U64(u64::from(sysid))),
@@ -389,9 +382,8 @@ mod tests {
         assert_eq!(gcs.seq_gaps(1), 1);
         assert_eq!(gcs.packets_lost(), 2);
         assert_eq!(gcs.seq_gaps(99), 0);
-        assert_eq!(gcs.counters.get("gcs.seq_gaps"), 1);
-        assert_eq!(gcs.counters.get("gcs.packets_lost"), 2);
-        assert_eq!(gcs.counters.get("gcs.packets"), 4);
+        assert_eq!(gcs.seq_gaps_total(), 1);
+        assert_eq!(gcs.packets_parsed(), 4);
         // Wrap-around without a gap: 255 -> 0 is consecutive.
         let mut gcs2 = GroundStation::new();
         let mut a = Packet::new(255, 7, 1, 0, vec![0; 9]).unwrap().encode();
@@ -413,7 +405,6 @@ mod tests {
         assert_eq!(gcs.received.len(), 4, "ring bounded");
         assert_eq!(gcs.received.total(), 10, "lifetime total exact");
         assert_eq!(gcs.heartbeats.total(), 10);
-        assert_eq!(gcs.counters.get("gcs.heartbeats"), 10);
         assert_eq!(gcs.packets_parsed(), 10);
         assert!(gcs.link_alive(4, 4));
     }

@@ -21,16 +21,16 @@
 use crate::format;
 use avr_core::image::FirmwareImage;
 use avr_sim::{Machine, MachineState, RunExit};
-use telemetry::{kinds, Counters, Value};
+use telemetry::{kinds, Value};
 
 /// A recorded sequence of full-state keyframes over one machine run.
 #[derive(Debug, Clone)]
 pub struct Timeline {
     interval: u64,
     keyframes: Vec<MachineState>,
-    /// Monotonic counters keyed by the [`telemetry::kinds`] names
-    /// (`snapshot.saved`, `snapshot.restored`).
-    pub counters: Counters,
+    /// Keyframe restores so far (rewinds and bisection rewinds); saves
+    /// are [`Timeline::keyframes`]' length.
+    pub restores: u64,
 }
 
 impl Timeline {
@@ -40,7 +40,7 @@ impl Timeline {
         Timeline {
             interval: interval.max(1),
             keyframes: Vec::new(),
-            counters: Counters::default(),
+            restores: 0,
         }
     }
 
@@ -63,7 +63,6 @@ impl Timeline {
                     ("pc", Value::U64(u64::from(state.pc) * 2)),
                 ]
             });
-        self.counters.add(kinds::SNAPSHOT_SAVED, 1);
         self.keyframes.push(state);
     }
 
@@ -113,7 +112,7 @@ impl Timeline {
             .emit(kinds::SNAPSHOT_RESTORED, Some(kf.cycles), || {
                 vec![("target_cycle", Value::U64(cycle))]
             });
-        self.counters.add(kinds::SNAPSHOT_RESTORED, 1);
+        self.restores += 1;
         while m.cycles() < cycle && m.fault().is_none() {
             if m.step().is_err() {
                 break;
@@ -230,8 +229,8 @@ pub fn bisect_divergence(
     // Fine: rewind both to the last aligned keyframe and lockstep.
     stock_m.restore_state(&stock.keyframes[first_bad - 1]);
     rand_m.restore_state(&randomized.keyframes[first_bad - 1]);
-    stock.counters.add(kinds::SNAPSHOT_RESTORED, 1);
-    randomized.counters.add(kinds::SNAPSHOT_RESTORED, 1);
+    stock.restores += 1;
+    randomized.restores += 1;
     let budget = stock.keyframes[first_bad - 1]
         .cycles
         .saturating_add(stock.interval * 2 + 64);
@@ -307,7 +306,6 @@ mod tests {
                 "keyframe gap {gap} should be interval-aligned"
             );
         }
-        assert_eq!(tl.counters.get(kinds::SNAPSHOT_SAVED), kfs.len() as u64);
     }
 
     #[test]
@@ -321,7 +319,7 @@ mod tests {
         let reached = tl.rewind_to(&mut m, 3_100).unwrap();
         assert_eq!(reached, truth.cycles());
         assert_eq!(m.capture_state(), truth.capture_state());
-        assert!(tl.counters.get(kinds::SNAPSHOT_RESTORED) >= 1);
+        assert!(tl.restores >= 1);
         // Rewinding before the first keyframe is refused.
         let mut m2 = counter_machine();
         m2.run(100); // move past 0 so keyframe 0 (cycle 0) still qualifies

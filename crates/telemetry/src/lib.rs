@@ -337,38 +337,6 @@ impl<W: Write> Recorder for JsonlRecorder<W> {
     }
 }
 
-/// A named set of monotonic counters (for subsystems without natural struct
-/// fields to count in).
-#[derive(Debug, Clone, Default)]
-pub struct Counters {
-    map: BTreeMap<&'static str, u64>,
-}
-
-impl Counters {
-    /// Add `delta` to `name`.
-    pub fn add(&mut self, name: &'static str, delta: u64) {
-        *self.map.entry(name).or_insert(0) += delta;
-    }
-
-    /// Current value of `name` (0 if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
-    }
-
-    /// Iterate `(name, value)` sorted by name.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.map.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Fold another counter set into this one (fleet campaigns aggregate
-    /// per-board counters into one report).
-    pub fn merge(&mut self, other: &Counters) {
-        for (k, v) in other.iter() {
-            self.add(k, v);
-        }
-    }
-}
-
 /// Internal object-safe union of `Recorder` and `Any`, so [`Telemetry`] can
 /// both dispatch events and hand the concrete sink back out via
 /// [`Telemetry::with_recorder`].
@@ -634,28 +602,5 @@ mod tests {
             assert_eq!(evs[1].kind, "phase.drop");
         })
         .unwrap();
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut c = Counters::default();
-        c.add("uart.rx", 3);
-        c.add("uart.rx", 2);
-        assert_eq!(c.get("uart.rx"), 5);
-        assert_eq!(c.get("nope"), 0);
-        assert_eq!(c.iter().count(), 1);
-    }
-
-    #[test]
-    fn counters_merge() {
-        let mut a = Counters::default();
-        a.add("x", 1);
-        let mut b = Counters::default();
-        b.add("x", 2);
-        b.add("y", 7);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3);
-        assert_eq!(a.get("y"), 7);
-        assert_eq!(b.get("x"), 2, "merge leaves the source untouched");
     }
 }

@@ -428,18 +428,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Insert a pre-built sketch series (merging into any existing one).
-    pub fn merge_sketch(&mut self, name: &str, labels: &[(&str, &str)], sketch: &QuantileSketch) {
-        match self
-            .metrics
-            .entry(key(name, labels))
-            .or_insert_with(|| Metric::Sketch(QuantileSketch::new()))
-        {
-            Metric::Sketch(s) => s.merge(sketch),
-            other => panic!("{name} is a {}, not a sketch", other.type_name()),
-        }
-    }
-
     /// Current value of a counter series (0 if absent).
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         match self.metrics.get(&key(name, labels)) {
