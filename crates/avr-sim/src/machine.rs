@@ -25,9 +25,6 @@ use crate::timer::{self, Timer0, TCCR0B_ADDR, TCNT0_ADDR, TIFR0_ADDR, TIMSK0_ADD
 /// PORTB bit used as the heartbeat signal to the MAVR master processor.
 pub const HEARTBEAT_BIT: u8 = 5;
 
-/// Granularity of the dirty-page tracking used by delta snapshots.
-pub const DIRTY_PAGE_SIZE: usize = 256;
-
 const SPL_DATA: u16 = io::to_data_address(io::SPL);
 const SPH_DATA: u16 = io::to_data_address(io::SPH);
 const SREG_DATA: u16 = io::to_data_address(io::SREG);
@@ -158,13 +155,6 @@ pub struct Machine {
     /// Whether block-fused dispatch is enabled (on by default; requires
     /// predecode). See [`Machine::set_block_fusion`].
     block_fusion: bool,
-    /// Dirty bitmap over 256-byte data-space pages (bit n = page n). Pages
-    /// 0 and 1 — registers, I/O, and the first SRAM bytes — are *always*
-    /// reported dirty so the per-instruction register/SREG/SP writes need
-    /// no bookkeeping; only SRAM-bound store paths mark.
-    dirty_data: u64,
-    /// Dirty bitmap over 256-byte flash pages, 64 pages per word.
-    dirty_flash: Vec<u64>,
 }
 
 /// Snapshot of the machine's activity counters (see [`Machine::counters`]).
@@ -214,15 +204,6 @@ impl Machine {
             predecode: true,
             bcache: BlockCache::default(),
             block_fusion: true,
-            // A fresh machine is all-dirty: the first keyframe must capture
-            // everything.
-            dirty_data: !0,
-            dirty_flash: vec![
-                !0;
-                (device.flash_bytes as usize)
-                    .div_ceil(DIRTY_PAGE_SIZE)
-                    .div_ceil(64)
-            ],
         };
         m.set_sp(device.ramend());
         m
@@ -246,7 +227,6 @@ impl Machine {
     pub fn load_flash(&mut self, addr: u32, bytes: &[u8]) {
         let a = addr as usize;
         self.flash[a..a + bytes.len()].copy_from_slice(bytes);
-        self.mark_flash_dirty(a, bytes.len());
         if !bytes.is_empty() {
             let end_words =
                 (a + bytes.len()).div_ceil(2 * PREDECODE_PAGE_WORDS) * PREDECODE_PAGE_WORDS;
@@ -269,7 +249,6 @@ impl Machine {
     /// image.
     pub fn erase_flash(&mut self) {
         self.flash.fill(0xff);
-        self.dirty_flash.fill(!0);
         self.extent_words = 0;
         self.icache.clear();
         self.bcache.clear(true);
@@ -415,14 +394,6 @@ impl Machine {
         self.fault
     }
 
-    /// Whether the one-instruction interrupt suppression window (after an
-    /// SREG write or `reti`) is pending. Part of the architectural state a
-    /// snapshot must carry: dropping it would let a restored machine take
-    /// an interrupt one instruction early.
-    pub fn irq_delay_pending(&self) -> bool {
-        self.irq_delay
-    }
-
     // ---- data space ----
 
     /// Read a data-space byte (with I/O side effects, e.g. reading `UDR0`
@@ -479,7 +450,6 @@ impl Machine {
             _ => {
                 if (addr as usize) < self.data.len() {
                     self.data[addr as usize] = v;
-                    self.mark_data_dirty(addr);
                 }
             }
         }
@@ -494,71 +464,11 @@ impl Machine {
         }
         if (addr as usize) < self.data.len() {
             self.data[addr as usize] = v;
-            self.mark_data_dirty(addr);
         }
     }
 
     fn data_in_bounds(&self, addr: u16) -> bool {
         (addr as usize) < self.data.len()
-    }
-
-    // ---- dirty-page tracking (for delta snapshots) ----
-
-    /// Mark the data page holding `addr` dirty. Pages 0–1 never need it
-    /// (they are unconditionally dirty), but marking them is harmless.
-    #[inline]
-    fn mark_data_dirty(&mut self, addr: u16) {
-        let page = addr as usize / DIRTY_PAGE_SIZE;
-        if page < 64 {
-            self.dirty_data |= 1 << page;
-        }
-    }
-
-    /// Mark every flash page overlapping `[addr, addr + len)` dirty.
-    fn mark_flash_dirty(&mut self, addr: usize, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = addr / DIRTY_PAGE_SIZE;
-        let last = (addr + len - 1) / DIRTY_PAGE_SIZE;
-        for p in first..=last {
-            self.dirty_flash[p / 64] |= 1 << (p % 64);
-        }
-    }
-
-    /// Indices of data-space pages touched since [`clear_dirty`], oldest
-    /// page first. The register/I/O pages (0 and 1) are always included:
-    /// they change on virtually every instruction and tracking them would
-    /// put bookkeeping on the hot path for nothing.
-    ///
-    /// [`clear_dirty`]: Machine::clear_dirty
-    pub fn dirty_data_pages(&self) -> Vec<usize> {
-        let pages = self.data.len().div_ceil(DIRTY_PAGE_SIZE);
-        (0..pages)
-            .filter(|&p| p < 2 || self.dirty_data & (1 << p) != 0)
-            .collect()
-    }
-
-    /// Indices of flash pages touched since [`clear_dirty`].
-    ///
-    /// [`clear_dirty`]: Machine::clear_dirty
-    pub fn dirty_flash_pages(&self) -> Vec<usize> {
-        let pages = self.flash.len().div_ceil(DIRTY_PAGE_SIZE);
-        (0..pages)
-            .filter(|&p| self.dirty_flash[p / 64] & (1 << (p % 64)) != 0)
-            .collect()
-    }
-
-    /// Reset the dirty tracking — done by the snapshot layer right after it
-    /// captures a keyframe, so subsequent deltas cover exactly the pages
-    /// touched since. Pages 0–1 of the data space stay permanently dirty
-    /// (see [`dirty_data_pages`]); the EEPROM flag clears too.
-    ///
-    /// [`dirty_data_pages`]: Machine::dirty_data_pages
-    pub fn clear_dirty(&mut self) {
-        self.dirty_data = 0b11;
-        self.dirty_flash.fill(0);
-        self.eeprom.clear_dirty();
     }
 
     // ---- breakpoints ----
@@ -581,7 +491,6 @@ impl Machine {
             return Err(Fault::StackOutOfBounds { sp });
         }
         self.data[sp as usize] = v;
-        self.mark_data_dirty(sp);
         self.set_sp(sp.wrapping_sub(1));
         Ok(())
     }
@@ -1802,8 +1711,7 @@ impl Machine {
     ///
     /// The predecode cache is dropped (it memoizes the *old* flash) and
     /// rebuilt lazily by the next fast run, so restoring is equally correct
-    /// under `set_predecode(true)` and `(false)`. Everything becomes dirty:
-    /// the next delta snapshot after a restore is a full capture.
+    /// under `set_predecode(true)` and `(false)`.
     ///
     /// # Panics
     ///
@@ -1844,8 +1752,6 @@ impl Machine {
             });
         self.icache.clear();
         self.bcache.clear(false);
-        self.dirty_data = !0;
-        self.dirty_flash.fill(!0);
     }
 }
 

@@ -6,18 +6,17 @@
 //! ```
 //!
 //! Experiments: `table1 table2 table3 effectiveness bruteforce entropy
-//! software-only fig2 gadgets fig6 counters`. The full `effectiveness` run uses
-//! the paper-scale SynthPlane target; pass `effectiveness-quick` for the small
-//! test app.
+//! software-only ablations fig2 gadgets fig6 counters`. The full
+//! `effectiveness` run uses the paper-scale SynthPlane target; pass
+//! `effectiveness-quick` for the small test app. An unknown name is an
+//! error that lists the known ones.
 //!
 //! `bench-simulator` (or `bench-simulator-quick` for CI smoke) must be
 //! named explicitly — it times the interpreter with the predecode cache on
 //! and off and rewrites `BENCH_simulator.json` at the repo root, so it is
 //! not part of the default `all` run. Likewise `bench-fleet` (or
 //! `bench-fleet-quick`) times the campaign engine at 1/8/32 boards and
-//! rewrites `BENCH_fleet.json`, `bench-snapshot` (or
-//! `bench-snapshot-quick`) times full vs dirty-page-delta machine
-//! snapshots and rewrites `BENCH_snapshot.json`, `bench-chaos` (or
+//! rewrites `BENCH_fleet.json`, `bench-chaos` (or
 //! `bench-chaos-quick`) sweeps fault-injection rates through a stealthy
 //! fleet campaign and rewrites `BENCH_chaos.json`, and `bench-telemetry`
 //! (or `bench-telemetry-quick`) measures the observability plane —
@@ -35,8 +34,44 @@
 //! faults, and quarantine overhead under a seeded poison-job sweep — and
 //! rewrites `BENCH_robust.json`.
 
+use mavr::policy::RandomizationPolicy;
 use mavr_bench as exp;
 use synth_firmware::{apps, build, BuildOptions};
+
+/// Every name `main` answers to.
+const EXPERIMENTS: &[&str] = &[
+    "all",
+    "table1",
+    "table2",
+    "table3",
+    "effectiveness",
+    "effectiveness-quick",
+    "bruteforce",
+    "software-only",
+    "viii-a",
+    "entropy",
+    "ablations",
+    "fig2",
+    "gadgets",
+    "fig4",
+    "fig5",
+    "counters",
+    "fig6",
+    "bench-simulator",
+    "bench-simulator-quick",
+    "bench-fleet",
+    "bench-fleet-quick",
+    "bench-campaignd",
+    "bench-campaignd-quick",
+    "bench-robust",
+    "bench-robust-quick",
+    "bench-chaos",
+    "bench-chaos-quick",
+    "bench-telemetry",
+    "bench-telemetry-quick",
+    "bench-world",
+    "bench-world-quick",
+];
 
 fn mavr_repro_leak(n: usize) -> f64 {
     rop::brute::expected_incremental_leak(n as f64)
@@ -44,6 +79,13 @@ fn mavr_repro_leak(n: usize) -> f64 {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = args.iter().find(|a| !EXPERIMENTS.contains(&a.as_str())) {
+        eprintln!(
+            "tables: unknown experiment `{unknown}`; known: {}",
+            EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
+    }
     let all = args.is_empty() || args.iter().any(|a| a == "all");
     let want = |name: &str| all || args.iter().any(|a| a == name);
 
@@ -155,6 +197,43 @@ fn main() {
         println!("     re-randomization keeps the cost at ~n! — the dual-processor design.\n");
     }
 
+    if want("ablations") {
+        println!("== Ablations (§V-C, §VI-B1, §VIII-B) ==");
+        let trials = 10;
+        let (refusal, deaths) = exp::relax_ablation(trials);
+        println!("Ablation --no-relax: relax-built image rejected ({refusal})");
+        println!("Ablation --no-relax: force-randomized relax builds died {deaths}/{trials} times");
+        let c = exp::call_prologue_ablation();
+        println!(
+            "Ablation -mcall-prologues: {} call sites reference the shared blobs \
+             ({} gadget start addresses inside them); register-restore gadgets: \
+             {} (stock, concentrated) vs {} (MAVR toolchain, scattered)",
+            c.blob_refs, c.blob_gadgets, c.stock_restore_gadgets, c.mavr_restore_gadgets
+        );
+        let endurance = avr_core::device::ATMEGA2560.flash_endurance_cycles;
+        println!("Ablation randomization frequency vs flash endurance ({endurance} cycles):");
+        for n in [1u32, 5, 10, 50, 100] {
+            let p = RandomizationPolicy {
+                every_n_boots: n,
+                on_attack: true,
+            };
+            println!(
+                "  every {n:>3} boots -> lifetime {:>9.0} boots (no attacks), {:>9.0} (1% attack rate)",
+                p.lifetime_boots(endurance, 0.0),
+                p.lifetime_boots(endurance, 0.01)
+            );
+        }
+        println!("Ablation inter-function padding (§VIII-B):");
+        for pad_choices in [1u64, 4, 16, 64] {
+            println!(
+                "  800 fns, {pad_choices:>2} pad choices -> {:.0} bits (baseline {:.0})",
+                mavr::math::entropy_bits_with_padding(800, pad_choices),
+                mavr::math::entropy_bits(800)
+            );
+        }
+        println!("  -> the baseline is already computationally secure; padding unnecessary.\n");
+    }
+
     if want("entropy") {
         println!(
             "{}",
@@ -186,7 +265,7 @@ fn main() {
         );
         println!(
             "  events flow through a NullRecorder: counted, then discarded — the\n  \
-             configuration the `simulator` bench shows costs ~0 vs. telemetry off.\n"
+             configuration `bench-telemetry` shows costs ~0 vs. telemetry off.\n"
         );
     }
 
@@ -289,29 +368,6 @@ fn main() {
         );
         let path = "BENCH_robust.json";
         std::fs::write(path, t.to_json()).expect("write BENCH_robust.json");
-        println!("  wrote {path}\n");
-    }
-
-    // Explicitly requested only (writes a file; excluded from `all`).
-    if args
-        .iter()
-        .any(|a| a == "bench-snapshot" || a == "bench-snapshot-quick")
-    {
-        let quick = args.iter().any(|a| a == "bench-snapshot-quick");
-        println!("== Snapshot cost (full vs dirty-page delta) ==");
-        let t = exp::snapshot_cost(quick);
-        println!(
-            "  full  : {:>8} bytes, {:>8.1} us\n  delta : {:>8} bytes, {:>8.1} us  ({} cycles after keyframe)\n  ratio : {:.1}x smaller, {:.1}x faster",
-            t.full_bytes,
-            t.full_encode_us,
-            t.delta_bytes,
-            t.delta_encode_us,
-            t.delta_gap_cycles,
-            t.bytes_ratio(),
-            t.time_ratio()
-        );
-        let path = "BENCH_snapshot.json";
-        std::fs::write(path, t.to_json()).expect("write BENCH_snapshot.json");
         println!("  wrote {path}\n");
     }
 

@@ -1,6 +1,5 @@
 //! Experiment drivers that regenerate every table and figure of the
-//! paper's evaluation (§VII), shared by the `tables` binary and the
-//! Criterion benches.
+//! paper's evaluation (§VII), run by the `tables` binary.
 //!
 //! | Experiment | Paper artifact | Driver |
 //! |---|---|---|
@@ -10,6 +9,7 @@
 //! | E4 | §VII-A — effectiveness (953 gadgets; attacks fail) | [`effectiveness`] |
 //! | E5 | §V-D — brute-force effort | [`bruteforce`] |
 //! | E6 | §VIII-B — entropy | [`entropy`] |
+//! | A1 | §VI-B1 — `--no-relax` and `-mno-call-prologues` ablations | [`relax_ablation`], [`call_prologue_ablation`] |
 //! | F1 | Fig. 2 — MAVLink packet structure | [`fig2`] |
 //! | F2 | Figs. 4–5 — gadget listings | [`gadget_listings`] |
 //! | F3 | Fig. 6 — stack progression during the stealthy attack | [`fig6`] |
@@ -17,6 +17,7 @@
 #![forbid(unsafe_code)]
 
 use avr_core::image::FirmwareImage;
+use avr_core::Insn;
 use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
 use mavr_board::{MavrBoard, SerialLink};
@@ -251,6 +252,117 @@ pub fn entropy() -> Vec<Row> {
         .collect()
 }
 
+/// **§VI-B1 `--no-relax` ablation** on the tiny test app. The randomizer
+/// refuses a relax-built (stock) image by default; forced past that check,
+/// it breaks the firmware. Returns the refusal message and how many of
+/// `trials` force-randomized images faulted or stopped heartbeating within
+/// 2M cycles.
+pub fn relax_ablation(trials: u64) -> (String, u64) {
+    let img = build(&apps::tiny_test_app(), &BuildOptions::safe_stock())
+        .expect("build")
+        .image;
+    let refusal = mavr::randomize(
+        &img,
+        &mut mavr::seeded_rng(1),
+        &mavr::RandomizeOptions::default(),
+    )
+    .expect_err("a relax-built image is refused")
+    .to_string();
+    let forced = mavr::RandomizeOptions {
+        ignore_relaxed_branches: true,
+        ..Default::default()
+    };
+    let deaths = (0..trials)
+        .filter(|&seed| {
+            let r = mavr::randomize(&img, &mut mavr::seeded_rng(seed), &forced).expect("randomize");
+            let mut m = avr_sim::Machine::new_atmega2560();
+            m.load_flash(0, &r.image.bytes);
+            let exit = m.run(2_000_000);
+            !exit.is_healthy() || m.heartbeat.toggles().len() < 5
+        })
+        .count();
+    (refusal, deaths as u64)
+}
+
+/// Outcome of the `-mno-call-prologues` ablation; see
+/// [`call_prologue_ablation`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallPrologueAblation {
+    /// Stock call sites (`call`/`jmp`/`rcall`/`rjmp`) that target the
+    /// shared prologue/epilogue blobs: every caller leaks their location.
+    pub blob_refs: usize,
+    /// Gadget start addresses inside the blobs.
+    pub blob_gadgets: usize,
+    /// Register-restore gadgets (four or more pops) in the stock build.
+    pub stock_restore_gadgets: usize,
+    /// Register-restore gadgets in the MAVR-toolchain build.
+    pub mavr_restore_gadgets: usize,
+}
+
+/// **§VI-B1 `-mno-call-prologues` ablation** on the tiny test app. The
+/// stock toolchain's `__prologue_saves__`/`__epilogue_restores__` blobs
+/// are reached from many call sites and host long pop runs that flow into
+/// `ret`; the MAVR toolchain's per-function epilogues scatter the
+/// equivalent gadgets across the whole image.
+pub fn call_prologue_ablation() -> CallPrologueAblation {
+    let spec = apps::tiny_test_app();
+    let stock = build(&spec, &BuildOptions::safe_stock())
+        .expect("build")
+        .image;
+    let mavr_img = build(&spec, &BuildOptions::safe_mavr())
+        .expect("build")
+        .image;
+    let blobs: Vec<(u32, u32)> = ["__prologue_saves__", "__epilogue_restores__"]
+        .iter()
+        .map(|n| {
+            let s = stock.symbol(n).expect("stock build has the blob");
+            (s.addr, s.end())
+        })
+        .collect();
+    let in_blobs = |byte: u32| blobs.iter().any(|&(a, e)| byte >= a && byte < e);
+    let mut blob_refs = 0;
+    let mut off = 0u32;
+    while off + 1 < stock.text_end {
+        let Some((insn, words)) = avr_core::decode::decode_at(&stock.bytes, off as usize) else {
+            break;
+        };
+        let target = match insn {
+            Insn::Call { k } | Insn::Jmp { k } => Some(k * 2),
+            Insn::Rcall { k } | Insn::Rjmp { k } => {
+                Some(off.wrapping_add(2).wrapping_add_signed(i32::from(k) * 2))
+            }
+            _ => None,
+        };
+        if target.is_some_and(in_blobs) {
+            blob_refs += 1;
+        }
+        off += words * 2;
+    }
+    let opts = ScanOptions {
+        max_insns: 24,
+        dedup: false,
+    };
+    let restores = |gadgets: &[rop::Gadget]| {
+        gadgets
+            .iter()
+            .filter(|g| {
+                g.insns
+                    .iter()
+                    .filter(|i| matches!(i, Insn::Pop { .. }))
+                    .count()
+                    >= 4
+            })
+            .count()
+    };
+    let stock_gadgets = scanner::scan(&stock, &opts);
+    CallPrologueAblation {
+        blob_refs,
+        blob_gadgets: stock_gadgets.iter().filter(|g| in_blobs(g.addr)).count(),
+        stock_restore_gadgets: restores(&stock_gadgets),
+        mavr_restore_gadgets: restores(&scanner::scan(&mavr_img, &opts)),
+    }
+}
+
 /// **Activity counters** — instructions retired, interrupts, UART traffic,
 /// and flight-recorder events emitted per application over `cycles`
 /// simulated cycles.
@@ -264,7 +376,7 @@ pub fn entropy() -> Vec<Row> {
 ///
 /// Telemetry runs through a [`telemetry::NullRecorder`]: every emission is
 /// counted but immediately discarded, the configuration whose overhead is
-/// measured (and shown to be ~0) by the `simulator` Criterion bench.
+/// measured (and shown to be ~0) by `tables -- bench-telemetry`.
 pub fn counters(cycles: u64) -> Vec<Row> {
     use telemetry::{NullRecorder, Telemetry};
     let mut builds = vec![build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap()];
@@ -1036,110 +1148,6 @@ pub fn chaos_resilience(quick: bool) -> ChaosResilience {
     }
 }
 
-/// Measured cost of persisting machine state as a full snapshot vs a
-/// dirty-page delta against a recent keyframe. See [`snapshot_cost`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SnapshotCost {
-    /// Median size of a full snapshot blob, bytes.
-    pub full_bytes: usize,
-    /// Median size of a delta blob taken `delta_gap_cycles` after its
-    /// keyframe, bytes.
-    pub delta_bytes: usize,
-    /// Median wall-clock cost of a full snapshot (state capture + encode),
-    /// microseconds.
-    pub full_encode_us: f64,
-    /// Median wall-clock cost of a delta encode, microseconds.
-    pub delta_encode_us: f64,
-    /// Cycles run between keyframe and delta.
-    pub delta_gap_cycles: u64,
-    /// Samples the medians were taken over.
-    pub samples: usize,
-}
-
-impl SnapshotCost {
-    /// `full_bytes / delta_bytes` — the size factor deltas buy.
-    pub fn bytes_ratio(&self) -> f64 {
-        self.full_bytes as f64 / self.delta_bytes as f64
-    }
-
-    /// `full_encode_us / delta_encode_us` — the time factor deltas buy.
-    pub fn time_ratio(&self) -> f64 {
-        self.full_encode_us / self.delta_encode_us
-    }
-
-    /// The `BENCH_snapshot.json` payload (hand-rolled; the workspace has no
-    /// JSON dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"snapshot_cost/tiny_firmware\",\n  \"samples\": {},\n  \"delta_gap_cycles\": {},\n  \"full_bytes\": {},\n  \"delta_bytes\": {},\n  \"full_encode_us\": {:.1},\n  \"delta_encode_us\": {:.1},\n  \"bytes_ratio\": {:.1},\n  \"time_ratio\": {:.1}\n}}\n",
-            self.samples,
-            self.delta_gap_cycles,
-            self.full_bytes,
-            self.delta_bytes,
-            self.full_encode_us,
-            self.delta_encode_us,
-            self.bytes_ratio(),
-            self.time_ratio()
-        )
-    }
-}
-
-/// Measure full-vs-delta snapshot cost on a flying tiny firmware: per
-/// sample, take a keyframe, fly `10_000` more cycles, then time (a) a full
-/// snapshot — state capture plus wire encode — and (b) a dirty-page delta
-/// encode against the keyframe. Every delta is verified to reconstruct the
-/// full state bit-for-bit before its timing counts. `quick` = fewer
-/// samples, for CI smoke.
-pub fn snapshot_cost(quick: bool) -> SnapshotCost {
-    use mavr_snapshot::{apply_machine_delta, encode_machine, encode_machine_delta};
-    const GAP: u64 = 10_000;
-    let samples = if quick { 5 } else { 25 };
-    let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).expect("build");
-    let mut m = avr_sim::Machine::new_atmega2560();
-    m.load_flash(0, &fw.image.bytes);
-    m.run(300_000);
-    assert!(m.fault().is_none(), "bench firmware crashed");
-
-    let mut full_sizes = Vec::with_capacity(samples);
-    let mut delta_sizes = Vec::with_capacity(samples);
-    let mut full_times = Vec::with_capacity(samples);
-    let mut delta_times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let keyframe = m.capture_state();
-        m.clear_dirty();
-        m.run(GAP);
-        let t0 = std::time::Instant::now();
-        let full = encode_machine(&m.capture_state());
-        full_times.push(t0.elapsed().as_secs_f64() * 1e6);
-        let t0 = std::time::Instant::now();
-        let delta = encode_machine_delta(&m, keyframe.cycles);
-        delta_times.push(t0.elapsed().as_secs_f64() * 1e6);
-        assert_eq!(
-            apply_machine_delta(&keyframe, &delta).expect("delta applies"),
-            m.capture_state(),
-            "delta must reconstruct the full state"
-        );
-        full_sizes.push(full.len());
-        delta_sizes.push(delta.len());
-    }
-    let median_usize = |v: &mut Vec<usize>| {
-        v.sort_unstable();
-        v[v.len() / 2]
-    };
-    let median_f64 = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    SnapshotCost {
-        full_bytes: median_usize(&mut full_sizes),
-        delta_bytes: median_usize(&mut delta_sizes),
-        full_encode_us: median_f64(&mut full_times),
-        delta_encode_us: median_f64(&mut delta_times),
-        delta_gap_cycles: GAP,
-        samples,
-    }
-}
-
 /// Measured cost of the observability plane: simulator overhead of an
 /// attached (null) recorder, metrics record/merge throughput and
 /// exposition cost. See [`telemetry_overhead`].
@@ -1569,6 +1577,19 @@ mod tests {
         assert_eq!(
             e.randomized_successes, 0,
             "attack never works when randomized"
+        );
+    }
+
+    #[test]
+    fn call_prologues_leak_and_concentrate_the_blob() {
+        let a = call_prologue_ablation();
+        assert!(
+            a.blob_refs > 10,
+            "the blob must be referenced from many call sites: {a:?}"
+        );
+        assert!(
+            a.mavr_restore_gadgets > a.stock_restore_gadgets,
+            "per-function epilogues scatter the gadgets: {a:?}"
         );
     }
 

@@ -781,6 +781,17 @@ pub fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
     let resumed = if let Some(snap) = args.options.get("--restore") {
         let blob = std::fs::read(snap).map_err(fail)?;
         let state = decode_machine(&blob).map_err(fail)?;
+        // A well-formed blob can still hold another device's memories:
+        // refuse it here rather than let `restore_state` panic.
+        let have = (state.flash.len(), state.data.len());
+        let want = (m.flash().len(), usize::from(m.device().ramend()) + 1);
+        if have != want {
+            return Err(CliError::Failed(format!(
+                "{snap}: snapshot holds {} flash and {} data-space bytes, \
+                 this machine has {} and {}",
+                have.0, have.1, want.0, want.1
+            )));
+        }
         m.restore_state(&state);
         true
     } else {
@@ -2088,6 +2099,18 @@ halt:
             std::fs::read_to_string(&full).unwrap(),
             std::fs::read_to_string(&resumed).unwrap(),
             "digest after save/restore differs from the uninterrupted run"
+        );
+        // A CRC-valid blob of the wrong shape is a typed error, not a panic.
+        let mut state = avr_sim::Machine::new_atmega2560().capture_state();
+        state.flash.truncate(2);
+        let short = tmp("snap-short.bin");
+        std::fs::write(&short, mavr_snapshot::encode_machine(&state)).unwrap();
+        let err = run(&s(&["snapshot", &container, "--restore", &short])).unwrap_err();
+        assert!(matches!(err, CliError::Failed(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("holds 2 flash and 8704 data-space bytes, this machine has 262144"),
+            "{err}"
         );
     }
 

@@ -20,8 +20,8 @@
 //! input; every structural problem surfaces as a [`SnapshotError`].
 
 use avr_sim::{
-    AdcState, EepromState, Fault, HeartbeatState, Machine, MachineState, Pwm, Timer0State,
-    UartState, WatchdogState, DIRTY_PAGE_SIZE,
+    AdcState, EepromState, Fault, HeartbeatState, MachineState, Pwm, Timer0State, UartState,
+    WatchdogState,
 };
 use mavr_board::BoardState;
 
@@ -38,8 +38,6 @@ pub const VERSION: u16 = 4;
 pub enum Kind {
     /// A complete [`MachineState`].
     MachineFull,
-    /// A dirty-page delta against a machine keyframe.
-    MachineDelta,
     /// A complete [`BoardState`].
     Board,
     /// A [`mavr_world::WorldState`]: the physical arena around a board.
@@ -53,10 +51,10 @@ impl Kind {
     fn to_u8(self) -> u8 {
         match self {
             Kind::MachineFull => 1,
-            Kind::MachineDelta => 2,
+            // Tags 2 (the retired machine delta) and 4 (the retired
+            // whole-campaign checkpoint) stay reserved, so a stale blob
+            // decodes as `BadKind(2)` or `BadKind(4)`.
             Kind::Board => 3,
-            // Tag 4 was the retired whole-campaign checkpoint; it stays
-            // reserved so a stale file decodes as `BadKind(4)`.
             Kind::World => 5,
             Kind::ShardCheckpoint => 6,
         }
@@ -65,7 +63,6 @@ impl Kind {
     fn from_u8(v: u8) -> Option<Kind> {
         match v {
             1 => Some(Kind::MachineFull),
-            2 => Some(Kind::MachineDelta),
             3 => Some(Kind::Board),
             5 => Some(Kind::World),
             6 => Some(Kind::ShardCheckpoint),
@@ -187,11 +184,6 @@ impl Writer {
     /// Append a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
-        self.buf.extend_from_slice(v);
-    }
-
-    /// Append raw bytes with no length prefix (fixed-size runs like pages).
-    pub fn put_raw(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
@@ -326,11 +318,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(len)?.to_vec())
     }
 
-    /// Read `n` raw bytes (fixed-size runs like pages).
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        self.take(n)
-    }
-
     /// Assert the payload is fully consumed (trailing garbage is an error:
     /// it means the decoder and encoder disagree about the layout).
     pub fn done(&self) -> Result<(), SnapshotError> {
@@ -390,12 +377,29 @@ fn get_fault(r: &mut Reader<'_>) -> Result<Option<Fault>, SnapshotError> {
     })
 }
 
-// ---- peripheral / core field groups ----
+// ---- machine state ----
 
-/// The small (non-memory-array) part of a machine state: CPU registers of
-/// the core proper plus every peripheral. Shared by full and delta
-/// payloads.
-fn put_machine_core(w: &mut Writer, s: &MachineState) {
+fn put_eeprom(w: &mut Writer, e: &EepromState) {
+    w.put_bytes(&e.bytes);
+    w.put_u16(e.addr);
+    w.put_u8(e.data);
+    w.put_bool(e.master_enable);
+    w.put_u64(e.writes);
+}
+
+fn get_eeprom(r: &mut Reader<'_>) -> Result<EepromState, SnapshotError> {
+    Ok(EepromState {
+        bytes: r.bytes()?,
+        addr: r.u16()?,
+        data: r.u8()?,
+        master_enable: r.bool()?,
+        writes: r.u64()?,
+    })
+}
+
+/// A machine state on the wire: the CPU core and every peripheral first,
+/// then the flash, data-space and EEPROM arrays.
+fn put_machine_state(w: &mut Writer, s: &MachineState) {
     w.put_u32(s.pc);
     w.put_u64(s.cycles);
     put_fault(w, s.fault);
@@ -439,16 +443,22 @@ fn put_machine_core(w: &mut Writer, s: &MachineState) {
     w.put_u8(s.pwm.ocr0a);
     w.put_u8(s.pwm.ocr0b);
     w.put_u8(s.portb);
+    // The memories.
+    w.put_bytes(&s.flash);
+    w.put_bytes(&s.data);
+    put_eeprom(w, &s.eeprom);
 }
 
-fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), SnapshotError> {
-    s.pc = r.u32()?;
-    s.cycles = r.u64()?;
-    s.fault = get_fault(r)?;
-    s.irq_delay = r.bool()?;
-    s.insns_retired = r.u64()?;
-    s.interrupts_taken = r.u64()?;
-    s.uart0 = UartState {
+/// Inverse of [`put_machine_state`]. Struct fields are evaluated in the
+/// order written, so every literal below reads in wire order.
+fn get_machine_state(r: &mut Reader<'_>) -> Result<MachineState, SnapshotError> {
+    let pc = r.u32()?;
+    let cycles = r.u64()?;
+    let fault = get_fault(r)?;
+    let irq_delay = r.bool()?;
+    let insns_retired = r.u64()?;
+    let interrupts_taken = r.u64()?;
+    let uart0 = UartState {
         rx: r.bytes()?,
         tx: r.bytes()?,
         rx_bytes: r.u64()?,
@@ -459,17 +469,17 @@ fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), Snap
     for _ in 0..n {
         toggles.push(r.u64()?);
     }
-    s.heartbeat = HeartbeatState {
+    let heartbeat = HeartbeatState {
         toggles,
         last_level: r.bool()?,
     };
     let enabled = r.bool()?;
     let timeout = r.u64()?;
-    s.watchdog = WatchdogState {
+    let watchdog = WatchdogState {
         timeout: enabled.then_some(timeout),
         last_reset: r.u64()?,
     };
-    s.timer0 = Timer0State {
+    let timer0 = Timer0State {
         tcnt: r.u8()?,
         tccr_b: r.u8()?,
         timsk: r.u8()?,
@@ -488,7 +498,7 @@ fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), Snap
     for ch in &mut channels {
         *ch = r.u16()?;
     }
-    s.adc = AdcState {
+    let adc = AdcState {
         admux,
         control,
         adcsrb,
@@ -498,67 +508,28 @@ fn get_machine_core(r: &mut Reader<'_>, s: &mut MachineState) -> Result<(), Snap
         first,
         channels,
     };
-    s.pwm = Pwm {
+    let pwm = Pwm {
         ocr0a: r.u8()?,
         ocr0b: r.u8()?,
     };
-    s.portb = r.u8()?;
-    Ok(())
-}
-
-fn put_eeprom(w: &mut Writer, e: &EepromState) {
-    w.put_bytes(&e.bytes);
-    w.put_u16(e.addr);
-    w.put_u8(e.data);
-    w.put_bool(e.master_enable);
-    w.put_u64(e.writes);
-}
-
-fn get_eeprom(r: &mut Reader<'_>) -> Result<EepromState, SnapshotError> {
-    Ok(EepromState {
-        bytes: r.bytes()?,
-        addr: r.u16()?,
-        data: r.u8()?,
-        master_enable: r.bool()?,
-        writes: r.u64()?,
+    Ok(MachineState {
+        portb: r.u8()?,
+        flash: r.bytes()?,
+        data: r.bytes()?,
+        eeprom: get_eeprom(r)?,
+        pc,
+        cycles,
+        fault,
+        irq_delay,
+        uart0,
+        heartbeat,
+        watchdog,
+        timer0,
+        adc,
+        pwm,
+        insns_retired,
+        interrupts_taken,
     })
-}
-
-fn empty_machine_state() -> MachineState {
-    MachineState {
-        flash: Vec::new(),
-        data: Vec::new(),
-        eeprom: EepromState::default(),
-        pc: 0,
-        cycles: 0,
-        fault: None,
-        irq_delay: false,
-        uart0: UartState::default(),
-        heartbeat: HeartbeatState::default(),
-        watchdog: WatchdogState::default(),
-        timer0: Timer0State::default(),
-        adc: AdcState::default(),
-        pwm: Pwm::default(),
-        portb: 0,
-        insns_retired: 0,
-        interrupts_taken: 0,
-    }
-}
-
-fn put_machine_state(w: &mut Writer, s: &MachineState) {
-    put_machine_core(w, s);
-    w.put_bytes(&s.flash);
-    w.put_bytes(&s.data);
-    put_eeprom(w, &s.eeprom);
-}
-
-fn get_machine_state(r: &mut Reader<'_>) -> Result<MachineState, SnapshotError> {
-    let mut s = empty_machine_state();
-    get_machine_core(r, &mut s)?;
-    s.flash = r.bytes()?;
-    s.data = r.bytes()?;
-    s.eeprom = get_eeprom(r)?;
-    Ok(s)
 }
 
 // ---- public encoders / decoders ----
@@ -574,102 +545,6 @@ pub fn encode_machine(s: &MachineState) -> Vec<u8> {
 pub fn decode_machine(blob: &[u8]) -> Result<MachineState, SnapshotError> {
     let mut r = Reader::open_expecting(blob, Kind::MachineFull)?;
     let s = get_machine_state(&mut r)?;
-    r.done()?;
-    Ok(s)
-}
-
-/// Encode a delta snapshot: the machine's small state plus only the
-/// 256-byte data/flash pages (and the EEPROM, if touched) dirtied since
-/// the last [`Machine::clear_dirty`]. Costs pages-touched, not image-size:
-/// on a quiet machine this is a few KiB against a ~270 KiB full snapshot.
-///
-/// `base_cycles` stamps the keyframe this delta is relative to;
-/// [`apply_machine_delta`] refuses to apply it to any other keyframe.
-pub fn encode_machine_delta(m: &Machine, base_cycles: u64) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u64(base_cycles);
-    put_machine_core(&mut w, &core_of(m));
-    let data_pages = m.dirty_data_pages();
-    w.put_u32(data_pages.len() as u32);
-    for p in data_pages {
-        let start = p * DIRTY_PAGE_SIZE;
-        w.put_u32(p as u32);
-        w.put_raw(&m.peek_range(start as u16, DIRTY_PAGE_SIZE));
-    }
-    let flash = m.flash();
-    let flash_pages = m.dirty_flash_pages();
-    w.put_u32(flash_pages.len() as u32);
-    for p in flash_pages {
-        let start = p * DIRTY_PAGE_SIZE;
-        w.put_u32(p as u32);
-        w.put_raw(&flash[start..start + DIRTY_PAGE_SIZE]);
-    }
-    let eeprom_dirty = m.eeprom.dirty();
-    w.put_bool(eeprom_dirty);
-    if eeprom_dirty {
-        put_eeprom(&mut w, &m.eeprom.state());
-    }
-    w.finish(Kind::MachineDelta)
-}
-
-/// The non-array part of a machine's current state, captured without
-/// cloning the memories.
-fn core_of(m: &Machine) -> MachineState {
-    MachineState {
-        flash: Vec::new(),
-        data: Vec::new(),
-        eeprom: EepromState::default(),
-        pc: m.pc(),
-        cycles: m.cycles(),
-        fault: m.fault(),
-        irq_delay: m.irq_delay_pending(),
-        uart0: m.uart0.state(),
-        heartbeat: m.heartbeat.state(),
-        watchdog: m.watchdog.state(),
-        timer0: m.timer0.state(),
-        adc: m.adc.state(),
-        pwm: m.pwm,
-        portb: m.portb.value,
-        insns_retired: m.insns_retired,
-        interrupts_taken: m.interrupts_taken,
-    }
-}
-
-/// Reconstruct a full machine state from `keyframe` plus a
-/// [`Kind::MachineDelta`] blob captured after it.
-pub fn apply_machine_delta(
-    keyframe: &MachineState,
-    blob: &[u8],
-) -> Result<MachineState, SnapshotError> {
-    let mut r = Reader::open_expecting(blob, Kind::MachineDelta)?;
-    let base = r.u64()?;
-    if base != keyframe.cycles {
-        return Err(SnapshotError::Malformed(format!(
-            "delta is relative to cycle {base}, keyframe is at {}",
-            keyframe.cycles
-        )));
-    }
-    let mut s = keyframe.clone();
-    get_machine_core(&mut r, &mut s)?;
-    for (what, arr) in [("data", &mut s.data), ("flash", &mut s.flash)] {
-        let n = r.u32()? as usize;
-        for _ in 0..n {
-            let p = r.u32()? as usize;
-            let start = p * DIRTY_PAGE_SIZE;
-            let page = r.raw(DIRTY_PAGE_SIZE)?;
-            let end = start + DIRTY_PAGE_SIZE;
-            if end > arr.len() {
-                return Err(SnapshotError::Malformed(format!(
-                    "{what} page {p} past end ({end} > {})",
-                    arr.len()
-                )));
-            }
-            arr[start..end].copy_from_slice(page);
-        }
-    }
-    if r.bool()? {
-        s.eeprom = get_eeprom(&mut r)?;
-    }
     r.done()?;
     Ok(s)
 }
@@ -784,6 +659,7 @@ mod tests {
     use super::*;
     use avr_core::encode::encode_to_bytes;
     use avr_core::{Insn, Reg};
+    use avr_sim::Machine;
 
     fn busy_machine() -> Machine {
         let mut m = Machine::new_atmega2560();
@@ -862,8 +738,8 @@ mod tests {
             decode_machine(&bad),
             Err(SnapshotError::UnsupportedVersion(_))
         ));
-        // Unknown kind byte, and the retired checkpoint tag.
-        for tag in [9, 4] {
+        // Unknown kind byte, and the retired delta and checkpoint tags.
+        for tag in [9, 2, 4] {
             let mut bad = blob.clone();
             bad[10] = tag;
             assert_eq!(decode_machine(&bad), Err(SnapshotError::BadKind(tag)));
@@ -895,39 +771,6 @@ mod tests {
             decode_machine(&blob),
             Err(SnapshotError::UnsupportedVersion(3))
         );
-    }
-
-    #[test]
-    fn delta_reconstructs_full_state_and_is_smaller() {
-        let mut m = busy_machine();
-        let keyframe = m.capture_state();
-        m.clear_dirty();
-        m.run(20_000);
-        let delta = encode_machine_delta(&m, keyframe.cycles);
-        let full = encode_machine(&m.capture_state());
-        let rebuilt = apply_machine_delta(&keyframe, &delta).unwrap();
-        assert_eq!(rebuilt, m.capture_state());
-        assert!(
-            delta.len() * 10 < full.len(),
-            "delta ({}) should be far smaller than full ({})",
-            delta.len(),
-            full.len()
-        );
-    }
-
-    #[test]
-    fn delta_refuses_wrong_keyframe() {
-        let mut m = busy_machine();
-        let keyframe = m.capture_state();
-        m.clear_dirty();
-        m.run(10_000);
-        let delta = encode_machine_delta(&m, keyframe.cycles);
-        let mut other = keyframe.clone();
-        other.cycles += 1;
-        assert!(matches!(
-            apply_machine_delta(&other, &delta),
-            Err(SnapshotError::Malformed(_))
-        ));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! questions have exact answers; this crate makes them cheap:
 //!
 //! * [`format`] — a versioned, CRC-guarded binary format for full machine
-//!   state, dirty-page deltas against a keyframe, whole-board state, and
+//!   state, whole-board state, the physical world around a board, and
 //!   fleet campaign checkpoints. Corruption is detected before a broken
 //!   state is ever loaded.
 //! * [`replay`] — [`Timeline`] keyframing over a run (`rewind_to` any
@@ -17,11 +17,6 @@
 //!   cycle where the randomized run departs — the forensic signature of a
 //!   code-reuse payload whose hard-coded addresses no longer match the
 //!   shuffled layout.
-//!
-//! Delta snapshots lean on the simulator's dirty-page tracking
-//! ([`avr_sim::Machine::dirty_data_pages`]): after a keyframe, a snapshot
-//! costs only the 256-byte pages actually touched, so periodic keyframing
-//! of a ~270 KiB machine runs at a few KiB per interval.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,8 +25,7 @@ pub mod format;
 pub mod replay;
 
 pub use format::{
-    apply_machine_delta, crc32, decode_board, decode_machine, decode_world, encode_board,
-    encode_machine, encode_machine_delta, encode_world, Kind, Reader, SnapshotError, Writer, MAGIC,
-    VERSION,
+    crc32, decode_board, decode_machine, decode_world, encode_board, encode_machine, encode_world,
+    Kind, Reader, SnapshotError, Writer, MAGIC, VERSION,
 };
 pub use replay::{bisect_divergence, Divergence, Timeline};

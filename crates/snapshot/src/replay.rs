@@ -18,7 +18,6 @@
 //! divergent cycle is where the code-reuse payload stopped matching
 //! reality.
 
-use crate::format;
 use avr_core::image::FirmwareImage;
 use avr_sim::{Machine, MachineState, RunExit};
 use telemetry::{kinds, Value};
@@ -119,12 +118,6 @@ impl Timeline {
             }
         }
         Some(m.cycles())
-    }
-
-    /// Serialize the timeline's last keyframe as a snapshot blob — the
-    /// "pre-crash snapshot" a [`avr_sim::CrashReport`] points at.
-    pub fn last_keyframe_blob(&self) -> Option<Vec<u8>> {
-        self.keyframes.last().map(format::encode_machine)
     }
 }
 

@@ -8,7 +8,7 @@ use avr_core::encode::encode_to_bytes;
 use avr_core::{Insn, Reg};
 use avr_sim::timer::{TCCR0B_ADDR, TCNT0_ADDR, TIMER0_OVF_VECTOR, TOV0};
 use avr_sim::{Fault, Machine};
-use mavr_snapshot::{apply_machine_delta, decode_machine, encode_machine, encode_machine_delta};
+use mavr_snapshot::{decode_machine, encode_machine};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -137,31 +137,6 @@ proptest! {
         resumed.restore_state(&state);
         prop_assert_eq!(arch(&resumed), arch(&uninterrupted));
         lockstep(&mut resumed, &mut uninterrupted, 300);
-    }
-
-    /// Delta snapshots carry exactly the pages execution touched: keyframe,
-    /// run on, delta-encode, and the keyframe + delta must reconstruct the
-    /// machine bit-for-bit — and resume lockstep-identically.
-    #[test]
-    fn delta_reconstruction_resumes_identically(
-        prog in pvec(insn_strategy(), 1..48),
-        prescale in 1u8..=3,
-        gap in 1usize..150,
-    ) {
-        let bytes = encode_to_bytes(&prog).unwrap();
-        let mut m = live_machine(&bytes, prescale, 1_000_000, true);
-        m.run(50);
-        let keyframe = m.capture_state();
-        m.clear_dirty();
-        for _ in 0..gap {
-            m.run(1);
-        }
-        let delta = encode_machine_delta(&m, keyframe.cycles);
-        let rebuilt = apply_machine_delta(&keyframe, &delta).unwrap();
-        prop_assert_eq!(&rebuilt, &m.capture_state());
-        let mut resumed = Machine::new_atmega2560();
-        resumed.restore_state(&rebuilt);
-        lockstep(&mut resumed, &mut m, 200);
     }
 
     /// Reflash coherence: snapshot taken *after* an erase + reflash + reset

@@ -16,9 +16,6 @@
 //!   recorder" proper,
 //! * [`JsonlRecorder`] — streams each event as one JSON line to any
 //!   `io::Write`, for offline analysis (`mavr-cli trace --out events.jsonl`).
-//!
-//! [`Span`] measures wall-clock phases (container read, randomize, program)
-//! and emits a closing event with the elapsed microseconds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +25,6 @@ use std::fmt;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Well-known event kinds shared across crates.
 ///
@@ -444,61 +440,6 @@ impl Telemetry {
         let mut rec = bus.lock();
         rec.as_any_mut().downcast_mut::<R>().map(f)
     }
-
-    /// Start a wall-clock span; the returned guard emits `kind` with an
-    /// `elapsed_us` field when finished (or dropped).
-    pub fn span(&self, kind: &'static str) -> Span {
-        Span {
-            telemetry: self.clone(),
-            kind,
-            started: Instant::now(),
-            extra: Vec::new(),
-            done: false,
-        }
-    }
-}
-
-/// Span-style phase timer: emits one event with `elapsed_us` on [`Span::end`]
-/// or on drop.
-pub struct Span {
-    telemetry: Telemetry,
-    kind: &'static str,
-    started: Instant,
-    extra: Vec<(&'static str, Value)>,
-    done: bool,
-}
-
-impl Span {
-    /// Attach an extra field to the closing event.
-    pub fn field(mut self, name: &'static str, value: impl Into<Value>) -> Self {
-        self.extra.push((name, value.into()));
-        self
-    }
-
-    /// Finish now and emit the closing event.
-    pub fn end(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if self.done {
-            return;
-        }
-        self.done = true;
-        let elapsed_us = self.started.elapsed().as_micros() as u64;
-        let extra = std::mem::take(&mut self.extra);
-        self.telemetry.emit(self.kind, None, move || {
-            let mut f = vec![("elapsed_us", Value::U64(elapsed_us))];
-            f.extend(extra);
-            f
-        });
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.finish();
-    }
 }
 
 #[cfg(test)]
@@ -584,23 +525,5 @@ mod tests {
         assert!(e.field("missing").is_none());
         assert!(e.to_json().contains("\"a\\nb\\\\c\""));
         assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn span_emits_elapsed() {
-        let t = Telemetry::new(RingRecorder::new(4));
-        t.span("phase.randomize").field("bytes", 100u64).end();
-        {
-            let _s = t.span("phase.drop");
-        } // drop also emits
-        t.with_recorder::<RingRecorder, _>(|r| {
-            let evs: Vec<_> = r.events().collect();
-            assert_eq!(evs.len(), 2);
-            assert_eq!(evs[0].kind, "phase.randomize");
-            assert!(evs[0].field("elapsed_us").is_some());
-            assert_eq!(evs[0].field("bytes"), Some(&Value::U64(100)));
-            assert_eq!(evs[1].kind, "phase.drop");
-        })
-        .unwrap();
     }
 }
