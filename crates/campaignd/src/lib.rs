@@ -37,7 +37,8 @@
 //! - [`proto`]: the newline-delimited JSON control protocol
 //!   (submit/status/run/merge/shutdown).
 //! - [`server`]: stdio and Unix-socket transports; the socket server
-//!   runs pending shards between accept polls.
+//!   serves each connection on its own thread while an executor thread
+//!   runs pending shards.
 //! - [`signal`]: SIGINT/SIGTERM → cooperative interrupt flag, so Ctrl-C
 //!   flushes a valid checkpoint instead of tearing one.
 

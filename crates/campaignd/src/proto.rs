@@ -19,7 +19,8 @@
 //! — a malformed line never kills the service.
 //!
 //! [`Service`] takes `&self` everywhere: the socket server shares one
-//! instance across protocol workers and the background executor thread.
+//! instance across its connection threads and the background executor
+//! thread.
 //! Sessions sit behind a mutex, slice execution is serialized by a
 //! dedicated `exec` lock, and `status`/`submit`/`stats` never touch that
 //! lock — so the service answers `status` while a shard is mid-run.
@@ -28,7 +29,7 @@ use crate::faultfs::FaultFs;
 use crate::json::Json;
 use crate::runner::{merge_store, CampaignSession};
 use crate::spec::CampaignSpec;
-use crate::store::CampaignStore;
+use crate::store::{campaign_dir, CampaignStore};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,7 +54,8 @@ pub struct ServiceStats {
     /// Requests answered `"ok":false`.
     pub errors: AtomicU64,
     /// Connections rejected with the typed `busy` response because the
-    /// in-flight queue was full.
+    /// socket server was already serving
+    /// [`crate::ServeOptions::max_connections`] connections.
     pub busy_rejected: AtomicU64,
     /// Requests rejected for exceeding the line-size cap.
     pub oversized: AtomicU64,
@@ -73,7 +75,7 @@ pub struct Service {
     interrupt: Arc<AtomicBool>,
     sessions: Mutex<HashMap<String, Arc<CampaignSession>>>,
     /// Serializes slice execution: one shard runs at a time no matter how
-    /// many protocol workers exist, while read-only ops bypass it.
+    /// many connections ask, while read-only ops bypass it.
     exec: Mutex<()>,
     fault_fs: FaultFs,
     stats: ServiceStats,
@@ -166,7 +168,7 @@ impl Service {
 
     fn op_status(&self, req: &Json) -> Result<(Json, Control), String> {
         let stores = match req.get("campaign").and_then(Json::as_str) {
-            Some(name) => vec![CampaignStore::open(&self.root.join(name))?],
+            Some(name) => vec![CampaignStore::open(&campaign_dir(&self.root, name)?)?],
             None => CampaignStore::list(&self.root)?,
         };
         let mut rows = Vec::new();
@@ -220,7 +222,8 @@ impl Service {
             .get("campaign")
             .and_then(Json::as_str)
             .ok_or("merge needs a `campaign` name")?;
-        let store = CampaignStore::open(&self.root.join(name))?.with_faults(self.fault_fs.clone());
+        let store = CampaignStore::open(&campaign_dir(&self.root, name)?)?
+            .with_faults(self.fault_fs.clone());
         let (report_path, _metrics) = merge_store(&store)?;
         let mut fields = vec![
             ("ok".into(), Json::Bool(true)),
@@ -275,7 +278,7 @@ impl Service {
             match sessions.get(name) {
                 Some(session) => Arc::clone(session),
                 None => {
-                    let store = CampaignStore::open(&self.root.join(name))?
+                    let store = CampaignStore::open(&campaign_dir(&self.root, name)?)?
                         .with_faults(self.fault_fs.clone());
                     let session = Arc::new(CampaignSession::new(
                         store,

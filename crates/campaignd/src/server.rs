@@ -1,23 +1,32 @@
 //! Transports for the control protocol: stdio (pipes, tests, CI) and a
-//! multi-worker Unix domain socket server (long-running service).
+//! Unix domain socket server (long-running service).
 //!
 //! Both speak the same line protocol ([`crate::proto`]) with the same
 //! guardrails: a request line longer than [`ServeOptions::max_line`] gets
 //! a typed error (and the connection stays open), and a malformed line
-//! never kills the service. The socket server adds supervision: a pool of
-//! protocol workers drains a *bounded* connection queue (overflow gets a
-//! typed `busy` response instead of an unbounded backlog), every
-//! connection carries a wall-clock deadline so an idle client cannot pin
-//! a worker, and a dedicated executor thread runs pending campaign
-//! shards the whole time — `status` answers mid-shard. On interrupt
-//! (SIGINT/SIGTERM via [`crate::signal::install`]) the in-flight slice
-//! flushes its checkpoint and every thread exits cleanly.
+//! never kills the service. The socket server adds supervision: it blocks
+//! in `accept` and serves each connection on its own thread, at most
+//! [`ServeOptions::max_connections`] at once (one more gets a typed `busy`
+//! response instead of a growing backlog); every connection carries a
+//! wall-clock deadline, so an idle client holds its slot no longer than
+//! that; and a dedicated executor thread runs pending campaign shards the
+//! whole time — `status` answers mid-shard.
+//!
+//! Stopping has one path: set the stop flag, then connect once to the
+//! socket so the blocked `accept` returns and sees it. The connection that
+//! served `shutdown` does this, and so does the executor when the
+//! interrupt flag trips (SIGINT/SIGTERM via [`crate::signal::install`]);
+//! the in-flight slice flushes its checkpoint and every thread exits
+//! cleanly. The wake-up connection goes to the socket *path*: if another
+//! process unlinks or rebinds that path, Ctrl-C waits for the next
+//! connection this listener accepts — and in that state no client can
+//! reach the service either.
 
 use crate::proto::{Control, Service};
-use std::collections::VecDeque;
 use std::io::{BufRead, Write};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::path::Path;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default cap on one request line; far above any legitimate spec, far
@@ -28,11 +37,9 @@ pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 /// service; tests shrink them to force the guardrails to fire.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
-    /// Protocol worker threads draining the connection queue.
-    pub workers: usize,
-    /// Connections allowed in flight (queued + being served) before new
-    /// ones get the typed `busy` response.
-    pub queue_depth: usize,
+    /// Connections served at once; past this, a new connection gets the
+    /// typed `busy` response and is closed.
+    pub max_connections: usize,
     /// Wall-clock budget per connection.
     pub conn_deadline: Duration,
     /// Request-line size cap in bytes.
@@ -42,8 +49,7 @@ pub struct ServeOptions {
 impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
-            workers: 2,
-            queue_depth: 16,
+            max_connections: 16,
             conn_deadline: Duration::from_secs(10),
             max_line: MAX_REQUEST_BYTES,
         }
@@ -163,59 +169,14 @@ fn serve_stream(
     }
 }
 
-/// The bounded hand-off between the accept loop and protocol workers.
-struct ConnQueue<T> {
-    inner: Mutex<VecDeque<T>>,
-    ready: Condvar,
-}
-
-impl<T> ConnQueue<T> {
-    fn new() -> Self {
-        ConnQueue {
-            inner: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Enqueue unless the queue holds `depth` connections already; a full
-    /// queue hands the connection back for the `busy` rejection.
-    fn try_push(&self, item: T, depth: usize) -> Result<(), T> {
-        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if q.len() >= depth {
-            return Err(item);
-        }
-        q.push_back(item);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Dequeue, or None once `stop` is set and the queue has drained.
-    fn pop(&self, stop: &AtomicBool) -> Option<T> {
-        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(item) = q.pop_front() {
-                return Some(item);
-            }
-            if stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            q = self
-                .ready
-                .wait_timeout(q, Duration::from_millis(100))
-                .unwrap_or_else(PoisonError::into_inner)
-                .0;
-        }
-    }
-}
-
-/// Serve the protocol on a Unix domain socket at `path`. Protocol workers
-/// drain the bounded connection queue while a dedicated executor thread
-/// runs pending campaign work one shard at a time. Returns on `shutdown`
-/// or when the service's interrupt flag trips.
+/// Serve the protocol on a Unix domain socket at `path`: each connection
+/// on its own thread while a dedicated executor thread runs pending
+/// campaign work one shard at a time. Returns on `shutdown` or when the
+/// service's interrupt flag trips.
 #[cfg(unix)]
 pub fn serve_socket(
     service: &Service,
-    path: &std::path::Path,
+    path: &Path,
     log: impl Write + Send,
     opts: &ServeOptions,
 ) -> Result<(), String> {
@@ -225,9 +186,6 @@ pub fn serve_socket(
     // needs the unlink first.
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path).map_err(|e| format!("bind {}: {e}", path.display()))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| format!("nonblocking listener: {e}"))?;
     let log = Mutex::new(log);
     logln(
         &log,
@@ -235,41 +193,43 @@ pub fn serve_socket(
     );
 
     let stop = AtomicBool::new(false);
-    let queue = ConnQueue::new();
+    let active = AtomicUsize::new(0);
     let mut accept_err = None;
 
     std::thread::scope(|scope| {
-        for _ in 0..opts.workers.max(1) {
-            scope.spawn(|| worker_loop(service, &queue, opts, &stop));
-        }
-        scope.spawn(|| executor_loop(service, &stop, &log));
-
-        while !stop.load(Ordering::Relaxed) && !service.interrupted() {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    if let Err(mut stream) = queue.try_push(stream, opts.queue_depth) {
-                        // Typed rejection, then hang up: better a loud
-                        // `busy` now than an unbounded backlog wedging
-                        // every client later.
-                        service
-                            .stats()
-                            .busy_rejected
-                            .fetch_add(1, Ordering::Relaxed);
-                        let _ = stream.set_nonblocking(false);
-                        let _ = writeln!(stream, "{}", error_line("busy"));
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
+        scope.spawn(|| executor_loop(service, &stop, path, &log));
+        loop {
+            let accepted = listener.accept();
+            if stop.load(Ordering::Relaxed) {
+                break; // woken by `halt`
+            }
+            let mut stream = match accepted {
+                Ok((stream, _addr)) => stream,
                 Err(e) => {
                     accept_err = Some(format!("accept: {e}"));
+                    stop.store(true, Ordering::Relaxed);
                     break;
                 }
+            };
+            if active.load(Ordering::Relaxed) >= opts.max_connections {
+                // Typed rejection, then hang up: better a loud `busy` now
+                // than an unbounded backlog wedging every client later.
+                service
+                    .stats()
+                    .busy_rejected
+                    .fetch_add(1, Ordering::Relaxed);
+                let _ = writeln!(stream, "{}", error_line("busy"));
+                continue;
             }
+            active.fetch_add(1, Ordering::Relaxed);
+            let (stop, active) = (&stop, &active);
+            scope.spawn(move || {
+                if serve_connection(service, stream, opts) == Control::Shutdown {
+                    halt(stop, path);
+                }
+                active.fetch_sub(1, Ordering::Relaxed);
+            });
         }
-        stop.store(true, Ordering::Relaxed);
-        queue.ready.notify_all();
     });
 
     let _ = std::fs::remove_file(path);
@@ -287,26 +247,20 @@ pub fn serve_socket(
     accept_err.map_or(Ok(()), Err)
 }
 
+/// Stop the socket server: set `stop`, then connect once to `path` so the
+/// accept loop, blocked in `accept`, wakes and sees the flag. Only the
+/// first call connects.
+#[cfg(unix)]
+fn halt(stop: &AtomicBool, path: &Path) {
+    if !stop.swap(true, Ordering::Relaxed) {
+        let _ = std::os::unix::net::UnixStream::connect(path);
+    }
+}
+
 #[cfg(unix)]
 fn logln(log: &Mutex<impl Write>, args: std::fmt::Arguments<'_>) {
     let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
     let _ = writeln!(log, "{args}");
-}
-
-/// One protocol worker: serve queued connections until `stop`.
-#[cfg(unix)]
-fn worker_loop(
-    service: &Service,
-    queue: &ConnQueue<std::os::unix::net::UnixStream>,
-    opts: &ServeOptions,
-    stop: &AtomicBool,
-) {
-    while let Some(stream) = queue.pop(stop) {
-        if serve_connection(service, stream, opts) == Control::Shutdown {
-            stop.store(true, Ordering::Relaxed);
-            queue.ready.notify_all();
-        }
-    }
 }
 
 /// Serve one connection under the per-connection deadline. Client-side
@@ -317,9 +271,6 @@ fn serve_connection(
     stream: std::os::unix::net::UnixStream,
     opts: &ServeOptions,
 ) -> Control {
-    if stream.set_nonblocking(false).is_err() {
-        return Control::Continue;
-    }
     // Short read timeouts turn a silent client into deadline polls.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
     let Ok(mut writer) = stream.try_clone() else {
@@ -332,9 +283,12 @@ fn serve_connection(
 }
 
 /// The background executor: advance the first unfinished campaign one
-/// shard at a time, forever, independent of protocol traffic.
+/// shard at a time, independent of protocol traffic, until the server
+/// stops. An interrupt ends the loop too, and the executor turns it into
+/// a `halt`: a signal handler can set a flag but wake nothing, so the
+/// idle wait below bounds how late Ctrl-C is noticed.
 #[cfg(unix)]
-fn executor_loop(service: &Service, stop: &AtomicBool, log: &Mutex<impl Write>) {
+fn executor_loop(service: &Service, stop: &AtomicBool, path: &Path, log: &Mutex<impl Write>) {
     while !stop.load(Ordering::Relaxed) && !service.interrupted() {
         match service.pending_campaign() {
             Ok(Some(name)) => match service.run_slice(&name, None, Some(1)) {
@@ -364,12 +318,13 @@ fn executor_loop(service: &Service, stop: &AtomicBool, log: &Mutex<impl Write>) 
             }
         }
     }
+    halt(stop, path);
 }
 
 /// Send one request line to a campaign service socket and return its
 /// response line — the client half of the protocol.
 #[cfg(unix)]
-pub fn request(path: &std::path::Path, line: &str) -> Result<String, String> {
+pub fn request(path: &Path, line: &str) -> Result<String, String> {
     use std::os::unix::net::UnixStream;
 
     let stream =
@@ -378,12 +333,14 @@ pub fn request(path: &std::path::Path, line: &str) -> Result<String, String> {
         .set_read_timeout(Some(Duration::from_secs(600)))
         .map_err(|e| format!("read timeout: {e}"))?;
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    writeln!(writer, "{line}").map_err(|e| format!("send: {e}"))?;
+    // A server at its connection cap answers `busy` and hangs up without
+    // reading, so the send can fail with that answer already waiting.
+    let sent = writeln!(writer, "{line}");
     let mut response = String::new();
-    std::io::BufReader::new(stream)
-        .read_line(&mut response)
-        .map_err(|e| format!("receive: {e}"))?;
+    let received = std::io::BufReader::new(stream).read_line(&mut response);
     if response.is_empty() {
+        sent.map_err(|e| format!("send: {e}"))?;
+        received.map_err(|e| format!("receive: {e}"))?;
         return Err("service closed the connection without responding".into());
     }
     Ok(response.trim_end().to_string())

@@ -10,11 +10,27 @@
 use crate::json::Json;
 use mavr_fleet::{CampaignConfig, JobChaos, Scenario};
 
+/// Check that `name` can be a campaign's directory name: non-empty, only
+/// `[A-Za-z0-9._-]`, and neither `.` nor `..`, so joining it onto the
+/// service root always names a directory inside the root.
+pub fn check_name(name: &str) -> Result<(), String> {
+    let plain = name
+        .chars()
+        .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'));
+    if !plain || matches!(name, "" | "." | "..") {
+        return Err(format!(
+            "campaign name `{name}` must be non-empty [A-Za-z0-9._-] other \
+             than `.` and `..` (it becomes a directory name)"
+        ));
+    }
+    Ok(())
+}
+
 /// A parsed campaign specification.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignSpec {
     /// Campaign name; doubles as its directory name under the service
-    /// root, so it is restricted to `[A-Za-z0-9._-]`.
+    /// root, so it must pass [`check_name`].
     pub name: String,
     /// Master seed (exact u64; quote it in JSON if your tooling floats).
     pub seed: u64,
@@ -80,16 +96,7 @@ impl CampaignSpec {
             .get("name")
             .and_then(Json::as_str)
             .ok_or("spec needs a string `name`")?;
-        if name.is_empty()
-            || !name
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || matches!(c, '.' | '_' | '-'))
-        {
-            return Err(format!(
-                "campaign name `{name}` must be non-empty [A-Za-z0-9._-] \
-                 (it becomes a directory name)"
-            ));
-        }
+        check_name(name)?;
         let mut spec = CampaignSpec::named(name);
 
         let u64_field = |key: &str, default: u64| -> Result<u64, String> {
@@ -315,6 +322,10 @@ mod tests {
         for (bad, why) in [
             (r#"{"seed": 1}"#, "missing name"),
             (r#"{"name": "a/b"}"#, "slash in name"),
+            (r#"{"name": "../x"}"#, "parent path in name"),
+            (r#"{"name": ".."}"#, "name `..`"),
+            (r#"{"name": "."}"#, "name `.`"),
+            (r#"{"name": ""}"#, "empty name"),
             (r#"{"name": "ok", "scenarois": ["v2"]}"#, "typoed key"),
             (r#"{"name": "ok", "boards": 0}"#, "zero boards"),
             (r#"{"name": "ok", "loss_levels": [1.5]}"#, "loss > 1"),

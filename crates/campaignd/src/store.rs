@@ -29,7 +29,7 @@
 //! checkpoint, keep the campaign alive) lives in the runner.
 
 use crate::faultfs::FaultFs;
-use crate::spec::CampaignSpec;
+use crate::spec::{check_name, CampaignSpec};
 use mavr_fleet::{ShardCheckpoint, ShardPlan};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -53,6 +53,13 @@ pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), String> {
     drop(f);
     std::fs::rename(&tmp, path)
         .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))
+}
+
+/// The directory of campaign `name` under `root`, for any name
+/// [`check_name`] accepts; every campaign name becomes a path here.
+pub fn campaign_dir(root: &Path, name: &str) -> Result<PathBuf, String> {
+    check_name(name)?;
+    Ok(root.join(name))
 }
 
 fn tmp_sibling(path: &Path) -> PathBuf {
@@ -79,7 +86,7 @@ impl CampaignStore {
     /// idempotent; resubmitting a *different* spec under the same name is
     /// refused).
     pub fn create(root: &Path, spec: CampaignSpec) -> Result<Self, String> {
-        let dir = root.join(&spec.name);
+        let dir = campaign_dir(root, &spec.name)?;
         let spec_path = dir.join("spec.json");
         if spec_path.exists() {
             let existing = Self::open(&dir)?;

@@ -6,8 +6,9 @@
 use mavr_campaignd::{merge_store, CampaignSpec, CampaignStore, Service};
 use mavr_fleet::run_campaign;
 use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tmp_root(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -86,7 +87,6 @@ fn sliced_interrupted_service_run_merges_byte_identical_to_direct_run() {
 
 #[test]
 fn protocol_guardrails_answer_typed_errors_and_keep_the_connection_open() {
-    use std::sync::atomic::Ordering;
     let root = tmp_root("guardrails");
     let service = Service::new(root, Arc::new(AtomicBool::new(false)));
 
@@ -124,42 +124,150 @@ fn protocol_guardrails_answer_typed_errors_and_keep_the_connection_open() {
     assert_eq!(service.stats().oversized.load(Ordering::Relaxed), 1);
 }
 
+/// A socket server running on its own thread, and the channel that
+/// yields `serve_socket`'s result when it returns (so a server that fails
+/// to stop fails its test instead of hanging it).
+#[cfg(unix)]
+struct Server {
+    service: Arc<Service>,
+    interrupt: Arc<AtomicBool>,
+    sock: PathBuf,
+    done: std::sync::mpsc::Receiver<Result<(), String>>,
+}
+
+#[cfg(unix)]
+fn start_server(tag: &str, opts: mavr_campaignd::ServeOptions) -> Server {
+    let root = tmp_root(tag);
+    let interrupt = Arc::new(AtomicBool::new(false));
+    let service = Arc::new(Service::new(root.clone(), Arc::clone(&interrupt)));
+    let sock = root.join("campaignd.sock");
+    let (tx, done) = std::sync::mpsc::channel();
+    let (svc, path) = (Arc::clone(&service), sock.clone());
+    std::thread::spawn(move || {
+        let served = mavr_campaignd::server::serve_socket(&svc, &path, std::io::sink(), &opts);
+        let _ = tx.send(served);
+    });
+    for _ in 0..400 {
+        if sock.exists() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    Server {
+        service,
+        interrupt,
+        sock,
+        done,
+    }
+}
+
+#[cfg(unix)]
+impl Server {
+    fn request(&self, line: &str) -> String {
+        mavr_campaignd::server::request(&self.sock, line).unwrap()
+    }
+
+    /// Trip the interrupt flag and require `serve_socket` to return.
+    fn interrupt_and_join(self) {
+        self.interrupt.store(true, Ordering::Relaxed);
+        self.join();
+    }
+
+    /// Require `serve_socket` to return cleanly within 2 s.
+    fn join(self) {
+        self.done
+            .recv_timeout(Duration::from_secs(2))
+            .expect("serve_socket returns within 2 s")
+            .unwrap();
+        assert!(!self.sock.exists(), "the socket file is removed on exit");
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn socket_server_stops_within_2s_on_shutdown_and_on_interrupt() {
+    let server = start_server("stop-shutdown", Default::default());
+    let resp = server.request(r#"{"op":"status"}"#);
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+    let resp = server.request(r#"{"op":"shutdown"}"#);
+    assert!(resp.contains(r#""shutdown":true"#), "{resp}");
+    server.join();
+
+    // Nothing is pending, so the executor sits in its idle wait when the
+    // flag trips; it must still wake the blocked accept loop.
+    let server = start_server("stop-interrupt", Default::default());
+    server.interrupt_and_join();
+}
+
+#[cfg(unix)]
+#[test]
+fn socket_server_cuts_off_a_silent_client_at_its_deadline() {
+    use std::io::BufRead;
+    let server = start_server(
+        "deadline",
+        mavr_campaignd::ServeOptions {
+            conn_deadline: Duration::from_millis(300),
+            ..Default::default()
+        },
+    );
+    let silent = std::os::unix::net::UnixStream::connect(&server.sock).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut reader = std::io::BufReader::new(silent);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("connection deadline exceeded"), "{line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "then it hangs up");
+    // The server itself is unharmed.
+    let resp = server.request(r#"{"op":"status"}"#);
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+    server.interrupt_and_join();
+}
+
 #[cfg(unix)]
 #[test]
 fn socket_server_sheds_overload_with_a_typed_busy_response() {
-    use mavr_campaignd::server::{request, serve_socket, ServeOptions};
-    use std::sync::atomic::Ordering;
-
-    let root = tmp_root("busy");
-    let interrupt = Arc::new(AtomicBool::new(false));
-    let service = Service::new(root, Arc::clone(&interrupt));
-    let sock = std::env::temp_dir().join(format!("mavr-busy-{}.sock", std::process::id()));
-    // Queue depth 0: every connection overflows the in-flight queue.
-    let opts = ServeOptions {
-        workers: 1,
-        queue_depth: 0,
-        ..ServeOptions::default()
-    };
-    std::thread::scope(|scope| {
-        let server = scope.spawn(|| serve_socket(&service, &sock, std::io::sink(), &opts));
-        for _ in 0..400 {
-            if sock.exists() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
+    let server = start_server(
+        "busy",
+        mavr_campaignd::ServeOptions {
+            max_connections: 1,
+            ..Default::default()
+        },
+    );
+    // One idle connection holds the only slot, so the next one is turned
+    // away with a typed error rather than left waiting.
+    let idle = std::os::unix::net::UnixStream::connect(&server.sock).unwrap();
+    let resp = server.request(r#"{"op":"status"}"#);
+    assert!(resp.contains(r#""error":"busy""#), "{resp}");
+    assert_eq!(
+        server.service.stats().busy_rejected.load(Ordering::Relaxed),
+        1
+    );
+    // Hanging up frees the slot (once its thread sees the EOF).
+    drop(idle);
+    let served = (0..400).any(|_| {
+        let resp = server.request(r#"{"op":"status"}"#);
+        if resp.contains(r#""error":"busy""#) {
+            std::thread::sleep(Duration::from_millis(5));
+            return false;
         }
-        let resp = request(&sock, r#"{"op":"status"}"#).unwrap();
-        assert!(resp.contains(r#""error":"busy""#), "{resp}");
-        interrupt.store(true, Ordering::Relaxed);
-        server.join().unwrap().unwrap();
+        assert!(resp.contains(r#""ok":true"#), "{resp}");
+        true
     });
-    assert!(service.stats().busy_rejected.load(Ordering::Relaxed) >= 1);
+    assert!(served, "the freed slot serves the next connection");
+    server.interrupt_and_join();
 }
 
 #[test]
 fn protocol_answers_status_and_survives_garbage() {
-    let root = tmp_root("proto");
-    let service = Service::new(root, Arc::new(AtomicBool::new(false)));
+    // The root sits one level down, so anything a request writes outside
+    // it shows up next to it.
+    let base = tmp_root("proto");
+    let root = base.join("root");
+    std::fs::create_dir(&root).unwrap();
+    let service = Service::new(root.clone(), Arc::new(AtomicBool::new(false)));
 
     // Garbage never kills the service.
     for bad in [
@@ -172,6 +280,28 @@ fn protocol_answers_status_and_survives_garbage() {
         assert!(resp.contains(r#""ok":false"#), "{bad} -> {resp}");
         assert_eq!(control, mavr_campaignd::Control::Continue);
     }
+    // A campaign name that is not one plain directory name gets a typed
+    // error from every op that turns it into a path.
+    for name in ["..", ".", "a/b", "../x", ""] {
+        let mut spec = CampaignSpec::named("ok");
+        spec.name = name.to_string();
+        let submit = format!(r#"{{"op":"submit","spec":{}}}"#, spec.to_json());
+        let ops =
+            ["status", "run", "merge"].map(|op| format!(r#"{{"op":"{op}","campaign":"{name}"}}"#));
+        for line in std::iter::once(submit).chain(ops) {
+            let (resp, _) = service.handle_line(&line);
+            assert!(
+                resp.contains(r#""ok":false"#) && resp.contains("campaign name"),
+                "{line} -> {resp}"
+            );
+        }
+    }
+    let outside: Vec<_> = std::fs::read_dir(&base)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(outside, ["root"], "nothing is created outside the root");
+    assert_eq!(std::fs::read_dir(&root).unwrap().count(), 0);
 
     // A full stdio session: submit, status, shutdown.
     let mut spec = CampaignSpec::named("tiny-proto");

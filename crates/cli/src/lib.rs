@@ -1000,7 +1000,7 @@ fn load_spec(args: &Args, path: &str) -> Result<mavr_campaignd::CampaignSpec, Cl
 /// budget, or to Ctrl-C, either of which flushes valid shard checkpoints
 /// that the next identical invocation resumes. A completed one-shot run
 /// auto-merges the report. `--socket PATH` serves the ND-JSON control
-/// protocol on a Unix socket and runs pending shards between requests;
+/// protocol on a Unix socket and runs pending shards while it answers;
 /// `--stdio` serves the same protocol on stdin/stdout (no background
 /// work — drive it with explicit `run` requests).
 ///
@@ -1172,10 +1172,13 @@ pub fn cmd_status(args: &Args) -> Result<String, CliError> {
     if let Some(sock) = args.options.get("--socket") {
         #[cfg(unix)]
         {
-            let line = match args.options.get("--campaign") {
-                Some(name) => format!(r#"{{"op":"status","campaign":"{name}"}}"#),
-                None => r#"{"op":"status"}"#.to_string(),
-            };
+            use mavr_campaignd::json::Json;
+            let mut request = vec![("op".to_string(), Json::str("status"))];
+            if let Some(name) = args.options.get("--campaign") {
+                mavr_campaignd::spec::check_name(name).map_err(CliError::Usage)?;
+                request.push(("campaign".to_string(), Json::str(name)));
+            }
+            let line = Json::Obj(request).to_text();
             let resp = mavr_campaignd::server::request(std::path::Path::new(sock), &line)
                 .map_err(CliError::Failed)?;
             return Ok(format!("{resp}\n"));
@@ -1189,7 +1192,10 @@ pub fn cmd_status(args: &Args) -> Result<String, CliError> {
 
     let root = campaign_root(args)?;
     let stores = match args.options.get("--campaign") {
-        Some(name) => vec![CampaignStore::open(&root.join(name)).map_err(CliError::Failed)?],
+        Some(name) => {
+            let dir = mavr_campaignd::store::campaign_dir(&root, name).map_err(CliError::Usage)?;
+            vec![CampaignStore::open(&dir).map_err(CliError::Failed)?]
+        }
         None => CampaignStore::list(&root).map_err(CliError::Failed)?,
     };
     if stores.is_empty() {
@@ -1658,7 +1664,7 @@ COMMANDS:
         run auto-merges its report; --shard-jobs and --tenant override
         the spec; --progress streams status with ETA). --socket PATH
         serves the ND-JSON control protocol on a Unix socket, running
-        pending shards between requests; --stdio serves the protocol on
+        pending shards while it answers; --stdio serves the protocol on
         stdin/stdout. --deadline-s N trips the cooperative interrupt
         after N seconds (checkpoints flush, exit 0); --store-fault RATE
         with --store-fault-seed N injects seeded disk faults into every

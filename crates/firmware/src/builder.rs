@@ -101,31 +101,34 @@ pub fn build(spec: &AppSpec, options: &BuildOptions) -> Result<FirmwareBuild, As
     };
 
     for _attempt in 0..4 {
-        let image = build_once(spec, options, n_fillers, avg_body_words)?;
-        match target {
-            None => {
-                return Ok(FirmwareBuild {
-                    image,
-                    spec: spec.clone(),
-                    options: *options,
-                })
-            }
-            Some(t) => {
-                let natural = image.code_size();
-                if natural <= t {
-                    let image = pad_to(spec, options, n_fillers, avg_body_words, t)?;
-                    return Ok(FirmwareBuild {
-                        image,
-                        spec: spec.clone(),
-                        options: *options,
-                    });
-                }
+        let mut program = assemble_program(spec, options, n_fillers, avg_body_words);
+        let mut image = link(&program)?;
+        if let Some(t) = target {
+            let natural = image.code_size();
+            if natural > t {
                 // Overshot: scale the ALU mass down and retry.
                 avg_body_words = ((u64::from(avg_body_words) * u64::from(t) * 85 / 100)
                     / u64::from(natural))
                 .max(8) as u32;
+                continue;
+            }
+            if natural < t {
+                // 0xa5/0x5a filler, even length handled by the linker.
+                let bytes = (0..t - natural)
+                    .map(|i| if i % 2 == 0 { 0xa5 } else { 0x5a })
+                    .collect();
+                program
+                    .rodata
+                    .push(DataObject::new("__calibration_pad", bytes));
+                image = link(&program)?;
+                debug_assert_eq!(image.code_size(), t);
             }
         }
+        return Ok(FirmwareBuild {
+            image,
+            spec: spec.clone(),
+            options: *options,
+        });
     }
     Err(AsmError::ImageTooLarge {
         required: 0,
@@ -163,37 +166,6 @@ fn assemble_program(
     }
     p.rodata.extend(fillers.rodata);
     p
-}
-
-fn build_once(
-    spec: &AppSpec,
-    options: &BuildOptions,
-    n_fillers: usize,
-    avg_body_words: u32,
-) -> Result<FirmwareImage, AsmError> {
-    link(&assemble_program(spec, options, n_fillers, avg_body_words))
-}
-
-fn pad_to(
-    spec: &AppSpec,
-    options: &BuildOptions,
-    n_fillers: usize,
-    avg_body_words: u32,
-    target: u32,
-) -> Result<FirmwareImage, AsmError> {
-    let mut p = assemble_program(spec, options, n_fillers, avg_body_words);
-    let natural = link(&p)?.code_size();
-    let pad = (target - natural) as usize;
-    if pad > 0 {
-        // 0xa5/0x5a filler, even length handled by the linker.
-        let bytes = (0..pad)
-            .map(|i| if i % 2 == 0 { 0xa5 } else { 0x5a })
-            .collect();
-        p.rodata.push(DataObject::new("__calibration_pad", bytes));
-    }
-    let image = link(&p)?;
-    debug_assert_eq!(image.code_size(), target);
-    Ok(image)
 }
 
 #[cfg(test)]

@@ -166,63 +166,6 @@ impl QuantileSketch {
         }
         Some(self.max) // unreachable if counts are consistent
     }
-
-    /// Serialize to the little-endian wire form used by fleet checkpoints.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + 1 + 8 * 4 + 4 + self.buckets.len() * 10);
-        out.extend_from_slice(b"MQSK");
-        out.push(1); // version
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&self.sum.to_le_bytes());
-        out.extend_from_slice(&self.min.to_le_bytes());
-        out.extend_from_slice(&self.max.to_le_bytes());
-        out.extend_from_slice(&(self.buckets.len() as u32).to_le_bytes());
-        for (&idx, &n) in &self.buckets {
-            out.extend_from_slice(&idx.to_le_bytes());
-            out.extend_from_slice(&n.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parse the [`to_bytes`](Self::to_bytes) form. `None` on any
-    /// malformed input (bad magic, truncation, unsorted buckets).
-    pub fn from_bytes(bytes: &[u8]) -> Option<QuantileSketch> {
-        let rest = bytes.strip_prefix(b"MQSK")?;
-        let (&version, rest) = rest.split_first()?;
-        if version != 1 || rest.len() < 8 * 4 + 4 {
-            return None;
-        }
-        let u64_at = |i: usize| u64::from_le_bytes(rest[i..i + 8].try_into().unwrap());
-        let count = u64_at(0);
-        let sum = u64_at(8);
-        let min = u64_at(16);
-        let max = u64_at(24);
-        let n = u32::from_le_bytes(rest[32..36].try_into().unwrap()) as usize;
-        let body = &rest[36..];
-        if body.len() != n * 10 {
-            return None;
-        }
-        let mut buckets = BTreeMap::new();
-        let mut prev: Option<u16> = None;
-        for chunk in body.chunks_exact(10) {
-            let idx = u16::from_le_bytes(chunk[..2].try_into().unwrap());
-            if prev.is_some_and(|p| p >= idx) {
-                return None;
-            }
-            prev = Some(idx);
-            buckets.insert(idx, u64::from_le_bytes(chunk[2..].try_into().unwrap()));
-        }
-        if buckets.values().sum::<u64>() != count {
-            return None;
-        }
-        Some(QuantileSketch {
-            count,
-            sum,
-            min,
-            max,
-            buckets,
-        })
-    }
 }
 
 /// Number of slots in a [`Histogram`]: one for zero plus one per power of
@@ -716,7 +659,7 @@ mod tests {
     }
 
     #[test]
-    fn sketch_merge_equals_single_stream_and_roundtrips_bytes() {
+    fn sketch_merge_equals_single_stream() {
         let values: Vec<u64> = (0..5_000u64)
             .map(|i| i.wrapping_mul(2654435761) >> 20)
             .collect();
@@ -739,14 +682,6 @@ mod tests {
         ba.merge(&a);
         assert_eq!(ab, whole);
         assert_eq!(ba, whole);
-        assert_eq!(ab.to_bytes(), whole.to_bytes());
-        let back = QuantileSketch::from_bytes(&whole.to_bytes()).unwrap();
-        assert_eq!(back, whole);
-        assert_eq!(QuantileSketch::from_bytes(b"MQSKgarbage"), None);
-        assert_eq!(
-            QuantileSketch::from_bytes(&QuantileSketch::new().to_bytes()),
-            Some(QuantileSketch::new())
-        );
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Property tests for the mergeable metrics plane: sharded merges must be
 //! associative, commutative and partition-invariant (so a registry's
-//! expositions never depend on how its observations were split), sketches
-//! must round-trip their wire format, and
+//! expositions never depend on how its observations were split), and
 //! quantile answers must stay inside the documented relative-error bound.
 
 use proptest::collection::vec as pvec;
@@ -41,7 +40,6 @@ proptest! {
         let mut ba = sb.clone();
         ba.merge(&sa);
         prop_assert_eq!(&ab, &ba);
-        prop_assert_eq!(ab.to_bytes(), ba.to_bytes());
     }
 
     #[test]
@@ -57,13 +55,6 @@ proptest! {
         let mut right = sa.clone();
         right.merge(&bc);
         prop_assert_eq!(left, right);
-    }
-
-    #[test]
-    fn sketch_wire_format_round_trips(values in pvec(0u64..u64::MAX, 0..300)) {
-        let s = sketch_of(&values);
-        let back = QuantileSketch::from_bytes(&s.to_bytes());
-        prop_assert_eq!(Some(s), back);
     }
 
     #[test]
