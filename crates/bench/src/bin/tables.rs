@@ -11,32 +11,30 @@
 //! `effectiveness-quick` for the small test app. An unknown name is an
 //! error that lists the known ones.
 //!
-//! `bench-simulator` (or `bench-simulator-quick` for CI smoke) must be
-//! named explicitly — it times the interpreter with the predecode cache on
-//! and off and rewrites `BENCH_simulator.json` at the repo root, so it is
-//! not part of the default `all` run. Likewise `bench-fleet` (or
-//! `bench-fleet-quick`) times the campaign engine at 1/8/32 boards and
-//! rewrites `BENCH_fleet.json`, `bench-chaos` (or
-//! `bench-chaos-quick`) sweeps fault-injection rates through a stealthy
-//! fleet campaign and rewrites `BENCH_chaos.json`, and `bench-telemetry`
-//! (or `bench-telemetry-quick`) measures the observability plane —
-//! null-recorder simulator overhead, metrics record/merge throughput and
-//! exposition cost — and rewrites `BENCH_telemetry.json`, and
-//! `bench-world` (or `bench-world-quick`) measures what closing the
-//! physical loop costs the fused fast path and rewrites
-//! `BENCH_world.json`, and `bench-campaignd` (or
-//! `bench-campaignd-quick`) runs sharded campaigns spanning two orders
-//! of magnitude in size through the campaign service, records peak RSS
-//! per size to prove the service's memory is O(shard) rather than
-//! O(campaign), and rewrites `BENCH_campaignd.json`, and `bench-robust`
-//! (or `bench-robust-quick`) measures the service's supervision
-//! machinery — kill-to-checkpointed-progress MTTR under injected disk
-//! faults, and quarantine overhead under a seeded poison-job sweep — and
-//! rewrites `BENCH_robust.json`.
+//! Each `bench-<name>` in [`BENCHES`] (or `bench-<name>-quick` for CI
+//! smoke) must be named explicitly: it runs that driver, prints its
+//! record and rewrites `BENCH_<name>.json` at the repo root, so it is not
+//! part of the default `all` run.
 
 use mavr::policy::RandomizationPolicy;
 use mavr_bench as exp;
+use mavr_bench::BenchRecord;
 use synth_firmware::{apps, build, BuildOptions};
+
+/// A `bench-*` driver; its argument is `quick`.
+type Driver = fn(bool) -> BenchRecord;
+
+/// The `bench-*` experiments: `bench-<name>[-quick]` runs the driver
+/// (`quick` for the `-quick` name) and writes `BENCH_<name>.json`.
+const BENCHES: &[(&str, Driver)] = &[
+    ("simulator", exp::simulator_throughput),
+    ("fleet", exp::fleet_throughput),
+    ("campaignd", exp::campaignd_memory),
+    ("robust", exp::robust_service),
+    ("chaos", exp::chaos_resilience),
+    ("telemetry", exp::telemetry_overhead),
+    ("world", exp::world_throughput),
+];
 
 /// Every name `main` answers to.
 const EXPERIMENTS: &[&str] = &[
@@ -269,187 +267,17 @@ fn main() {
         );
     }
 
-    // Explicitly requested only (writes a file; excluded from `all`).
-    if args
-        .iter()
-        .any(|a| a == "bench-simulator" || a == "bench-simulator-quick")
-    {
-        let quick = args.iter().any(|a| a == "bench-simulator-quick");
-        println!("== Simulator throughput (uncached / predecoded / block-fused) ==");
-        let t = exp::simulator_throughput(quick);
-        println!(
-            "  uncached    : {:>12.0} cycles/sec\n  predecoded  : {:>12.0} cycles/sec  ({:.2}x)\n  block-fused : {:>12.0} cycles/sec  ({:.2}x over predecoded)\n  total       : {:.2}x",
-            t.uncached_cycles_per_sec,
-            t.predecoded_cycles_per_sec,
-            t.predecode_speedup(),
-            t.fused_cycles_per_sec,
-            t.fusion_speedup(),
-            t.total_speedup()
-        );
-        let path = "BENCH_simulator.json";
-        std::fs::write(path, t.to_json()).expect("write BENCH_simulator.json");
-        println!("  wrote {path}\n");
-    }
-
-    // Explicitly requested only (writes a file; excluded from `all`).
-    if args
-        .iter()
-        .any(|a| a == "bench-fleet" || a == "bench-fleet-quick")
-    {
-        let quick = args.iter().any(|a| a == "bench-fleet-quick");
-        println!("== Fleet campaign throughput (benign, zero loss) ==");
-        let t = exp::fleet_throughput(quick);
-        for r in &t.rows {
-            println!(
-                "  {:>3} boards : {:>12.0} boards·cycles/sec  ({} cycles in {:.2}s)",
-                r.boards,
-                r.cycles_per_sec(),
-                r.total_cycles,
-                r.secs
-            );
+    for (name, driver) in BENCHES {
+        let full = format!("bench-{name}");
+        let quick = args.contains(&format!("{full}-quick"));
+        if !quick && !args.contains(&full) {
+            continue;
         }
-        let path = "BENCH_fleet.json";
-        std::fs::write(path, t.to_json()).expect("write BENCH_fleet.json");
-        println!("  wrote {path}\n");
-    }
-
-    // Explicitly requested only (writes a file; excluded from `all`).
-    if args
-        .iter()
-        .any(|a| a == "bench-campaignd" || a == "bench-campaignd-quick")
-    {
-        let quick = args.iter().any(|a| a == "bench-campaignd-quick");
-        println!("== Campaign service memory (sharded benign, streaming merge) ==");
-        let t = exp::campaignd_memory(quick);
-        for r in &t.rows {
-            println!(
-                "  {:>6} boards : {:>8.1} jobs/sec, peak rss {:>7.1} MiB  ({:.2}s)",
-                r.boards,
-                r.jobs_per_sec(),
-                r.peak_rss_mb,
-                r.secs
-            );
-        }
-        println!(
-            "  peak-RSS growth across a {}x campaign-size spread: {:.2}x",
-            t.rows.last().map_or(1, |r| r.boards) / t.rows.first().map_or(1, |r| r.boards).max(1),
-            t.rss_growth()
-        );
-        let path = "BENCH_campaignd.json";
-        std::fs::write(path, t.to_json()).expect("write BENCH_campaignd.json");
-        println!("  wrote {path}\n");
-    }
-
-    // Explicitly requested only (writes a file; excluded from `all`).
-    if args
-        .iter()
-        .any(|a| a == "bench-robust" || a == "bench-robust-quick")
-    {
-        let quick = args.iter().any(|a| a == "bench-robust-quick");
-        println!("== Campaign service supervision (MTTR + quarantine overhead) ==");
-        let t = exp::robust_service(quick);
-        for r in &t.recovery {
-            println!(
-                "  disk-fault rate {:>4} : MTTR {:>7.1} ms, {:>3} checkpoints skipped, \
-                 {:>3} slices to finish",
-                r.store_fault_rate, r.mttr_ms, r.checkpoints_skipped, r.slices_to_complete
-            );
-        }
-        for r in &t.quarantine {
-            println!(
-                "  panic rate {:>5} : {:>3} quarantined of {} jobs  ({:.2}s)",
-                r.panic_rate, r.quarantined, t.boards, r.secs
-            );
-        }
-        println!(
-            "  worst MTTR {:.1} ms; quarantine overhead at the top rate: {:.2}x",
-            t.worst_mttr_ms(),
-            t.quarantine_overhead()
-        );
-        let path = "BENCH_robust.json";
-        std::fs::write(path, t.to_json()).expect("write BENCH_robust.json");
-        println!("  wrote {path}\n");
-    }
-
-    // Explicitly requested only (writes a file; excluded from `all`).
-    if args
-        .iter()
-        .any(|a| a == "bench-chaos" || a == "bench-chaos-quick")
-    {
-        let quick = args.iter().any(|a| a == "bench-chaos-quick");
-        println!("== Chaos resilience (fault-rate sweep, V1 crash attack) ==");
-        let t = exp::chaos_resilience(quick);
-        for r in &t.rows {
-            println!(
-                "  fault {:>8} : {:>3} retries, {:>2} degraded, {:>2} bricked, {:>2}/{} recovered, mttr {}",
-                format!("{}", r.fault),
-                r.reflash_retries,
-                r.degraded_boots,
-                r.boards_bricked,
-                r.boards_recovered,
-                r.boards,
-                r.mttr_cycles
-                    .map_or("-".to_string(), |m| format!("{m:.0}")),
-            );
-        }
-        if let Some(inflation) = t.mttr_inflation() {
-            println!("  mttr inflation at the top rate: {inflation:.2}x");
-        }
-        let path = "BENCH_chaos.json";
-        std::fs::write(path, t.to_json()).expect("write BENCH_chaos.json");
-        println!("  wrote {path}\n");
-    }
-
-    // Explicitly requested only (writes a file; excluded from `all`).
-    if args
-        .iter()
-        .any(|a| a == "bench-telemetry" || a == "bench-telemetry-quick")
-    {
-        let quick = args.iter().any(|a| a == "bench-telemetry-quick");
-        println!("== Observability plane cost (recorder, metrics, expositions) ==");
-        let t = exp::telemetry_overhead(quick);
-        println!(
-            "  simulator, telemetry off : {:>12.0} cycles/sec\n  \
-             simulator, null recorder : {:>12.0} cycles/sec  ({:+.2}% overhead)\n  \
-             sketch record            : {:>12.0} ops/sec\n  \
-             histogram record (labeled): {:>11.0} ops/sec\n  \
-             registry merge ({} series): {:>11.0} merges/sec\n  \
-             prometheus exposition    : {:>12.0} dumps/sec\n  \
-             jsonl exposition         : {:>12.0} dumps/sec",
-            t.off_cycles_per_sec,
-            t.null_recorder_cycles_per_sec,
-            t.null_recorder_overhead_pct(),
-            t.sketch_records_per_sec,
-            t.histogram_records_per_sec,
-            t.series,
-            t.merges_per_sec,
-            t.prometheus_per_sec,
-            t.jsonl_per_sec,
-        );
-        let path = "BENCH_telemetry.json";
-        std::fs::write(path, t.to_json()).expect("write BENCH_telemetry.json");
-        println!("  wrote {path}\n");
-    }
-
-    // Explicitly requested only (writes a file; excluded from `all`).
-    if args
-        .iter()
-        .any(|a| a == "bench-world" || a == "bench-world-quick")
-    {
-        let quick = args.iter().any(|a| a == "bench-world-quick");
-        println!("== Closed-loop physics cost (bare vs coupled, fused fast path) ==");
-        let t = exp::world_throughput(quick);
-        println!(
-            "  bare fused    : {:>12.0} cycles/sec\n  \
-             coupled fused : {:>12.0} cycles/sec  ({:+.2}% overhead, budget <15%)\n  \
-             world steps   : {:>12.0} steps/sec (1 kHz simulated)",
-            t.bare_cycles_per_sec,
-            t.coupled_cycles_per_sec,
-            t.overhead_pct(),
-            t.coupled_steps_per_sec,
-        );
-        let path = "BENCH_world.json";
-        std::fs::write(path, t.to_json()).expect("write BENCH_world.json");
+        let mut record = driver(quick);
+        record.finish();
+        print!("{}", record.render());
+        let path = format!("BENCH_{name}.json");
+        std::fs::write(&path, record.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("  wrote {path}\n");
     }
 
@@ -457,6 +285,27 @@ fn main() {
         println!("== Fig. 6: stack progression during the stealthy attack ==");
         for s in exp::fig6(&apps::tiny_test_app()) {
             println!("{}", s.dump());
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_bench_dispatches_from_an_accepted_name_and_back() {
+        for (name, _) in BENCHES {
+            for arg in [format!("bench-{name}"), format!("bench-{name}-quick")] {
+                assert!(EXPERIMENTS.contains(&arg.as_str()), "{arg} is not accepted");
+            }
+        }
+        for arg in EXPERIMENTS.iter().filter(|a| a.starts_with("bench-")) {
+            let name = arg.trim_start_matches("bench-").trim_end_matches("-quick");
+            assert!(
+                BENCHES.iter().any(|(n, _)| *n == name),
+                "{arg} has no driver"
+            );
         }
     }
 }

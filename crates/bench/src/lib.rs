@@ -13,8 +13,17 @@
 //! | F1 | Fig. 2 — MAVLink packet structure | [`fig2`] |
 //! | F2 | Figs. 4–5 — gadget listings | [`gadget_listings`] |
 //! | F3 | Fig. 6 — stack progression during the stealthy attack | [`fig6`] |
+//!
+//! The `bench-*` drivers ([`simulator_throughput`], [`fleet_throughput`],
+//! [`campaignd_memory`], [`robust_service`], [`chaos_resilience`],
+//! [`telemetry_overhead`], [`world_throughput`]) each return one
+//! [`BenchRecord`].
 
 #![forbid(unsafe_code)]
+
+mod record;
+
+pub use record::BenchRecord;
 
 use avr_core::image::FirmwareImage;
 use avr_core::Insn;
@@ -417,70 +426,35 @@ pub fn counters(cycles: u64) -> Vec<Row> {
         .collect()
 }
 
-/// Measured simulator throughput (simulated cycles per second of host
-/// time) on the `run_1M_cycles/tiny_firmware` workload, across the
-/// three-tier engine chain: decode-every-fetch (`uncached`), the
-/// predecode cache + fast run loop (`predecoded`), and block-fused
-/// superinstruction dispatch (`fused` — the default configuration). See
-/// [`simulator_throughput`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimulatorThroughput {
-    /// Cycles/sec with `Machine::set_predecode(false)`.
-    pub uncached_cycles_per_sec: f64,
-    /// Cycles/sec with the predecode cache on but
-    /// `Machine::set_block_fusion(false)`.
-    pub predecoded_cycles_per_sec: f64,
-    /// Cycles/sec with block fusion on (the default).
-    pub fused_cycles_per_sec: f64,
-    /// Samples per configuration the medians were taken over.
-    pub samples: usize,
-}
+/// Unit of simulated-cycle throughput metrics.
+const CYCLES_PER_S: &str = "cycles/s";
 
-impl SimulatorThroughput {
-    /// `predecoded / uncached` — the factor the predecode cache buys.
-    pub fn predecode_speedup(&self) -> f64 {
-        self.predecoded_cycles_per_sec / self.uncached_cycles_per_sec
-    }
-
-    /// `fused / predecoded` — the factor block fusion buys on top.
-    pub fn fusion_speedup(&self) -> f64 {
-        self.fused_cycles_per_sec / self.predecoded_cycles_per_sec
-    }
-
-    /// `fused / uncached` — the whole chain.
-    pub fn total_speedup(&self) -> f64 {
-        self.fused_cycles_per_sec / self.uncached_cycles_per_sec
-    }
-
-    /// The `BENCH_simulator.json` payload (hand-rolled; the workspace has
-    /// no JSON dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"run_1M_cycles/tiny_firmware\",\n  \"unit\": \"cycles_per_sec\",\n  \"samples\": {},\n  \"uncached\": {:.0},\n  \"predecoded\": {:.0},\n  \"block_fused\": {:.0},\n  \"predecode_speedup\": {:.2},\n  \"fusion_speedup\": {:.2},\n  \"total_speedup\": {:.2}\n}}\n",
-            self.samples,
-            self.uncached_cycles_per_sec,
-            self.predecoded_cycles_per_sec,
-            self.fused_cycles_per_sec,
-            self.predecode_speedup(),
-            self.fusion_speedup(),
-            self.total_speedup()
-        )
+/// Repetitions of each timed point in the drivers whose points are whole
+/// campaigns: at least three in a full run, so every timed metric has
+/// quartiles; one in a CI-smoke run.
+fn campaign_reps(quick: bool) -> usize {
+    if quick {
+        1
+    } else {
+        3
     }
 }
 
-/// Measure simulator throughput across the engine chain — uncached,
-/// predecoded, block-fused (`quick` = fewer samples, for CI smoke).
+/// Measure simulator throughput (simulated cycles per second of host time)
+/// on `run_1M_cycles/tiny_firmware` across the three-tier engine chain:
+/// decode-every-fetch (`uncached`), the predecode cache + fast run loop
+/// (`predecoded`), and block-fused superinstruction dispatch
+/// (`block_fused`, the default). `quick` = fewer samples, for CI smoke.
 ///
 /// The three legs are interleaved round-robin (one sample of each per
-/// round) so slow load drift on a shared machine cannot land entirely on
-/// one leg and skew the ratios, and each leg reports its *fastest*
-/// sample: external noise only ever adds time, so the minimum is the
-/// robust estimator of the engine's actual speed.
-pub fn simulator_throughput(quick: bool) -> SimulatorThroughput {
+/// round), so slow load drift on a shared machine cannot land on one leg
+/// alone, and each round's speedups are taken within the round.
+pub fn simulator_throughput(quick: bool) -> BenchRecord {
     const CYCLES: u64 = 1_000_000;
+    let mut rec = BenchRecord::new("run_1M_cycles/tiny_firmware", quick);
     let samples = if quick { 3 } else { 11 };
     let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
-    let time_leg = |predecode: bool, fusion: bool| -> f64 {
+    let rate = |predecode: bool, fusion: bool| -> f64 {
         let mut m = avr_sim::Machine::new_atmega2560();
         m.set_predecode(predecode);
         m.set_block_fusion(fusion);
@@ -489,95 +463,36 @@ pub fn simulator_throughput(quick: bool) -> SimulatorThroughput {
         m.run(CYCLES);
         let dt = t0.elapsed().as_secs_f64();
         assert!(m.fault().is_none(), "bench firmware crashed");
-        dt
+        CYCLES as f64 / dt
     };
-    let mut best = [f64::INFINITY; 3];
     for _ in 0..samples {
-        for (i, (predecode, fusion)) in [(false, false), (true, false), (true, true)]
-            .iter()
-            .enumerate()
-        {
-            best[i] = best[i].min(time_leg(*predecode, *fusion));
-        }
+        let [uncached, predecoded, fused] = [(false, false), (true, false), (true, true)]
+            .map(|(predecode, fusion)| rate(predecode, fusion));
+        rec.sample("uncached", CYCLES_PER_S, uncached);
+        rec.sample("predecoded", CYCLES_PER_S, predecoded);
+        rec.sample("block_fused", CYCLES_PER_S, fused);
+        rec.sample("predecode_speedup", "x", predecoded / uncached);
+        rec.sample("fusion_speedup", "x", fused / predecoded);
+        rec.sample("total_speedup", "x", fused / uncached);
     }
-    SimulatorThroughput {
-        uncached_cycles_per_sec: CYCLES as f64 / best[0],
-        predecoded_cycles_per_sec: CYCLES as f64 / best[1],
-        fused_cycles_per_sec: CYCLES as f64 / best[2],
-        samples,
-    }
+    rec
 }
 
-/// One fleet-size point of the campaign-throughput curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FleetBenchRow {
-    /// Boards in the campaign.
-    pub boards: usize,
-    /// Simulated application cycles summed over every board.
-    pub total_cycles: u64,
-    /// Wall-clock seconds for the whole campaign (build + provision + fly).
-    pub secs: f64,
-}
-
-impl FleetBenchRow {
-    /// Aggregate simulated cycles per wall-clock second — the campaign
-    /// engine's headline number (`boards · cycles / sec`).
-    pub fn cycles_per_sec(&self) -> f64 {
-        self.total_cycles as f64 / self.secs
-    }
-}
-
-/// Measured campaign throughput at several fleet sizes. See
-/// [`fleet_throughput`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetThroughput {
-    /// One row per fleet size, smallest first.
-    pub rows: Vec<FleetBenchRow>,
-    /// Cycles each board flies (warmup + attack window).
-    pub cycles_per_board: u64,
-}
-
-impl FleetThroughput {
-    /// The `BENCH_fleet.json` payload (hand-rolled; the workspace has no
-    /// JSON dependency).
-    pub fn to_json(&self) -> String {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"boards\": {}, \"total_cycles\": {}, \"secs\": {:.3}, \
-                     \"boards_cycles_per_sec\": {:.0}}}",
-                    r.boards,
-                    r.total_cycles,
-                    r.secs,
-                    r.cycles_per_sec()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"bench\": \"fleet_campaign/benign\",\n  \"unit\": \"boards_cycles_per_sec\",\n  \"cycles_per_board\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            self.cycles_per_board, rows
-        )
-    }
-}
-
-/// Measure fleet-campaign throughput: a benign campaign (no attack, zero
-/// loss) at 1, 8 and 32 boards, timed end to end — firmware build, N
-/// provisions (container read + randomize + program), and the flight
-/// itself over the channel/router plumbing. `quick` shortens the flight
-/// for CI smoke runs.
-pub fn fleet_throughput(quick: bool) -> FleetThroughput {
+/// Measure fleet-campaign throughput (simulated board-cycles per second):
+/// a benign campaign (no attack, zero loss) at 1, 8 and 32 boards, timed
+/// end to end — firmware build, N provisions (container read, randomize,
+/// program), and the flight itself over the channel plumbing. `quick`
+/// shortens the flight for CI smoke runs.
+pub fn fleet_throughput(quick: bool) -> BenchRecord {
     use mavr_fleet::{run_campaign, CampaignConfig, Scenario};
+    let mut rec = BenchRecord::new("fleet_campaign/benign", quick);
     let (warmup, flight) = if quick {
         (100_000, 400_000)
     } else {
         (300_000, 1_700_000)
     };
-    let rows = [1usize, 8, 32]
-        .iter()
-        .map(|&boards| {
+    for _ in 0..campaign_reps(quick) {
+        for boards in [1usize, 8, 32] {
             let cfg = CampaignConfig {
                 boards,
                 scenarios: vec![Scenario::Benign],
@@ -590,89 +505,15 @@ pub fn fleet_throughput(quick: bool) -> FleetThroughput {
             let report = run_campaign(&cfg);
             let secs = t0.elapsed().as_secs_f64();
             assert_eq!(report.outcomes.len(), boards, "every board reported");
-            FleetBenchRow {
-                boards,
-                total_cycles: report.outcomes.iter().map(|o| o.final_cycle).sum(),
-                secs,
-            }
-        })
-        .collect();
-    FleetThroughput {
-        rows,
-        cycles_per_board: warmup + flight,
-    }
-}
-
-/// One campaign-size point of the service's constant-memory curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CampaignBenchRow {
-    /// Boards (= jobs; one benign cell) in the campaign.
-    pub boards: usize,
-    /// Wall-clock seconds to run every shard and merge the report.
-    pub secs: f64,
-    /// Process peak RSS (`VmHWM`) after this campaign, in MiB. The
-    /// constant-memory claim is that this column stays flat while the
-    /// boards column grows 100x.
-    pub peak_rss_mb: f64,
-}
-
-impl CampaignBenchRow {
-    /// Jobs completed per wall-clock second, merge included.
-    pub fn jobs_per_sec(&self) -> f64 {
-        self.boards as f64 / self.secs
-    }
-}
-
-/// Measured campaign-service cost at several campaign sizes. See
-/// [`campaignd_memory`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignServiceBench {
-    /// One row per campaign size, smallest first (peak RSS is monotonic,
-    /// so a flat column means the big campaigns added nothing).
-    pub rows: Vec<CampaignBenchRow>,
-    /// Jobs per shard checkpoint.
-    pub shard_jobs: u64,
-    /// Cycles each board flies.
-    pub cycles_per_board: u64,
-}
-
-impl CampaignServiceBench {
-    /// Largest-over-smallest peak-RSS ratio — ~1.0 is the constant-memory
-    /// claim (the job count grows 100x between those rows).
-    pub fn rss_growth(&self) -> f64 {
-        match (self.rows.first(), self.rows.last()) {
-            (Some(a), Some(b)) if a.peak_rss_mb > 0.0 => b.peak_rss_mb / a.peak_rss_mb,
-            _ => 1.0,
+            let cycles: u64 = report.outcomes.iter().map(|o| o.final_cycle).sum();
+            rec.sample(
+                &format!("boards_{boards}.cycles_per_s"),
+                CYCLES_PER_S,
+                cycles as f64 / secs,
+            );
         }
     }
-
-    /// The `BENCH_campaignd.json` payload.
-    pub fn to_json(&self) -> String {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"boards\": {}, \"secs\": {:.3}, \"jobs_per_sec\": {:.1}, \
-                     \"peak_rss_mb\": {:.1}}}",
-                    r.boards,
-                    r.secs,
-                    r.jobs_per_sec(),
-                    r.peak_rss_mb
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"bench\": \"campaignd/sharded_benign\",\n  \"unit\": \"jobs_per_sec\",\n  \
-             \"shard_jobs\": {},\n  \"cycles_per_board\": {},\n  \"rss_growth\": {:.2},\n  \
-             \"rows\": [\n{}\n  ]\n}}\n",
-            self.shard_jobs,
-            self.cycles_per_board,
-            self.rss_growth(),
-            rows
-        )
-    }
+    rec
 }
 
 /// Process peak resident set (`VmHWM`) in MiB, from `/proc/self/status`;
@@ -695,240 +536,140 @@ pub fn peak_rss_mb() -> f64 {
     0.0
 }
 
+/// A fresh campaign session over `store` with telemetry off.
+fn bench_session(store: mavr_campaignd::CampaignStore) -> mavr_campaignd::CampaignSession {
+    mavr_campaignd::CampaignSession::new(
+        store,
+        telemetry::Telemetry::off(),
+        std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false)),
+    )
+    .expect("session")
+}
+
+/// An empty scratch directory for one driver's campaign stores.
+fn scratch_root(tag: &str) -> std::path::PathBuf {
+    let root = std::env::temp_dir()
+        .join(tag)
+        .join(std::process::id().to_string());
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("bench scratch dir");
+    root
+}
+
 /// Measure the campaign service end to end — shard execution, per-board
 /// JSONL streaming, checkpoint flushes, and the two-pass report merge —
 /// at campaign sizes spanning two orders of magnitude, recording peak RSS
-/// after each. Because shard outcomes stream to disk and metrics fold
-/// through the registry merge, the peak-RSS column stays flat as the
+/// after each size. Because shard outcomes stream to disk and metrics
+/// fold through the registry merge, the peak-RSS metrics stay flat as the
 /// board count grows 100x: the service's memory is O(shard), not
-/// O(campaign). `quick` caps the largest campaign for CI smoke runs.
-/// Sizes run smallest-first because `VmHWM` is monotonic — a flat column
-/// therefore proves the big campaigns allocated no more than the small
-/// ones.
-pub fn campaignd_memory(quick: bool) -> CampaignServiceBench {
-    use mavr_campaignd::{merge_store, CampaignSession, CampaignSpec, CampaignStore};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
+/// O(campaign); `rss_growth` is largest over smallest. Sizes run
+/// smallest-first, each size's repetitions back to back, because `VmHWM`
+/// is monotonic — a flat set therefore proves the big campaigns allocated
+/// no more than the small ones. `quick` caps the largest campaign for CI
+/// smoke runs.
+pub fn campaignd_memory(quick: bool) -> BenchRecord {
+    use mavr_campaignd::{merge_store, CampaignSpec, CampaignStore};
 
+    let mut rec = BenchRecord::new("campaignd/sharded_benign", quick);
     let sizes: &[usize] = if quick {
         &[100, 1_000, 10_000]
     } else {
         &[1_000, 10_000, 100_000]
     };
-    // Short flights: the point is service overhead and memory, not
-    // simulated-cycle throughput (BENCH_fleet.json covers that).
-    let (warmup, flight) = (40_000u64, 60_000u64);
-    let shard_jobs = 256u64;
-    let root = std::env::temp_dir()
-        .join("mavr-campaignd-bench")
-        .join(std::process::id().to_string());
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("bench scratch dir");
-
-    let rows = sizes
-        .iter()
-        .map(|&boards| {
-            let mut spec = CampaignSpec::named(&format!("bench-{boards}"));
+    let root = scratch_root("mavr-campaignd-bench");
+    for &boards in sizes {
+        for rep in 0..campaign_reps(quick) {
+            let mut spec = CampaignSpec::named(&format!("bench-{boards}-{rep}"));
             spec.boards = boards;
             spec.scenarios = vec![mavr_fleet::Scenario::Benign];
-            spec.warmup_cycles = warmup;
-            spec.attack_cycles = flight;
-            spec.shard_jobs = shard_jobs;
-            let store = CampaignStore::create(&root, spec).expect("create campaign");
-            let session = CampaignSession::new(
-                store,
-                telemetry::Telemetry::off(),
-                Arc::new(AtomicBool::new(false)),
-            )
-            .expect("session");
+            // Short flights: the point is service overhead and memory,
+            // not simulated-cycle throughput (`bench-fleet` covers that).
+            spec.warmup_cycles = 40_000;
+            spec.attack_cycles = 60_000;
+            spec.shard_jobs = 256;
+            let session = bench_session(CampaignStore::create(&root, spec).expect("create"));
             let t0 = std::time::Instant::now();
             let outcome = session.run(None, None).expect("run campaign");
             assert!(outcome.complete, "bench campaign ran to completion");
             merge_store(&session.store).expect("merge campaign");
             let secs = t0.elapsed().as_secs_f64();
-            CampaignBenchRow {
-                boards,
-                secs,
-                peak_rss_mb: peak_rss_mb(),
-            }
-        })
-        .collect();
-    let _ = std::fs::remove_dir_all(&root);
-    CampaignServiceBench {
-        rows,
-        shard_jobs,
-        cycles_per_board: warmup + flight,
-    }
-}
-
-/// One disk-fault-rate point of the service-recovery sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustRecoveryRow {
-    /// Probability each durable-write step (create/write/sync/rename)
-    /// misbehaves: EIO, ENOSPC, or a short write.
-    pub store_fault_rate: f64,
-    /// Milliseconds from "process gone" back to checkpointed progress:
-    /// store reopen + session rebuild (firmware relink) + a one-job
-    /// resume slice, after a run that stopped mid-campaign.
-    pub mttr_ms: f64,
-    /// Checkpoint flushes the resumed session abandoned to injected disk
-    /// faults while driving the campaign to completion (each one re-runs
-    /// its slice — degraded, never lost).
-    pub checkpoints_skipped: u64,
-    /// Resume slices the session needed to finish under this fault rate.
-    pub slices_to_complete: u64,
-}
-
-/// One sabotage-rate point of the quarantine-overhead sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RobustQuarantineRow {
-    /// Probability a job is a persistent panicker (seeded, per-job fate).
-    pub panic_rate: f64,
-    /// Jobs quarantined — the `quarantine.jsonl` line count after merge.
-    pub quarantined: u64,
-    /// Wall-clock seconds to run every shard and merge the report.
-    pub secs: f64,
-}
-
-/// Measured cost of the service's supervision machinery. See
-/// [`robust_service`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustServiceBench {
-    /// One row per injected disk-fault rate, clean baseline first.
-    pub recovery: Vec<RobustRecoveryRow>,
-    /// One row per sabotage panic rate, clean baseline first.
-    pub quarantine: Vec<RobustQuarantineRow>,
-    /// Boards (= jobs; one benign cell) per campaign.
-    pub boards: usize,
-    /// Cycles each board flies.
-    pub cycles_per_board: u64,
-}
-
-impl RobustServiceBench {
-    /// Slowest recovery across the fault sweep — the MTTR the CI gate
-    /// bounds.
-    pub fn worst_mttr_ms(&self) -> f64 {
-        self.recovery.iter().map(|r| r.mttr_ms).fold(0.0, f64::max)
-    }
-
-    /// Wall-clock ratio of the highest sabotage rate over the clean
-    /// baseline — what retries + quarantine cost an otherwise identical
-    /// campaign.
-    pub fn quarantine_overhead(&self) -> f64 {
-        match (self.quarantine.first(), self.quarantine.last()) {
-            (Some(a), Some(b)) if a.secs > 0.0 => b.secs / a.secs,
-            _ => 1.0,
+            rec.sample(
+                &format!("boards_{boards}.jobs_per_s"),
+                "1/s",
+                boards as f64 / secs,
+            );
+            let _ = std::fs::remove_dir_all(&session.store.dir);
         }
+        rec.sample(
+            &format!("boards_{boards}.peak_rss_mb"),
+            "MiB",
+            peak_rss_mb(),
+        );
     }
-
-    /// The `BENCH_robust.json` payload.
-    pub fn to_json(&self) -> String {
-        let base_secs = self.quarantine.first().map_or(0.0, |r| r.secs);
-        let recovery = self
-            .recovery
-            .iter()
-            .map(|r| {
-                format!(
-                    "    {{\"store_fault_rate\": {}, \"mttr_ms\": {:.1}, \
-                     \"checkpoints_skipped\": {}, \"slices_to_complete\": {}}}",
-                    r.store_fault_rate, r.mttr_ms, r.checkpoints_skipped, r.slices_to_complete
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let quarantine = self
-            .quarantine
-            .iter()
-            .map(|r| {
-                let overhead = if base_secs > 0.0 {
-                    r.secs / base_secs
-                } else {
-                    1.0
-                };
-                format!(
-                    "    {{\"panic_rate\": {}, \"quarantined\": {}, \"secs\": {:.3}, \
-                     \"overhead\": {overhead:.3}}}",
-                    r.panic_rate, r.quarantined, r.secs
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"bench\": \"campaignd/robust_service\",\n  \"boards\": {},\n  \
-             \"cycles_per_board\": {},\n  \"worst_mttr_ms\": {:.1},\n  \
-             \"quarantine_overhead\": {:.3},\n  \"recovery\": [\n{}\n  ],\n  \
-             \"quarantine\": [\n{}\n  ]\n}}\n",
-            self.boards,
-            self.cycles_per_board,
-            self.worst_mttr_ms(),
-            self.quarantine_overhead(),
-            recovery,
-            quarantine
-        )
-    }
+    let _ = std::fs::remove_dir_all(&root);
+    let rss = |boards: usize| rec.samples(&format!("boards_{boards}.peak_rss_mb"))[0];
+    let (first, last) = (rss(sizes[0]), rss(sizes[sizes.len() - 1]));
+    rec.sample(
+        "rss_growth",
+        "x",
+        if first > 0.0 { last / first } else { 1.0 },
+    );
+    rec
 }
 
 /// Measure the campaign service's supervision machinery end to end.
 ///
 /// Two sweeps, both fully deterministic (seeded fault draws, seeded
-/// sabotage fates):
+/// sabotage fates), repeated for timing spread:
 ///
-/// - **Recovery**: run half a campaign, drop the session cold (the
-///   in-process stand-in for SIGKILL — the on-disk state is identical),
-///   then time store reopen + session rebuild + a one-job resume slice.
-///   That is the service's MTTR: how long a supervisor waits between
-///   "process gone" and "campaign making checkpointed progress again".
-///   Swept across injected disk-fault rates, driving each campaign to
-///   completion to count abandoned checkpoint flushes along the way.
-/// - **Quarantine**: sweep the seeded sabotage panic rate through an
-///   otherwise identical campaign and time run + merge. Poison jobs cost
-///   their retries (bounded attempts with millisecond backoff) and a
-///   quarantine-ledger rebuild at merge; the overhead column is that cost
-///   as a ratio over the clean baseline.
+/// - **Recovery** (`fault_<rate>.*`): run half a campaign, drop the
+///   session cold (the in-process stand-in for SIGKILL — the on-disk
+///   state is identical), then time store reopen + session rebuild + a
+///   one-job resume slice. That is the service's MTTR: how long a
+///   supervisor waits between "process gone" and "campaign making
+///   checkpointed progress again". Swept across injected disk-fault
+///   rates; the first repetition drives each campaign to completion to
+///   count abandoned checkpoint flushes and resume slices. `worst_mttr_ms`
+///   is each repetition's slowest recovery.
+/// - **Quarantine** (`panic_<rate>.*`): sweep the seeded sabotage panic
+///   rate through an otherwise identical campaign and time run + merge.
+///   Poison jobs cost their retries (bounded attempts with millisecond
+///   backoff) and a quarantine-ledger rebuild at merge;
+///   `quarantine_overhead` is each repetition's top rate over its clean
+///   baseline.
 ///
 /// `quick` shrinks the campaigns and drops a sweep point for CI smoke.
-pub fn robust_service(quick: bool) -> RobustServiceBench {
-    use mavr_campaignd::{merge_store, CampaignSession, CampaignSpec, CampaignStore, FaultFs};
+pub fn robust_service(quick: bool) -> BenchRecord {
+    use mavr_campaignd::{merge_store, CampaignSpec, CampaignStore, FaultFs};
     use mavr_fleet::JobChaos;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
 
+    let mut rec = BenchRecord::new("campaignd/robust_service", quick);
     let boards = if quick { 16 } else { 64 };
-    let (warmup, flight) = (40_000u64, 60_000u64);
-    let shard_jobs = 4u64;
-    let root = std::env::temp_dir()
-        .join("mavr-robust-bench")
-        .join(std::process::id().to_string());
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("bench scratch dir");
-
+    let root = scratch_root("mavr-robust-bench");
     let spec_named = |name: &str| {
         let mut spec = CampaignSpec::named(name);
         spec.boards = boards;
         spec.scenarios = vec![mavr_fleet::Scenario::Benign];
-        spec.warmup_cycles = warmup;
-        spec.attack_cycles = flight;
-        spec.shard_jobs = shard_jobs;
+        spec.warmup_cycles = 40_000;
+        spec.attack_cycles = 60_000;
+        spec.shard_jobs = 4;
         spec
     };
-    let session = |store: CampaignStore| {
-        CampaignSession::new(
-            store,
-            telemetry::Telemetry::off(),
-            Arc::new(AtomicBool::new(false)),
-        )
-        .expect("session")
-    };
-
     let fault_rates: &[f64] = if quick {
         &[0.0, 0.5]
     } else {
         &[0.0, 0.25, 0.5]
     };
-    let recovery = fault_rates
-        .iter()
-        .map(|&rate| {
-            let name = format!("mttr-{}", (rate * 100.0) as u32);
+    let panic_rates: &[f64] = if quick {
+        &[0.0, 0.1]
+    } else {
+        &[0.0, 0.05, 0.1]
+    };
+
+    for rep in 0..campaign_reps(quick) {
+        let mut worst_mttr_ms = 0.0f64;
+        for &rate in fault_rates {
+            let name = format!("mttr-{}-{rep}", (rate * 100.0) as u32);
             let faults = if rate == 0.0 {
                 FaultFs::none()
             } else {
@@ -939,7 +680,7 @@ pub fn robust_service(quick: bool) -> RobustServiceBench {
                 .with_faults(faults.clone());
             // The doomed first process: half the campaign, then gone. A
             // dropped session and a SIGKILLed one leave the same disk.
-            let doomed = session(store);
+            let doomed = bench_session(store);
             doomed.run(Some(boards / 2), None).expect("partial run");
             drop(doomed);
 
@@ -947,180 +688,99 @@ pub fn robust_service(quick: bool) -> RobustServiceBench {
             let store = CampaignStore::open(&root.join(&name))
                 .expect("reopen campaign")
                 .with_faults(faults);
-            let resumed = session(store);
+            let resumed = bench_session(store);
             resumed.run(Some(1), None).expect("one-job resume slice");
             let mttr_ms = t0.elapsed().as_secs_f64() * 1e3;
+            rec.sample(&format!("fault_{rate}.mttr_ms"), "ms", mttr_ms);
+            worst_mttr_ms = worst_mttr_ms.max(mttr_ms);
 
-            // Drive to completion under the same fault rate: skipped
-            // checkpoints re-run their slices, so this always converges.
-            let mut slices = 1u64;
-            loop {
-                let out = resumed.run(None, None).expect("resume slice");
-                slices += 1;
-                if out.complete {
-                    break;
+            if rep == 0 {
+                // Drive to completion under the same fault rate: skipped
+                // checkpoints re-run their slices, so this converges.
+                let mut slices = 1u64;
+                loop {
+                    slices += 1;
+                    if resumed.run(None, None).expect("resume slice").complete {
+                        break;
+                    }
+                    assert!(slices < 10_000, "campaign failed to converge under faults");
                 }
-                assert!(slices < 10_000, "campaign failed to converge under faults");
+                let skipped = resumed.checkpoints_skipped() as f64;
+                rec.sample(
+                    &format!("fault_{rate}.checkpoints_skipped"),
+                    "count",
+                    skipped,
+                );
+                rec.sample(
+                    &format!("fault_{rate}.slices_to_complete"),
+                    "count",
+                    slices as f64,
+                );
             }
-            RobustRecoveryRow {
-                store_fault_rate: rate,
-                mttr_ms,
-                checkpoints_skipped: resumed.checkpoints_skipped(),
-                slices_to_complete: slices,
-            }
-        })
-        .collect();
+        }
+        rec.sample("worst_mttr_ms", "ms", worst_mttr_ms);
 
-    // Poison jobs panic on purpose (caught by the supervisor); silence
-    // the default hook so the sweep times supervision, not stderr.
-    let prior_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let panic_rates: &[f64] = if quick {
-        &[0.0, 0.1]
-    } else {
-        &[0.0, 0.05, 0.1]
-    };
-    let quarantine = panic_rates
-        .iter()
-        .map(|&rate| {
-            let name = format!("poison-{}", (rate * 1000.0) as u32);
-            let mut spec = spec_named(&name);
+        // Poison jobs panic on purpose (caught by the supervisor); silence
+        // the default hook so the sweep times supervision, not stderr.
+        let prior_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let mut secs_by_rate = Vec::new();
+        for &rate in panic_rates {
+            let mut spec = spec_named(&format!("poison-{}-{rep}", (rate * 1000.0) as u32));
             spec.sabotage = JobChaos {
                 panic_rate: rate,
                 hang_rate: 0.0,
                 flaky_rate: 0.0,
                 seed: 0x0BAD_5EED,
             };
-            let sess = session(CampaignStore::create(&root, spec).expect("create campaign"));
+            let sess = bench_session(CampaignStore::create(&root, spec).expect("create"));
             let t0 = std::time::Instant::now();
             let out = sess.run(None, None).expect("poison campaign");
             assert!(out.complete, "a poisoned campaign still completes");
             merge_store(&sess.store).expect("merge campaign");
             let secs = t0.elapsed().as_secs_f64();
-            let quarantined = std::fs::read_to_string(sess.store.quarantine_path())
-                .map_or(0, |text| text.lines().count() as u64);
-            RobustQuarantineRow {
-                panic_rate: rate,
-                quarantined,
-                secs,
+            rec.sample(&format!("panic_{rate}.s"), "s", secs);
+            secs_by_rate.push(secs);
+            if rep == 0 {
+                let quarantined = std::fs::read_to_string(sess.store.quarantine_path())
+                    .map_or(0, |text| text.lines().count());
+                rec.sample(
+                    &format!("panic_{rate}.quarantined"),
+                    "count",
+                    quarantined as f64,
+                );
             }
-        })
-        .collect();
-    std::panic::set_hook(prior_hook);
-
+        }
+        std::panic::set_hook(prior_hook);
+        rec.sample(
+            "quarantine_overhead",
+            "x",
+            secs_by_rate[secs_by_rate.len() - 1] / secs_by_rate[0],
+        );
+    }
     let _ = std::fs::remove_dir_all(&root);
-    RobustServiceBench {
-        recovery,
-        quarantine,
-        boards,
-        cycles_per_board: warmup + flight,
-    }
-}
-
-/// One fault-rate point of the chaos-resilience sweep. All counts are
-/// summed over the cell's boards.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosBenchRow {
-    /// Fault-injection rate of the cell.
-    pub fault: f64,
-    /// Boards flown at this rate.
-    pub boards: usize,
-    /// Reflash retries the masters burned (container re-reads, full-stream
-    /// retries, page repairs).
-    pub reflash_retries: u64,
-    /// Boots that fell back to the last-known-good image.
-    pub degraded_boots: u64,
-    /// Boards that exhausted every retry and the degraded fallback.
-    pub boards_bricked: usize,
-    /// Boards that detected and recovered from the attack at least once.
-    pub boards_recovered: usize,
-    /// Mean cycles from injection to detection, over recovered boards.
-    pub mttr_cycles: Option<f64>,
-}
-
-/// Measured recovery-pipeline resilience under a fault-rate sweep. See
-/// [`chaos_resilience`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosResilience {
-    /// One row per fault rate, clean baseline first.
-    pub rows: Vec<ChaosBenchRow>,
-    /// Campaign seed the sweep ran under.
-    pub seed: u64,
-    /// Boards per fault-rate cell.
-    pub boards_per_cell: usize,
-}
-
-impl ChaosResilience {
-    /// `MTTR(rate) / MTTR(0)` for the highest fault rate where both are
-    /// defined — how much the injected faults stretch detection-to-reflash
-    /// recovery.
-    pub fn mttr_inflation(&self) -> Option<f64> {
-        let base = self.rows.first()?.mttr_cycles?;
-        self.rows
-            .iter()
-            .rev()
-            .find_map(|r| r.mttr_cycles)
-            .map(|m| m / base)
-    }
-
-    /// The `BENCH_chaos.json` payload (hand-rolled; the workspace has no
-    /// JSON dependency).
-    pub fn to_json(&self) -> String {
-        let base_mttr = self.rows.first().and_then(|r| r.mttr_cycles);
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mttr = r
-                    .mttr_cycles
-                    .map_or("null".to_string(), |m| format!("{m:.1}"));
-                let inflation = match (base_mttr, r.mttr_cycles) {
-                    (Some(b), Some(m)) => format!("{:.3}", m / b),
-                    _ => "null".to_string(),
-                };
-                format!(
-                    "    {{\"fault\": {}, \"boards\": {}, \"reflash_retries\": {}, \
-                     \"retry_rate\": {:.4}, \"degraded_boots\": {}, \
-                     \"boards_bricked\": {}, \"brick_rate\": {:.4}, \
-                     \"boards_recovered\": {}, \"mttr_cycles\": {}, \
-                     \"mttr_inflation\": {}}}",
-                    r.fault,
-                    r.boards,
-                    r.reflash_retries,
-                    r.reflash_retries as f64 / r.boards.max(1) as f64,
-                    r.degraded_boots,
-                    r.boards_bricked,
-                    r.boards_bricked as f64 / r.boards.max(1) as f64,
-                    r.boards_recovered,
-                    mttr,
-                    inflation,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            "{{\n  \"bench\": \"chaos_resilience/v1-crash\",\n  \"seed\": {},\n  \"boards_per_cell\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            self.seed, self.boards_per_cell, rows
-        )
-    }
+    rec
 }
 
 /// Sweep fault-injection rates through a V1 (loud crash) fleet campaign
-/// and measure what the hardened recovery pipeline does with them: reflash
-/// retries, degraded boots, bricks, and MTTR inflation versus the clean
-/// baseline. Whether a crashed ROP chain actually silences the heartbeat
-/// is layout-dependent (wild execution can keep interrupts alive), so the
-/// campaign seed is chosen for a fleet where most baseline boards detect —
-/// that keeps the MTTR column defined, and the engine seed-matches boards
-/// across the fault axis, so the comparison is the *same* fleet under
-/// different chaos. Fully deterministic (it is a fleet campaign); `quick`
-/// shrinks the fleet for CI smoke runs.
-pub fn chaos_resilience(quick: bool) -> ChaosResilience {
+/// and record what the hardened recovery pipeline does with them, per
+/// fault rate summed over the cell's boards: reflash retries, degraded
+/// boots, bricks, recoveries and mean cycles from injection to detection
+/// (`mttr_cycles`, absent where no board recovered), plus `mttr_inflation`
+/// — the highest rate's MTTR over the clean baseline's. Whether a crashed
+/// ROP chain actually silences the heartbeat is layout-dependent (wild
+/// execution can keep interrupts alive), so the campaign seed is chosen
+/// for a fleet where most baseline boards detect — that keeps the MTTR
+/// defined, and the engine seed-matches boards across the fault axis, so
+/// the comparison is the *same* fleet under different chaos. Fully
+/// deterministic (it is a fleet campaign), so every metric is one sample;
+/// `quick` shrinks the fleet for CI smoke runs.
+pub fn chaos_resilience(quick: bool) -> BenchRecord {
     use mavr_fleet::{run_campaign, CampaignConfig, Scenario};
-    let boards = if quick { 2 } else { 8 };
+    let mut rec = BenchRecord::new("chaos_resilience/v1-crash", quick);
     let cfg = CampaignConfig {
         seed: 6,
-        boards,
+        boards: if quick { 2 } else { 8 },
         scenarios: vec![Scenario::V1Crash],
         loss_levels: vec![0.0],
         fault_levels: vec![0.0, 0.00005, 0.0001, 0.0002, 0.0005],
@@ -1128,77 +788,31 @@ pub fn chaos_resilience(quick: bool) -> ChaosResilience {
         ..CampaignConfig::default()
     };
     let report = run_campaign(&cfg);
-    let rows = report
+    for c in &report.cells {
+        let f = c.fault;
+        for (name, count) in [
+            ("boards", c.boards as u64),
+            ("reflash_retries", c.reflash_retries),
+            ("degraded_boots", c.degraded_boots),
+            ("boards_bricked", c.boards_bricked as u64),
+            ("boards_recovered", c.boards_recovered as u64),
+        ] {
+            rec.sample(&format!("fault_{f}.{name}"), "count", count as f64);
+        }
+        if let Some(mttr) = c.mean_time_to_recovery() {
+            rec.sample(&format!("fault_{f}.mttr_cycles"), "cycles", mttr);
+        }
+    }
+    let base = report.cells.first().and_then(|c| c.mean_time_to_recovery());
+    let top = report
         .cells
         .iter()
-        .map(|c| ChaosBenchRow {
-            fault: c.fault,
-            boards: c.boards,
-            reflash_retries: c.reflash_retries,
-            degraded_boots: c.degraded_boots,
-            boards_bricked: c.boards_bricked,
-            boards_recovered: c.boards_recovered,
-            mttr_cycles: c.mean_time_to_recovery(),
-        })
-        .collect();
-    ChaosResilience {
-        rows,
-        seed: cfg.seed,
-        boards_per_cell: boards,
+        .rev()
+        .find_map(|c| c.mean_time_to_recovery());
+    if let (Some(base), Some(top)) = (base, top) {
+        rec.sample("mttr_inflation", "x", top / base);
     }
-}
-
-/// Measured cost of the observability plane: simulator overhead of an
-/// attached (null) recorder, metrics record/merge throughput and
-/// exposition cost. See [`telemetry_overhead`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TelemetryBench {
-    /// Simulated cycles/sec with telemetry off — the baseline.
-    pub off_cycles_per_sec: f64,
-    /// Simulated cycles/sec with a `NullRecorder` attached (events
-    /// counted, then discarded).
-    pub null_recorder_cycles_per_sec: f64,
-    /// Raw `QuantileSketch::record` calls per second.
-    pub sketch_records_per_sec: f64,
-    /// `MetricsRegistry::observe_histogram` calls per second — the
-    /// labeled-lookup path the fleet fold takes per packet count.
-    pub histogram_records_per_sec: f64,
-    /// Registry shard merges per second on the reference registry.
-    pub merges_per_sec: f64,
-    /// Prometheus text expositions per second of the reference registry.
-    pub prometheus_per_sec: f64,
-    /// JSONL expositions per second of the reference registry.
-    pub jsonl_per_sec: f64,
-    /// Series in the reference registry the merge/exposition rows use.
-    pub series: usize,
-    /// Samples per measurement the medians were taken over.
-    pub samples: usize,
-}
-
-impl TelemetryBench {
-    /// Percent slowdown of the simulator when a null recorder is
-    /// attached (the "instrumentation on, sink off" configuration).
-    pub fn null_recorder_overhead_pct(&self) -> f64 {
-        100.0 * (self.off_cycles_per_sec / self.null_recorder_cycles_per_sec - 1.0)
-    }
-
-    /// The `BENCH_telemetry.json` payload (hand-rolled; the workspace has
-    /// no JSON dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"telemetry_overhead/tiny_firmware\",\n  \"samples\": {},\n  \"series\": {},\n  \"off_cycles_per_sec\": {:.0},\n  \"null_recorder_cycles_per_sec\": {:.0},\n  \"null_recorder_overhead_pct\": {:.2},\n  \"sketch_records_per_sec\": {:.0},\n  \"histogram_records_per_sec\": {:.0},\n  \"merges_per_sec\": {:.0},\n  \"prometheus_per_sec\": {:.0},\n  \"jsonl_per_sec\": {:.0}\n}}\n",
-            self.samples,
-            self.series,
-            self.off_cycles_per_sec,
-            self.null_recorder_cycles_per_sec,
-            self.null_recorder_overhead_pct(),
-            self.sketch_records_per_sec,
-            self.histogram_records_per_sec,
-            self.merges_per_sec,
-            self.prometheus_per_sec,
-            self.jsonl_per_sec,
-        )
-    }
+    rec
 }
 
 /// A reference registry shaped like one worker shard of a real campaign:
@@ -1235,53 +849,59 @@ fn reference_registry(cells: usize, seed: u64) -> telemetry::metrics::MetricsReg
 
 /// Measure the observability plane: (a) simulator throughput with
 /// telemetry off vs a `NullRecorder` attached, on the flying tiny
-/// firmware; (b) raw sketch-record and labeled histogram-record rates;
-/// (c) shard-merge and exposition rates on a campaign-shaped reference
-/// registry. Medians over a few samples each; `quick` shortens everything
-/// for CI smoke.
-pub fn telemetry_overhead(quick: bool) -> TelemetryBench {
+/// firmware, interleaved per round so `null_recorder_overhead_pct` is
+/// taken within a round; (b) raw sketch-record and labeled
+/// histogram-record rates; (c) shard-merge and exposition rates on a
+/// campaign-shaped reference registry of `series` series. `quick`
+/// shortens everything for CI smoke.
+pub fn telemetry_overhead(quick: bool) -> BenchRecord {
     use std::hint::black_box;
     use telemetry::metrics::{MetricsRegistry, QuantileSketch};
     use telemetry::{NullRecorder, Telemetry};
 
+    let mut rec = BenchRecord::new("telemetry_overhead/tiny_firmware", quick);
     let samples = if quick { 3 } else { 9 };
     let sim_cycles: u64 = if quick { 300_000 } else { 1_000_000 };
     let ops: u64 = if quick { 200_000 } else { 2_000_000 };
-    let cells = 12;
+    let rounds: u64 = if quick { 200 } else { 2_000 };
 
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
+    // Seconds one call of `f` takes; `f` returns a value kept live.
+    let secs = |f: &mut dyn FnMut() -> u64| -> f64 {
+        let t0 = std::time::Instant::now();
+        black_box(f());
+        t0.elapsed().as_secs_f64()
     };
-    // Median seconds of `f`, which returns a value kept live via black_box.
-    let time_median = |f: &mut dyn FnMut() -> u64| -> f64 {
-        let mut times: Vec<f64> = (0..samples)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                black_box(f());
-                t0.elapsed().as_secs_f64()
-            })
-            .collect();
-        median(&mut times)
+    // `count` operations per second of `f`, once per sample.
+    let rate = |rec: &mut BenchRecord, name: &str, count: u64, f: &mut dyn FnMut() -> u64| {
+        for _ in 0..samples {
+            rec.sample(name, "1/s", count as f64 / secs(f));
+        }
     };
 
     let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).expect("build");
-    let sim_secs = |telemetry_on: bool| -> f64 {
-        time_median(&mut || {
-            let mut m = avr_sim::Machine::new_atmega2560();
-            if telemetry_on {
-                m.telemetry = Telemetry::new(NullRecorder::default());
-            }
-            m.load_flash(0, &fw.image.bytes);
-            m.run(sim_cycles);
-            assert!(m.fault().is_none(), "bench firmware crashed");
-            m.cycles()
-        })
+    let fly = |telemetry_on: bool| {
+        let mut m = avr_sim::Machine::new_atmega2560();
+        if telemetry_on {
+            m.telemetry = Telemetry::new(NullRecorder::default());
+        }
+        m.load_flash(0, &fw.image.bytes);
+        m.run(sim_cycles);
+        assert!(m.fault().is_none(), "bench firmware crashed");
+        m.cycles()
     };
-    let off_secs = sim_secs(false);
-    let null_secs = sim_secs(true);
+    for _ in 0..samples {
+        let off = sim_cycles as f64 / secs(&mut || fly(false));
+        let null = sim_cycles as f64 / secs(&mut || fly(true));
+        rec.sample("off_cycles_per_s", CYCLES_PER_S, off);
+        rec.sample("null_recorder_cycles_per_s", CYCLES_PER_S, null);
+        rec.sample(
+            "null_recorder_overhead_pct",
+            "%",
+            100.0 * (off / null - 1.0),
+        );
+    }
 
-    let sketch_secs = time_median(&mut || {
+    rate(&mut rec, "sketch_records_per_s", ops, &mut || {
         let mut s = QuantileSketch::new();
         for v in 0..ops {
             // Cheap LCG so the timed loop is the record call, not the RNG.
@@ -1289,7 +909,7 @@ pub fn telemetry_overhead(quick: bool) -> TelemetryBench {
         }
         s.count()
     });
-    let histogram_secs = time_median(&mut || {
+    rate(&mut rec, "histogram_records_per_s", ops, &mut || {
         let mut reg = MetricsRegistry::new();
         let labels = [("scenario", "bench"), ("loss", "0.0000")];
         for v in 0..ops {
@@ -1298,43 +918,26 @@ pub fn telemetry_overhead(quick: bool) -> TelemetryBench {
         reg.len() as u64
     });
 
-    let shard = reference_registry(cells, 0x2015);
-    let series = shard.len();
-    let merge_rounds: u64 = if quick { 200 } else { 2_000 };
-    let merge_secs = time_median(&mut || {
+    let shard = reference_registry(12, 0x2015);
+    rec.sample("series", "count", shard.len() as f64);
+    rate(&mut rec, "merges_per_s", rounds, &mut || {
         let mut acc = MetricsRegistry::new();
-        for _ in 0..merge_rounds {
+        for _ in 0..rounds {
             acc.merge(black_box(&shard));
         }
         acc.len() as u64
     });
-    let expo_rounds: u64 = if quick { 200 } else { 2_000 };
-    let prom_secs = time_median(&mut || {
-        let mut bytes = 0u64;
-        for _ in 0..expo_rounds {
-            bytes += black_box(shard.to_prometheus()).len() as u64;
-        }
-        bytes
+    rate(&mut rec, "prometheus_per_s", rounds, &mut || {
+        (0..rounds)
+            .map(|_| black_box(shard.to_prometheus()).len() as u64)
+            .sum()
     });
-    let jsonl_secs = time_median(&mut || {
-        let mut bytes = 0u64;
-        for _ in 0..expo_rounds {
-            bytes += black_box(shard.to_jsonl()).len() as u64;
-        }
-        bytes
+    rate(&mut rec, "jsonl_per_s", rounds, &mut || {
+        (0..rounds)
+            .map(|_| black_box(shard.to_jsonl()).len() as u64)
+            .sum()
     });
-
-    TelemetryBench {
-        off_cycles_per_sec: sim_cycles as f64 / off_secs,
-        null_recorder_cycles_per_sec: sim_cycles as f64 / null_secs,
-        sketch_records_per_sec: ops as f64 / sketch_secs,
-        histogram_records_per_sec: ops as f64 / histogram_secs,
-        merges_per_sec: merge_rounds as f64 / merge_secs,
-        prometheus_per_sec: expo_rounds as f64 / prom_secs,
-        jsonl_per_sec: expo_rounds as f64 / jsonl_secs,
-        series,
-        samples,
-    }
+    rec
 }
 
 /// **Fig. 2** — encode a minimum packet and describe its structure.
@@ -1475,54 +1078,21 @@ pub fn fig6(spec: &AppSpec) -> Vec<StackSnapshot> {
     snaps
 }
 
-/// Measured cost of closing the physical loop: the same provisioned
-/// SynthQuadFlight board flown bare (block-fused fast path, ADC floating)
-/// versus inside the [`mavr_world::FlightHarness`] (sensors sampled into
-/// the ADC and the rigid body stepped every 16 000 cycles). See
-/// [`world_throughput`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WorldThroughput {
-    /// Cycles/sec of the bare board (physics off).
-    pub bare_cycles_per_sec: f64,
-    /// Cycles/sec of the coupled board (physics on).
-    pub coupled_cycles_per_sec: f64,
-    /// World steps/sec of the coupled simulation (`coupled / 16000`).
-    pub coupled_steps_per_sec: f64,
-    /// Samples per leg the minima were taken over.
-    pub samples: usize,
-}
-
-impl WorldThroughput {
-    /// What the physics arena costs on the fused fast path, in percent of
-    /// bare throughput. The ISSUE budget is <15%.
-    pub fn overhead_pct(&self) -> f64 {
-        (self.bare_cycles_per_sec / self.coupled_cycles_per_sec - 1.0) * 100.0
-    }
-
-    /// The `BENCH_world.json` payload (hand-rolled; the workspace has no
-    /// JSON dependency).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"closed_loop/synth_quad_flight\",\n  \"unit\": \"cycles_per_sec\",\n  \"samples\": {},\n  \"bare_fused\": {:.0},\n  \"coupled_fused\": {:.0},\n  \"world_steps_per_sec\": {:.0},\n  \"physics_overhead_pct\": {:.2}\n}}\n",
-            self.samples,
-            self.bare_cycles_per_sec,
-            self.coupled_cycles_per_sec,
-            self.coupled_steps_per_sec,
-            self.overhead_pct(),
-        )
-    }
-}
-
-/// Measure the closed-loop physics overhead (`quick` = fewer samples and
-/// steps, for CI smoke).
+/// Measure what closing the physical loop costs: the same provisioned
+/// SynthQuadFlight board flown bare (`bare_fused`: block-fused fast path,
+/// ADC floating) versus inside the [`mavr_world::FlightHarness`]
+/// (`coupled_fused`: sensors sampled into the ADC and the rigid body
+/// stepped every 16 000 cycles). `physics_overhead_pct` is each round's
+/// bare over coupled throughput; its budget is <15%. `quick` = fewer
+/// samples and steps, for CI smoke.
 ///
-/// Both legs fly the identical provisioned board on the block-fused fast
-/// path; only the coupling differs. Legs are interleaved round-robin and
-/// each reports its fastest sample (noise only ever adds time), so the
-/// overhead ratio is robust against load drift on a shared machine.
-pub fn world_throughput(quick: bool) -> WorldThroughput {
+/// Both legs fly the identical provisioned board; only the coupling
+/// differs. Legs are interleaved round-robin, so load drift on a shared
+/// machine cannot land on one leg alone.
+pub fn world_throughput(quick: bool) -> BenchRecord {
     use mavr_world::{FlightHarness, Scenario, World, CYCLES_PER_STEP};
 
+    let mut rec = BenchRecord::new("closed_loop/synth_quad_flight", quick);
     let steps: u64 = if quick { 125 } else { 500 };
     let samples = if quick { 3 } else { 9 };
     let cycles = steps * CYCLES_PER_STEP;
@@ -1544,17 +1114,16 @@ pub fn world_throughput(quick: bool) -> WorldThroughput {
         dt
     };
 
-    let mut best = [f64::INFINITY; 2];
     for _ in 0..samples {
-        best[0] = best[0].min(time_bare());
-        best[1] = best[1].min(time_coupled());
+        let bare = cycles as f64 / time_bare();
+        let coupled_secs = time_coupled();
+        let coupled = cycles as f64 / coupled_secs;
+        rec.sample("bare_fused", CYCLES_PER_S, bare);
+        rec.sample("coupled_fused", CYCLES_PER_S, coupled);
+        rec.sample("world_steps_per_s", "1/s", steps as f64 / coupled_secs);
+        rec.sample("physics_overhead_pct", "%", (bare / coupled - 1.0) * 100.0);
     }
-    WorldThroughput {
-        bare_cycles_per_sec: cycles as f64 / best[0],
-        coupled_cycles_per_sec: cycles as f64 / best[1],
-        coupled_steps_per_sec: steps as f64 / best[1],
-        samples,
-    }
+    rec
 }
 
 #[cfg(test)]

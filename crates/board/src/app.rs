@@ -32,14 +32,6 @@ impl AppProcessor {
         self.lock_fuse
     }
 
-    /// Force the fuse to a checkpointed value. Only the snapshot-restore
-    /// path may use this; everything else goes through
-    /// [`AppProcessor::set_lock_fuse`] / [`AppProcessor::chip_erase`],
-    /// which model the real part's one-way semantics.
-    pub fn restore_lock_fuse(&mut self, locked: bool) {
-        self.lock_fuse = locked;
-    }
-
     /// The external debugger / ISP view of flash: erased-looking `0xff`
     /// when the lock fuse is set, the real contents otherwise. This is the
     /// interface an attacker with physical tools would use.

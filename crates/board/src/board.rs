@@ -2,7 +2,7 @@
 //! together with failed-attack detection and automatic recovery (Fig. 7).
 
 use avr_core::image::FirmwareImage;
-use avr_sim::{CrashReport, Fault, MachineState};
+use avr_sim::{CrashReport, Fault};
 use mavr::policy::RandomizationPolicy;
 use telemetry::{Telemetry, Value};
 
@@ -290,77 +290,6 @@ impl MavrBoard {
     pub fn attacker_flash_view(&self) -> Vec<u8> {
         self.app.external_flash_read()
     }
-
-    /// Capture everything that determines the board's future: the complete
-    /// application machine, the lock fuse, the master's entropy stream and
-    /// wear ledger, and the heartbeat watch window.
-    ///
-    /// Diagnostics — the event log, `last_crash`, `last_permutation`,
-    /// `last_image` — are deliberately *not* captured: they describe the
-    /// past, not the future, and restoring them onto a board that has its
-    /// own history would lie about that history. A board restored from this
-    /// state executes identically to the saved one forever (including the
-    /// permutations drawn by later recoveries), but its diagnostic log
-    /// starts from the restore point.
-    pub fn capture_state(&self) -> BoardState {
-        BoardState {
-            app: self.app.machine.capture_state(),
-            app_locked: self.app.locked(),
-            master_rng: self.master.rng_state(),
-            boot_count: self.master.boot_count(),
-            wear_cycles: self.master.wear.cycles_used,
-            watch_since: self.watch_since,
-            heartbeat_timeout: self.heartbeat_timeout,
-            chaos: self.master.chaos.state(),
-            reflash_retries: self.master.resilience.reflash_retries,
-            degraded_boots: self.master.resilience.degraded_boots,
-        }
-    }
-
-    /// Restore a state captured by [`MavrBoard::capture_state`] onto a
-    /// board provisioned from the *same container image* (the external
-    /// flash is immutable, so it is not part of the snapshot).
-    pub fn restore_state(&mut self, s: &BoardState) {
-        self.app.machine.restore_state(&s.app);
-        self.app.restore_lock_fuse(s.app_locked);
-        self.master.restore_entropy(s.master_rng, s.boot_count);
-        self.master.wear.cycles_used = s.wear_cycles;
-        self.watch_since = s.watch_since;
-        self.heartbeat_timeout = s.heartbeat_timeout;
-        self.master.chaos.restore_state(&s.chaos);
-        self.master.resilience.reflash_retries = s.reflash_retries;
-        self.master.resilience.degraded_boots = s.degraded_boots;
-    }
-}
-
-/// Serializable snapshot of a [`MavrBoard`]'s execution-determining state.
-///
-/// See [`MavrBoard::capture_state`] for the exact contract (diagnostics
-/// excluded; restore requires a board provisioned from the same container).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoardState {
-    /// The application processor's machine state.
-    pub app: MachineState,
-    /// Whether the readout-protection fuse is set.
-    pub app_locked: bool,
-    /// The master's RNG stream position.
-    pub master_rng: [u64; 4],
-    /// The master's boot counter.
-    pub boot_count: u32,
-    /// Application-flash program cycles consumed.
-    pub wear_cycles: u32,
-    /// Start of the current heartbeat watch window (app cycles).
-    pub watch_since: u64,
-    /// Heartbeat-silence threshold in cycles.
-    pub heartbeat_timeout: u64,
-    /// The fault plan's RNG position and injection counter. Restore
-    /// requires a board built with the same [`crate::chaos::ChaosConfig`]
-    /// (configuration, like the container, is construction-time input).
-    pub chaos: crate::chaos::ChaosState,
-    /// The master's lifetime reflash-retry counter.
-    pub reflash_retries: u64,
-    /// The master's lifetime degraded-boot counter.
-    pub degraded_boots: u64,
 }
 
 #[cfg(test)]
@@ -546,88 +475,6 @@ mod tests {
         ] {
             assert!(kinds.contains(&expected), "missing {expected} in {kinds:?}");
         }
-    }
-
-    #[test]
-    fn restored_board_continues_identically() {
-        // Snapshot a board mid-attack (payload injected, crash brewing),
-        // restore onto a freshly provisioned board with a *different* seed,
-        // and run both through the crash and the master's recovery: every
-        // future — including the re-randomization permutations drawn by the
-        // restored entropy stream — must match the original exactly.
-        let fw = build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr()).unwrap();
-        let ctx = AttackContext::discover(&fw.image).unwrap();
-        let payload = ctx
-            .v2_payload(&[(l::GYRO + 3, [0xde, 0xad, 0x42])])
-            .unwrap();
-        let mut original =
-            MavrBoard::provision(&fw.image, 0x5eed, RandomizationPolicy::default()).unwrap();
-        original.run(300_000).unwrap();
-        let mut gcs = GroundStation::new();
-        original.uplink(&gcs.exploit_packet(&payload).unwrap());
-        original.run(500_000).unwrap();
-        let state = original.capture_state();
-
-        let mut restored =
-            MavrBoard::provision(&fw.image, 0xffff, RandomizationPolicy::default()).unwrap();
-        restored.restore_state(&state);
-        assert_eq!(restored.app.machine.capture_state(), state.app);
-
-        original.run(6_000_000).unwrap();
-        restored.run(6_000_000).unwrap();
-        assert_eq!(
-            original.app.machine.capture_state(),
-            restored.app.machine.capture_state(),
-            "restored board must continue lockstep with the original"
-        );
-        assert_eq!(original.master.rng_state(), restored.master.rng_state());
-        assert_eq!(original.master.boot_count(), restored.master.boot_count());
-        assert_eq!(
-            original.master.wear.cycles_used,
-            restored.master.wear.cycles_used
-        );
-    }
-
-    #[test]
-    fn restored_chaos_board_replays_the_same_faults() {
-        // The fault plan's RNG rides in the board snapshot: a board
-        // restored mid-campaign must draw the exact fault sequence the
-        // original would, so checkpointed chaos campaigns stay
-        // byte-identical.
-        use crate::chaos::{ChaosConfig, FaultPlan};
-        let fw = build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr()).unwrap();
-        let cfg = ChaosConfig::uniform(0.0002);
-        // Provision clean (a bricked first boot would end the test before
-        // it starts), then turn the faults on for the recovery rounds.
-        let mk = || {
-            let mut board =
-                MavrBoard::provision(&fw.image, 0xda7a, RandomizationPolicy::default()).unwrap();
-            board.master.chaos = FaultPlan::new(5, cfg);
-            board
-        };
-        let mut original = mk();
-        original.run(300_000).unwrap();
-        let _ = original.recover(RecoveryCause::HeartbeatLost);
-        let state = original.capture_state();
-
-        let mut restored = mk();
-        restored.restore_state(&state);
-        assert_eq!(restored.capture_state(), state);
-
-        for round in 0..4 {
-            let a = original.recover(RecoveryCause::HeartbeatLost);
-            let b = restored.recover(RecoveryCause::HeartbeatLost);
-            assert_eq!(a, b, "round {round}: outcomes diverged");
-            assert_eq!(
-                original.capture_state(),
-                restored.capture_state(),
-                "round {round}: states diverged"
-            );
-        }
-        assert_eq!(
-            original.master.resilience, restored.master.resilience,
-            "retry/degrade counters ride in the snapshot"
-        );
     }
 
     #[test]

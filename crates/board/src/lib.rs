@@ -31,7 +31,7 @@ pub mod master;
 pub mod software_only;
 
 pub use app::AppProcessor;
-pub use board::{BoardEvent, BoardState, MavrBoard, RecoveryCause};
+pub use board::{BoardEvent, MavrBoard, RecoveryCause};
 pub use chaos::{ChaosConfig, ChaosState, FaultPlan, ResilienceStats};
 pub use ext_flash::ExternalFlash;
 pub use link::SerialLink;

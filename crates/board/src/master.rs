@@ -164,14 +164,9 @@ impl MasterProcessor {
         self.boot_count
     }
 
-    /// The RNG stream position, for board checkpoints. A master restored
-    /// with [`MasterProcessor::restore_entropy`] draws the exact
-    /// permutation sequence the saved one would have.
-    pub fn rng_state(&self) -> [u64; 4] {
-        self.rng.state()
-    }
-
-    /// Restore the RNG stream position and boot counter from a checkpoint.
+    /// Set the RNG stream position and boot counter: a master given
+    /// another's position draws the exact permutation sequence that one
+    /// would have.
     pub fn restore_entropy(&mut self, rng: [u64; 4], boot_count: u32) {
         self.rng = StdRng::from_state(rng);
         self.boot_count = boot_count;

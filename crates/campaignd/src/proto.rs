@@ -68,8 +68,9 @@ pub struct ServiceStats {
     pub jobs_run: AtomicU64,
 }
 
-/// Service state: the campaign root plus cached sessions (firmware is
-/// linked once per campaign, not once per work slice).
+/// Service state: the campaign root plus the sessions of unfinished
+/// campaigns (firmware is linked once per campaign, not once per work
+/// slice).
 pub struct Service {
     root: PathBuf,
     interrupt: Arc<AtomicBool>,
@@ -263,23 +264,26 @@ impl Service {
         ))
     }
 
-    /// Run one bounded work slice of `name`, creating (and caching) its
-    /// session on first use. Slices from concurrent callers serialize on
-    /// the `exec` lock; everything else in the protocol stays responsive
-    /// while one runs.
+    /// Run one bounded work slice of `name`. Its session is cached while
+    /// the campaign is unfinished and its spec on disk is unchanged (a
+    /// campaign deleted and resubmitted under the same name gets a new
+    /// one), and dropped once the campaign completes, so the cache holds
+    /// only campaigns in progress. Slices from concurrent callers
+    /// serialize on the `exec` lock; everything else in the protocol stays
+    /// responsive while one runs.
     pub fn run_slice(
         &self,
         name: &str,
         budget_jobs: Option<usize>,
         max_shards: Option<usize>,
     ) -> Result<crate::runner::RunOutcome, String> {
+        let store = CampaignStore::open(&campaign_dir(&self.root, name)?)?
+            .with_faults(self.fault_fs.clone());
         let session = {
             let mut sessions = lock(&self.sessions);
             match sessions.get(name) {
-                Some(session) => Arc::clone(session),
-                None => {
-                    let store = CampaignStore::open(&campaign_dir(&self.root, name)?)?
-                        .with_faults(self.fault_fs.clone());
+                Some(session) if session.store.spec == store.spec => Arc::clone(session),
+                _ => {
                     let session = Arc::new(CampaignSession::new(
                         store,
                         Telemetry::off(),
@@ -292,6 +296,12 @@ impl Service {
         };
         let _exec = lock(&self.exec);
         let outcome = session.run(budget_jobs, max_shards)?;
+        if outcome.complete {
+            let mut sessions = lock(&self.sessions);
+            if sessions.get(name).is_some_and(|s| Arc::ptr_eq(s, &session)) {
+                sessions.remove(name);
+            }
+        }
         self.stats.slices.fetch_add(1, Ordering::Relaxed);
         self.stats
             .jobs_run
@@ -318,11 +328,18 @@ impl Service {
     pub fn interrupted(&self) -> bool {
         self.interrupt.load(Ordering::Relaxed)
     }
+
+    /// Trip the shared interrupt flag: a running slice stops at its next
+    /// job boundary, flushing its checkpoint.
+    pub(crate) fn interrupt(&self) {
+        self.interrupt.store(true, Ordering::Relaxed);
+    }
 }
 
 /// Lock a mutex, shrugging off poisoning: a panicked worker must not
 /// brick the whole service (the data under every service mutex is valid
-/// at all times — sessions are append-only, `exec` guards nothing).
+/// at all times — each session map update is one insert or remove, `exec`
+/// guards nothing).
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -9,23 +9,25 @@
 //! [`ServeOptions::max_connections`] at once (one more gets a typed `busy`
 //! response instead of a growing backlog); every connection carries a
 //! wall-clock deadline, so an idle client holds its slot no longer than
-//! that; and a dedicated executor thread runs pending campaign shards the
-//! whole time — `status` answers mid-shard.
+//! that; and a dedicated executor thread runs each pending campaign to
+//! completion the whole time — `status` answers mid-shard.
 //!
-//! Stopping has one path: set the stop flag, then connect once to the
-//! socket so the blocked `accept` returns and sees it. The connection that
-//! served `shutdown` does this, and so does the executor when the
-//! interrupt flag trips (SIGINT/SIGTERM via [`crate::signal::install`]);
-//! the in-flight slice flushes its checkpoint and every thread exits
-//! cleanly. The wake-up connection goes to the socket *path*: if another
-//! process unlinks or rebinds that path, Ctrl-C waits for the next
-//! connection this listener accepts — and in that state no client can
-//! reach the service either.
+//! Stopping has one path: trip the service's interrupt flag, then connect
+//! once to the socket so the blocked `accept` returns and sees it. The
+//! connection that served `shutdown` does both; a signal
+//! (SIGINT/SIGTERM via [`crate::signal::install`]) or a deadline trips the
+//! flag alone, and the executor, which checks it at every job boundary and
+//! in its idle wait, then connects. Either way the in-flight campaign
+//! stops at its next job boundary with its checkpoint flushed, and every
+//! thread exits cleanly. The wake-up connection goes to the socket
+//! *path*: if another process unlinks or rebinds that path, Ctrl-C waits
+//! for the next connection this listener accepts — and in that state no
+//! client can reach the service either.
 
 use crate::proto::{Control, Service};
 use std::io::{BufRead, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -171,8 +173,8 @@ fn serve_stream(
 
 /// Serve the protocol on a Unix domain socket at `path`: each connection
 /// on its own thread while a dedicated executor thread runs pending
-/// campaign work one shard at a time. Returns on `shutdown` or when the
-/// service's interrupt flag trips.
+/// campaigns, one whole campaign per pass. Returns on `shutdown` or when
+/// the service's interrupt flag trips; either leaves the flag tripped.
 #[cfg(unix)]
 pub fn serve_socket(
     service: &Service,
@@ -192,22 +194,21 @@ pub fn serve_socket(
         format_args!("campaignd: serving on {}", path.display()),
     );
 
-    let stop = AtomicBool::new(false);
     let active = AtomicUsize::new(0);
     let mut accept_err = None;
 
     std::thread::scope(|scope| {
-        scope.spawn(|| executor_loop(service, &stop, path, &log));
+        scope.spawn(|| executor_loop(service, path, &log));
         loop {
             let accepted = listener.accept();
-            if stop.load(Ordering::Relaxed) {
+            if service.interrupted() {
                 break; // woken by `halt`
             }
             let mut stream = match accepted {
                 Ok((stream, _addr)) => stream,
                 Err(e) => {
                     accept_err = Some(format!("accept: {e}"));
-                    stop.store(true, Ordering::Relaxed);
+                    service.interrupt();
                     break;
                 }
             };
@@ -222,10 +223,10 @@ pub fn serve_socket(
                 continue;
             }
             active.fetch_add(1, Ordering::Relaxed);
-            let (stop, active) = (&stop, &active);
+            let active = &active;
             scope.spawn(move || {
                 if serve_connection(service, stream, opts) == Control::Shutdown {
-                    halt(stop, path);
+                    halt(service, path);
                 }
                 active.fetch_sub(1, Ordering::Relaxed);
             });
@@ -235,26 +236,19 @@ pub fn serve_socket(
     let _ = std::fs::remove_file(path);
     logln(
         &log,
-        format_args!(
-            "campaignd: stopped{}",
-            if service.interrupted() {
-                " (interrupted; checkpoints flushed)"
-            } else {
-                ""
-            }
-        ),
+        format_args!("campaignd: stopped; checkpoints flushed"),
     );
     accept_err.map_or(Ok(()), Err)
 }
 
-/// Stop the socket server: set `stop`, then connect once to `path` so the
-/// accept loop, blocked in `accept`, wakes and sees the flag. Only the
-/// first call connects.
+/// Stop the socket server: trip the service's interrupt flag, then
+/// connect to `path` so the accept loop, blocked in `accept`, wakes and
+/// sees it. A second call's connection is never accepted; it is dropped
+/// with the listener.
 #[cfg(unix)]
-fn halt(stop: &AtomicBool, path: &Path) {
-    if !stop.swap(true, Ordering::Relaxed) {
-        let _ = std::os::unix::net::UnixStream::connect(path);
-    }
+fn halt(service: &Service, path: &Path) {
+    service.interrupt();
+    let _ = std::os::unix::net::UnixStream::connect(path);
 }
 
 #[cfg(unix)]
@@ -282,16 +276,17 @@ fn serve_connection(
         .unwrap_or(Control::Continue)
 }
 
-/// The background executor: advance the first unfinished campaign one
-/// shard at a time, independent of protocol traffic, until the server
-/// stops. An interrupt ends the loop too, and the executor turns it into
-/// a `halt`: a signal handler can set a flag but wake nothing, so the
-/// idle wait below bounds how late Ctrl-C is noticed.
+/// The background executor: run the first unfinished campaign to
+/// completion, independent of protocol traffic, until the interrupt flag
+/// trips; the campaign stops at its next job boundary when it does. The
+/// executor then turns the flag into a `halt`: a signal handler can set a
+/// flag but wake nothing, so the idle wait below bounds how late Ctrl-C is
+/// noticed when no campaign is running.
 #[cfg(unix)]
-fn executor_loop(service: &Service, stop: &AtomicBool, path: &Path, log: &Mutex<impl Write>) {
-    while !stop.load(Ordering::Relaxed) && !service.interrupted() {
+fn executor_loop(service: &Service, path: &Path, log: &Mutex<impl Write>) {
+    while !service.interrupted() {
         match service.pending_campaign() {
-            Ok(Some(name)) => match service.run_slice(&name, None, Some(1)) {
+            Ok(Some(name)) => match service.run_slice(&name, None, None) {
                 Ok(outcome) => logln(
                     log,
                     format_args!(
@@ -318,7 +313,7 @@ fn executor_loop(service: &Service, stop: &AtomicBool, path: &Path, log: &Mutex<
             }
         }
     }
-    halt(stop, path);
+    halt(service, path);
 }
 
 /// Send one request line to a campaign service socket and return its

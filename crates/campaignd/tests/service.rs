@@ -85,6 +85,43 @@ fn sliced_interrupted_service_run_merges_byte_identical_to_direct_run() {
     assert!(!store.outcomes_part_path(0).exists());
 }
 
+/// A campaign deleted and resubmitted under the same name with another
+/// spec must not run on the session cached for its predecessor: that ran
+/// the old plan, wrote old-fingerprint shards into the new directory and
+/// left a campaign that never merges.
+#[test]
+fn a_resubmitted_campaign_runs_its_own_spec_not_a_cached_session() {
+    let root = tmp_root("resubmit");
+    let service = Service::new(root.clone(), Arc::new(AtomicBool::new(false)));
+    let submit = |spec: &CampaignSpec| {
+        let (resp, _) =
+            service.handle_line(&format!(r#"{{"op":"submit","spec":{}}}"#, spec.to_json()));
+        assert!(resp.contains(r#""ok":true"#), "{resp}");
+    };
+
+    let mut old = CampaignSpec::named("same");
+    old.boards = 1;
+    old.attack_cycles = 300_000;
+    submit(&old);
+    let outcome = service.run_slice("same", None, None).unwrap();
+    assert!(outcome.complete);
+    assert_eq!(outcome.total_jobs, 2);
+    std::fs::remove_dir_all(root.join("same")).unwrap();
+
+    let mut new = old.clone();
+    new.seed += 1;
+    new.boards = 2;
+    submit(&new);
+    let outcome = service.run_slice("same", None, None).unwrap();
+    assert!(outcome.complete);
+    assert_eq!(outcome.total_jobs, 4, "the new spec's plan ran");
+
+    let (resp, _) = service.handle_line(r#"{"op":"merge","campaign":"same"}"#);
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+    let merged = std::fs::read_to_string(root.join("same").join("report.json")).unwrap();
+    assert_eq!(merged, run_campaign(&new.to_config().unwrap()).to_json());
+}
+
 #[test]
 fn protocol_guardrails_answer_typed_errors_and_keep_the_connection_open() {
     let root = tmp_root("guardrails");
@@ -197,6 +234,45 @@ fn socket_server_stops_within_2s_on_shutdown_and_on_interrupt() {
     // flag trips; it must still wake the blocked accept loop.
     let server = start_server("stop-interrupt", Default::default());
     server.interrupt_and_join();
+}
+
+/// `shutdown` stops the executor's in-flight campaign at a job boundary,
+/// not after the campaign, and leaves checkpoints a fresh service resumes
+/// to the uninterrupted report.
+#[cfg(unix)]
+#[test]
+fn shutdown_mid_campaign_returns_promptly_and_a_fresh_service_resumes_it() {
+    let server = start_server("shutdown-mid", Default::default());
+    let mut spec = CampaignSpec::named("long");
+    spec.boards = 64;
+    spec.scenarios = vec![mavr_fleet::Scenario::Benign];
+    spec.attack_cycles = 300_000;
+    spec.shard_jobs = 4;
+    let resp = server.request(&format!(r#"{{"op":"submit","spec":{}}}"#, spec.to_json()));
+    assert!(resp.contains(r#""shards":16"#), "{resp}");
+
+    // Wait for the executor's first checkpoint, then stop it mid-campaign.
+    let root = server.sock.parent().unwrap().to_path_buf();
+    let store = CampaignStore::open(&root.join("long")).unwrap();
+    let started = (0..2000).any(|_| {
+        let done = store.status().unwrap().done_jobs;
+        std::thread::sleep(Duration::from_millis(5));
+        done > 0
+    });
+    assert!(started, "the executor picked up the campaign");
+    let resp = server.request(r#"{"op":"shutdown"}"#);
+    assert!(resp.contains(r#""shutdown":true"#), "{resp}");
+    server.join();
+    assert!(
+        !store.status().unwrap().complete(),
+        "shutdown stopped the campaign before it finished"
+    );
+
+    let service = Service::new(root, Arc::new(AtomicBool::new(false)));
+    assert!(service.run_slice("long", None, None).unwrap().complete);
+    let (report_path, _) = merge_store(&store).unwrap();
+    let merged = std::fs::read_to_string(report_path).unwrap();
+    assert_eq!(merged, run_campaign(&spec.to_config().unwrap()).to_json());
 }
 
 #[cfg(unix)]

@@ -23,7 +23,6 @@ use avr_sim::{
     AdcState, EepromState, Fault, HeartbeatState, MachineState, Pwm, Timer0State, UartState,
     WatchdogState,
 };
-use mavr_board::BoardState;
 
 /// Leading magic of every snapshot blob.
 pub const MAGIC: &[u8; 8] = b"MAVRSNAP";
@@ -38,10 +37,6 @@ pub const VERSION: u16 = 4;
 pub enum Kind {
     /// A complete [`MachineState`].
     MachineFull,
-    /// A complete [`BoardState`].
-    Board,
-    /// A [`mavr_world::WorldState`]: the physical arena around a board.
-    World,
     /// A fleet campaign checkpoint: a contiguous job range and its
     /// completed outcomes (payload owned by the `fleet` crate).
     ShardCheckpoint,
@@ -51,11 +46,9 @@ impl Kind {
     fn to_u8(self) -> u8 {
         match self {
             Kind::MachineFull => 1,
-            // Tags 2 (the retired machine delta) and 4 (the retired
-            // whole-campaign checkpoint) stay reserved, so a stale blob
-            // decodes as `BadKind(2)` or `BadKind(4)`.
-            Kind::Board => 3,
-            Kind::World => 5,
+            // Tags 2 (the retired machine delta), 3 (board), 4 (the
+            // retired whole-campaign checkpoint) and 5 (world) stay
+            // reserved, so a stale blob decodes as `BadKind(tag)`.
             Kind::ShardCheckpoint => 6,
         }
     }
@@ -63,8 +56,6 @@ impl Kind {
     fn from_u8(v: u8) -> Option<Kind> {
         match v {
             1 => Some(Kind::MachineFull),
-            3 => Some(Kind::Board),
-            5 => Some(Kind::World),
             6 => Some(Kind::ShardCheckpoint),
             _ => None,
         }
@@ -549,111 +540,6 @@ pub fn decode_machine(blob: &[u8]) -> Result<MachineState, SnapshotError> {
     Ok(s)
 }
 
-/// Encode a complete board state as one snapshot blob.
-pub fn encode_board(s: &BoardState) -> Vec<u8> {
-    let mut w = Writer::new();
-    put_machine_state(&mut w, &s.app);
-    w.put_bool(s.app_locked);
-    for word in s.master_rng {
-        w.put_u64(word);
-    }
-    w.put_u32(s.boot_count);
-    w.put_u32(s.wear_cycles);
-    w.put_u64(s.watch_since);
-    w.put_u64(s.heartbeat_timeout);
-    for word in s.chaos.rng {
-        w.put_u64(word);
-    }
-    w.put_u64(s.chaos.injected);
-    w.put_u64(s.reflash_retries);
-    w.put_u64(s.degraded_boots);
-    w.finish(Kind::Board)
-}
-
-/// Decode a [`Kind::Board`] blob.
-pub fn decode_board(blob: &[u8]) -> Result<BoardState, SnapshotError> {
-    let mut r = Reader::open_expecting(blob, Kind::Board)?;
-    let app = get_machine_state(&mut r)?;
-    let app_locked = r.bool()?;
-    let mut master_rng = [0u64; 4];
-    for word in &mut master_rng {
-        *word = r.u64()?;
-    }
-    let boot_count = r.u32()?;
-    let wear_cycles = r.u32()?;
-    let watch_since = r.u64()?;
-    let heartbeat_timeout = r.u64()?;
-    let mut chaos_rng = [0u64; 4];
-    for word in &mut chaos_rng {
-        *word = r.u64()?;
-    }
-    let s = BoardState {
-        app,
-        app_locked,
-        master_rng,
-        boot_count,
-        wear_cycles,
-        watch_since,
-        heartbeat_timeout,
-        chaos: mavr_board::ChaosState {
-            rng: chaos_rng,
-            injected: r.u64()?,
-        },
-        reflash_retries: r.u64()?,
-        degraded_boots: r.u64()?,
-    };
-    r.done()?;
-    Ok(s)
-}
-
-/// Encode a physical-world state ([`mavr_world::WorldState`]) as one
-/// snapshot blob. Floats are stored as their exact IEEE-754 bit
-/// patterns, so a decoded world resumes bit-identically.
-pub fn encode_world(s: &mavr_world::WorldState) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(s.scenario);
-    for v in s.pos.iter().chain(&s.vel).chain(&s.att).chain(&s.omega) {
-        w.put_u64(v.to_bits());
-    }
-    for word in s.rng {
-        w.put_u64(word);
-    }
-    w.put_u64(s.steps);
-    w.put_u64(s.peak_alt_err.to_bits());
-    w.put_u32(s.ground_impacts);
-    w.put_bool(s.grounded);
-    w.finish(Kind::World)
-}
-
-/// Decode a [`Kind::World`] blob.
-pub fn decode_world(blob: &[u8]) -> Result<mavr_world::WorldState, SnapshotError> {
-    let mut r = Reader::open_expecting(blob, Kind::World)?;
-    let scenario = r.u8()?;
-    let f = |r: &mut Reader| -> Result<f64, SnapshotError> { Ok(f64::from_bits(r.u64()?)) };
-    let pos = [f(&mut r)?, f(&mut r)?, f(&mut r)?];
-    let vel = [f(&mut r)?, f(&mut r)?, f(&mut r)?];
-    let att = [f(&mut r)?, f(&mut r)?, f(&mut r)?, f(&mut r)?];
-    let omega = [f(&mut r)?, f(&mut r)?, f(&mut r)?];
-    let mut rng = [0u64; 4];
-    for word in &mut rng {
-        *word = r.u64()?;
-    }
-    let s = mavr_world::WorldState {
-        scenario,
-        pos,
-        vel,
-        att,
-        omega,
-        rng,
-        steps: r.u64()?,
-        peak_alt_err: f64::from_bits(r.u64()?),
-        ground_impacts: r.u32()?,
-        grounded: r.bool()?,
-    };
-    r.done()?;
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,19 +578,6 @@ mod tests {
     }
 
     #[test]
-    fn board_round_trip_is_exact() {
-        use mavr::policy::RandomizationPolicy;
-        use synth_firmware::{apps, build, BuildOptions};
-        let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
-        let mut board =
-            mavr_board::MavrBoard::provision(&fw.image, 7, RandomizationPolicy::default()).unwrap();
-        board.run(500_000).unwrap();
-        let state = board.capture_state();
-        let blob = encode_board(&state);
-        assert_eq!(decode_board(&blob).unwrap(), state);
-    }
-
-    #[test]
     fn corruption_is_detected() {
         let m = busy_machine();
         let mut blob = encode_machine(&m.capture_state());
@@ -738,16 +611,16 @@ mod tests {
             decode_machine(&bad),
             Err(SnapshotError::UnsupportedVersion(_))
         ));
-        // Unknown kind byte, and the retired delta and checkpoint tags.
-        for tag in [9, 2, 4] {
+        // Unknown kind byte, and every retired tag.
+        for tag in [9, 2, 3, 4, 5] {
             let mut bad = blob.clone();
             bad[10] = tag;
             assert_eq!(decode_machine(&bad), Err(SnapshotError::BadKind(tag)));
         }
         // Wrong (but valid) kind.
-        let board_kind = Writer::new().finish(Kind::Board);
+        let checkpoint_kind = Writer::new().finish(Kind::ShardCheckpoint);
         assert!(matches!(
-            decode_machine(&board_kind),
+            decode_machine(&checkpoint_kind),
             Err(SnapshotError::WrongKind { .. })
         ));
         // A declared payload length near `u64::MAX` is a truncation, not
@@ -782,36 +655,6 @@ mod tests {
         a.run(50_000);
         b.run(50_000);
         assert_eq!(a.capture_state(), b.capture_state());
-    }
-
-    #[test]
-    fn world_state_round_trips_and_resumes_bit_identically() {
-        use mavr_world::{Scenario, World};
-        let mut w = World::new(Scenario::Turbulent, 0x5eed);
-        for i in 0..300u32 {
-            let _ = w.sample();
-            w.step(0.55, if i % 5 == 0 { 0.02 } else { 0.0 });
-        }
-        let state = w.state();
-        let blob = encode_world(&state);
-        assert_eq!(decode_world(&blob).unwrap(), state);
-
-        // A world restored from the decoded blob continues exactly in
-        // step with one restored from the live state.
-        let mut a = World::restore(&state).unwrap();
-        let mut b = World::restore(&decode_world(&blob).unwrap()).unwrap();
-        for _ in 0..100 {
-            assert_eq!(a.sample(), b.sample());
-            a.step(0.5, 0.0);
-            b.step(0.5, 0.0);
-        }
-        assert_eq!(a.state(), b.state());
-
-        // Kind mismatches are rejected before any payload is read.
-        assert!(matches!(
-            decode_board(&blob),
-            Err(SnapshotError::WrongKind { .. })
-        ));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! questions have exact answers; this crate makes them cheap:
 //!
 //! * [`format`] — a versioned, CRC-guarded binary format for full machine
-//!   state, whole-board state, the physical world around a board, and
-//!   fleet campaign checkpoints. Corruption is detected before a broken
-//!   state is ever loaded.
+//!   state and fleet campaign checkpoints. Corruption is detected before
+//!   a broken state is ever loaded.
 //! * [`replay`] — [`Timeline`] keyframing over a run (`rewind_to` any
 //!   cycle), and [`bisect_divergence`]: given a stock and a
 //!   MAVR-randomized execution of the same attack, find the exact first
@@ -25,7 +24,6 @@ pub mod format;
 pub mod replay;
 
 pub use format::{
-    crc32, decode_board, decode_machine, decode_world, encode_board, encode_machine, encode_world,
-    Kind, Reader, SnapshotError, Writer, MAGIC, VERSION,
+    crc32, decode_machine, encode_machine, Kind, Reader, SnapshotError, Writer, MAGIC, VERSION,
 };
 pub use replay::{bisect_divergence, Divergence, Timeline};

@@ -9,20 +9,18 @@
 //! event fields are built inside a closure that never runs. This keeps the
 //! simulator's hot loop unaffected by instrumentation that is off.
 //!
-//! Three sinks ship with the crate:
+//! Two sinks ship with the crate:
 //!
 //! * [`NullRecorder`] — counts events and drops them (for overhead tests),
 //! * [`RingRecorder`] — a bounded in-memory ring, the post-mortem "flight
-//!   recorder" proper,
-//! * [`JsonlRecorder`] — streams each event as one JSON line to any
-//!   `io::Write`, for offline analysis (`mavr-cli trace --out events.jsonl`).
+//!   recorder" proper; [`RingRecorder::to_jsonl`] writes its events as
+//!   JSON lines for offline analysis (`mavr-cli trace --out events.jsonl`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -34,7 +32,7 @@ use std::sync::{Arc, Mutex};
 /// (fleet resume, CLI, flight-recorder analysis) live in different crates,
 /// so its kinds are named here once and imported everywhere.
 pub mod kinds {
-    /// A machine or board snapshot was written.
+    /// A machine snapshot was written.
     pub const SNAPSHOT_SAVED: &str = "snapshot.saved";
     /// Execution state was replaced from a snapshot.
     pub const SNAPSHOT_RESTORED: &str = "snapshot.restored";
@@ -304,35 +302,6 @@ impl Recorder for RingRecorder {
     }
 }
 
-/// Streams each event as one JSON line into a writer.
-pub struct JsonlRecorder<W: Write> {
-    out: W,
-    seen: u64,
-}
-
-impl<W: Write> JsonlRecorder<W> {
-    /// Wrap a writer.
-    pub fn new(out: W) -> Self {
-        JsonlRecorder { out, seen: 0 }
-    }
-
-    /// Unwrap the writer (e.g. to flush or inspect a buffer).
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-impl<W: Write> Recorder for JsonlRecorder<W> {
-    fn record(&mut self, event: Event) {
-        // A broken pipe must not crash the simulated board.
-        let _ = writeln!(self.out, "{}", event.to_json());
-        self.seen += 1;
-    }
-    fn events_emitted(&self) -> u64 {
-        self.seen
-    }
-}
-
 /// Internal object-safe union of `Recorder` and `Any`, so [`Telemetry`] can
 /// both dispatch events and hand the concrete sink back out via
 /// [`Telemetry::with_recorder`].
@@ -491,8 +460,8 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_recorder_writes_one_line_per_event() {
-        let t = Telemetry::new(JsonlRecorder::new(Vec::<u8>::new()));
+    fn ring_recorder_writes_one_json_line_per_event() {
+        let t = Telemetry::new(RingRecorder::new(8));
         t.emit("sim.fault", Some(123), || {
             vec![
                 ("fault", Value::Str("invalid \"opcode\"".into())),
@@ -502,9 +471,7 @@ mod tests {
             ]
         });
         let text = t
-            .with_recorder::<JsonlRecorder<Vec<u8>>, _>(|r| {
-                String::from_utf8(r.out.clone()).unwrap()
-            })
+            .with_recorder::<RingRecorder, _>(|r| r.to_jsonl())
             .unwrap();
         assert_eq!(
             text,
