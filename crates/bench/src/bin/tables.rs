@@ -34,6 +34,7 @@ const BENCHES: &[(&str, Driver)] = &[
     ("chaos", exp::chaos_resilience),
     ("telemetry", exp::telemetry_overhead),
     ("world", exp::world_throughput),
+    ("provision", exp::provision_latency),
 ];
 
 /// Every name `main` answers to.
@@ -69,6 +70,8 @@ const EXPERIMENTS: &[&str] = &[
     "bench-telemetry-quick",
     "bench-world",
     "bench-world-quick",
+    "bench-provision",
+    "bench-provision-quick",
 ];
 
 fn mavr_repro_leak(n: usize) -> f64 {

@@ -16,8 +16,8 @@
 //!
 //! The `bench-*` drivers ([`simulator_throughput`], [`fleet_throughput`],
 //! [`campaignd_memory`], [`robust_service`], [`chaos_resilience`],
-//! [`telemetry_overhead`], [`world_throughput`]) each return one
-//! [`BenchRecord`].
+//! [`telemetry_overhead`], [`world_throughput`], [`provision_latency`])
+//! each return one [`BenchRecord`].
 
 #![forbid(unsafe_code)]
 
@@ -1122,6 +1122,60 @@ pub fn world_throughput(quick: bool) -> BenchRecord {
         rec.sample("coupled_fused", CYCLES_PER_S, coupled);
         rec.sample("world_steps_per_s", "1/s", steps as f64 / coupled_secs);
         rec.sample("physics_overhead_pct", "%", (bare / coupled - 1.0) * 100.0);
+    }
+    rec
+}
+
+/// Boot latency of the campaign apps' provisioning path (layer 3 and the
+/// recovery boot): for each of the tiny, plane and quad vulnerable builds,
+/// one upload to a fresh chip per round, then
+/// - `<app>.first_boot_ms`: the first board built on that chip, whose boot
+///   is the chip's first read and fills its decode memo;
+/// - `<app>.boot_ms`: [`MavrBoard::from_uploaded`] on a clone of the chip,
+///   as every later board of a campaign is built;
+/// - `<app>.recover_ms`: [`MavrBoard::recover`] on the first board.
+///
+/// Every boot re-randomizes and reflashes; the host milliseconds are wall
+/// time, not the modelled serial-link time.
+pub fn provision_latency(quick: bool) -> BenchRecord {
+    use mavr_board::{ExternalFlash, FaultPlan, RecoveryCause};
+    use std::time::Instant;
+    use telemetry::Telemetry;
+
+    let mut rec = BenchRecord::new("provision/tiny_plane_quad", quick);
+    let rounds = if quick { 3 } else { 11 };
+    let ms = |t0: Instant| t0.elapsed().as_secs_f64() * 1e3;
+    for name in ["tiny", "plane", "quad"] {
+        let fw = build(
+            &apps::by_name(name).unwrap(),
+            &BuildOptions::vulnerable_mavr(),
+        )
+        .unwrap();
+        let container = mavr::preprocess(&fw.image).unwrap();
+        let boot = |chip: &ExternalFlash, seed| {
+            MavrBoard::from_uploaded(
+                chip.clone(),
+                seed,
+                RandomizationPolicy::default(),
+                Telemetry::off(),
+                FaultPlan::none(),
+            )
+            .unwrap()
+        };
+        for round in 0..rounds {
+            let mut chip = ExternalFlash::new();
+            chip.upload(&container).unwrap();
+            let t0 = Instant::now();
+            let mut first = boot(&chip, round);
+            rec.sample(&format!("{name}.first_boot_ms"), "ms", ms(t0));
+            let t0 = Instant::now();
+            let later = boot(&chip, round + rounds);
+            rec.sample(&format!("{name}.boot_ms"), "ms", ms(t0));
+            drop(later);
+            let t0 = Instant::now();
+            first.recover(RecoveryCause::HeartbeatLost).unwrap();
+            rec.sample(&format!("{name}.recover_ms"), "ms", ms(t0));
+        }
     }
     rec
 }

@@ -6,10 +6,12 @@
 //! external flash memory and the application processor never reads from
 //! this flash memory."
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::chaos::FaultPlan;
 use hexfile::MavrContainer;
+use mavr::{PatchPlan, RandomizeError, RandomizeOptions, RandomizedImage};
+use rand::Rng;
 
 /// Capacity of the prototype part (matches the application processor's
 /// program memory, per §V-A1).
@@ -119,10 +121,66 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// The stored bytes are shared: a clone is one more handle on the same
 /// cells, so a campaign uploads once and every board it provisions reads
 /// that one copy. Nothing writes the cells after an upload (chaos reads
-/// mangle a transient copy), which is what makes sharing exact.
+/// mangle a transient copy), which is what makes sharing exact — and what
+/// lets the cells carry one shared memo of their decode.
 #[derive(Debug, Clone, Default)]
 pub struct ExternalFlash {
-    contents: Option<Arc<[u8]>>,
+    contents: Option<Arc<Cells>>,
+}
+
+/// One upload's cells and the memo of their fault-free decode. An upload
+/// or erase replaces both; clones share both.
+#[derive(Debug)]
+struct Cells {
+    bytes: Box<[u8]>,
+    /// Filled by the first fault-free read. Decoding is a pure function of
+    /// cells that never change, so every later read — on any clone, any
+    /// board, any recovery — is the same container.
+    decoded: OnceLock<Result<Arc<Decoded>, FlashError>>,
+}
+
+impl Cells {
+    fn new(bytes: Box<[u8]>) -> Arc<Cells> {
+        Arc::new(Cells {
+            bytes,
+            decoded: OnceLock::new(),
+        })
+    }
+}
+
+/// A decoded container and, built by the first boot that randomizes it,
+/// its image's [`PatchPlan`]: what every randomizing boot starts from.
+#[derive(Debug)]
+pub struct Decoded {
+    container: Arc<MavrContainer>,
+    plan: OnceLock<PatchPlan>,
+}
+
+impl Decoded {
+    fn new(container: MavrContainer) -> Decoded {
+        Decoded {
+            container: Arc::new(container),
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// The container the cells hold.
+    pub fn container(&self) -> &Arc<MavrContainer> {
+        &self.container
+    }
+
+    /// One boot's randomization of the container's image
+    /// ([`mavr::randomize()`], with the scan done once per decode).
+    pub fn randomize(
+        &self,
+        rng: &mut impl Rng,
+        opts: &RandomizeOptions,
+    ) -> Result<RandomizedImage, RandomizeError> {
+        let image = &self.container.image;
+        self.plan
+            .get_or_init(|| PatchPlan::new(image))
+            .apply(image, rng, opts)
+    }
 }
 
 impl ExternalFlash {
@@ -152,28 +210,38 @@ impl ExternalFlash {
         if required > CAPACITY_BYTES {
             return Err(FlashError::TooLarge { required });
         }
-        self.contents = Some(text.into());
+        self.contents = Some(Cells::new(text.into()));
         Ok(())
     }
 
     /// Master-side read of the whole stored container: CRC-checked against
-    /// the upload-time footer, then parsed.
-    pub fn read(&self) -> Result<MavrContainer, FlashError> {
-        let bytes = self.contents.as_ref().ok_or(FlashError::Empty)?;
-        Self::decode(bytes)
+    /// the upload-time footer, then parsed — once per upload; later reads
+    /// share that decode.
+    pub fn read(&self) -> Result<Arc<MavrContainer>, FlashError> {
+        self.read_decoded().map(|d| Arc::clone(&d.container))
     }
 
-    /// [`ExternalFlash::read`] through a fault plan: the plan corrupts a
-    /// transient copy of the cells (the stored container is untouched), so
-    /// each retry observes a fresh roll of the configured bit rot.
-    pub fn read_chaos(&self, chaos: &mut FaultPlan) -> Result<MavrContainer, FlashError> {
-        let bytes = self.contents.as_ref().ok_or(FlashError::Empty)?;
+    /// [`ExternalFlash::read`] through a fault plan: an active plan
+    /// corrupts a transient copy of the cells (the stored container is
+    /// untouched) and decodes that copy, so each retry observes a fresh
+    /// roll of the configured bit rot.
+    pub fn read_chaos(&self, chaos: &mut FaultPlan) -> Result<Arc<Decoded>, FlashError> {
         if !chaos.is_active() {
-            return Self::decode(bytes);
+            return self.read_decoded();
         }
-        let mut copy = bytes.to_vec();
+        let cells = self.contents.as_ref().ok_or(FlashError::Empty)?;
+        let mut copy = cells.bytes.to_vec();
         chaos.mangle_flash_read(&mut copy);
-        Self::decode(&copy)
+        Self::decode(&copy).map(|c| Arc::new(Decoded::new(c)))
+    }
+
+    /// The shared fault-free decode, filled by the first read.
+    fn read_decoded(&self) -> Result<Arc<Decoded>, FlashError> {
+        let cells = self.contents.as_ref().ok_or(FlashError::Empty)?;
+        cells
+            .decoded
+            .get_or_init(|| Self::decode(&cells.bytes).map(|c| Arc::new(Decoded::new(c))))
+            .clone()
     }
 
     /// Verify the integrity footer, strip it, and parse what precedes it.
@@ -200,7 +268,7 @@ impl ExternalFlash {
     /// Random-access byte read (the streaming interface of §VI-B3; `None`
     /// past the end or when empty).
     pub fn read_byte(&self, offset: usize) -> Option<u8> {
-        self.contents.as_ref()?.get(offset).copied()
+        self.contents.as_ref()?.bytes.get(offset).copied()
     }
 
     /// Whether anything is stored.
@@ -217,7 +285,22 @@ impl ExternalFlash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosConfig;
     use synth_firmware::{apps, build, BuildOptions};
+
+    fn tiny_chip() -> ExternalFlash {
+        let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
+        let mut chip = ExternalFlash::new();
+        chip.upload(&mavr::preprocess(&fw.image).unwrap()).unwrap();
+        chip
+    }
+
+    /// A chip whose cells hold `bytes` verbatim.
+    fn chip_holding(bytes: &[u8]) -> ExternalFlash {
+        ExternalFlash {
+            contents: Some(Cells::new(bytes.into())),
+        }
+    }
 
     #[test]
     fn upload_read_round_trip() {
@@ -248,20 +331,17 @@ mod tests {
             .starts_with(";CRC32 "));
 
         // Flip one stored bit: the read must fail closed with the CRC pair.
-        let mut tampered = chip.clone();
         let mut bytes = stored.clone();
         let at = bytes.len() / 3;
         bytes[at] ^= 0x40;
-        tampered.contents = Some(bytes.into());
-        match tampered.read().unwrap_err() {
+        match chip_holding(&bytes).read().unwrap_err() {
             FlashError::IntegrityFailure { expected, actual } => assert_ne!(expected, actual),
             other => panic!("expected IntegrityFailure, got {other:?}"),
         }
 
         // A chip written without a footer (legacy or torn upload) is corrupt.
-        let mut legacy = chip.clone();
         let body_end = text.trim_end_matches('\n').rfind('\n').unwrap() + 1;
-        legacy.contents = Some(stored[..body_end].into());
+        let legacy = chip_holding(&stored[..body_end]);
         assert!(matches!(legacy.read().unwrap_err(), FlashError::Corrupt(_)));
     }
 
@@ -271,7 +351,8 @@ mod tests {
         let mut chip = ExternalFlash::new();
         chip.upload(&mavr::preprocess(&fw.image).unwrap()).unwrap();
         let mut plan = crate::chaos::FaultPlan::none();
-        assert_eq!(chip.read_chaos(&mut plan).unwrap(), chip.read().unwrap());
+        let read = chip.read_chaos(&mut plan).unwrap();
+        assert!(Arc::ptr_eq(read.container(), &chip.read().unwrap()));
     }
 
     #[test]
@@ -304,12 +385,45 @@ mod tests {
 
     #[test]
     fn clones_share_the_uploaded_cells() {
-        let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
-        let mut chip = ExternalFlash::new();
-        chip.upload(&mavr::preprocess(&fw.image).unwrap()).unwrap();
+        let chip = tiny_chip();
         let twin = chip.clone();
         let (a, b) = (chip.contents.as_ref(), twin.contents.as_ref());
         assert!(Arc::ptr_eq(a.unwrap(), b.unwrap()));
+        // And one decode of them, whichever clone reads first.
+        let first = twin.read().unwrap();
+        assert!(Arc::ptr_eq(&first, &chip.read().unwrap()));
+        assert!(Arc::ptr_eq(&first, &twin.read().unwrap()));
+    }
+
+    #[test]
+    fn a_clone_that_uploads_reads_its_own_container() {
+        let chip = tiny_chip();
+        let old = chip.read().unwrap();
+        let mut other = chip.clone();
+        let quad = build(&apps::by_name("quad").unwrap(), &BuildOptions::safe_mavr()).unwrap();
+        other
+            .upload(&mavr::preprocess(&quad.image).unwrap())
+            .unwrap();
+        assert_eq!(other.read().unwrap().image, quad.image);
+        assert!(Arc::ptr_eq(&chip.read().unwrap(), &old));
+        assert!(Arc::ptr_eq(&chip.clone().read().unwrap(), &old));
+    }
+
+    #[test]
+    fn a_filled_memo_does_not_mask_an_active_fault_plan() {
+        let chip = tiny_chip();
+        let memo = chip.read().unwrap();
+        let twin = chip.clone();
+        let rot = ChaosConfig {
+            flash_bit_rot: 2e-4,
+            ..ChaosConfig::off()
+        };
+        let mut plan = FaultPlan::new(2, rot);
+        assert!(matches!(
+            twin.read_chaos(&mut plan).unwrap_err(),
+            FlashError::IntegrityFailure { .. }
+        ));
+        assert!(Arc::ptr_eq(&twin.read().unwrap(), &memo));
     }
 
     #[test]
@@ -321,11 +435,14 @@ mod tests {
 
     #[test]
     fn erase_clears() {
-        let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
-        let mut chip = ExternalFlash::new();
-        chip.upload(&mavr::preprocess(&fw.image).unwrap()).unwrap();
-        chip.erase();
-        assert!(!chip.is_programmed());
+        let chip = tiny_chip();
+        chip.read().unwrap();
+        let mut erased = chip.clone();
+        erased.erase();
+        assert!(!erased.is_programmed());
+        // The memo goes with the cells; a clone that kept them still reads.
+        assert_eq!(erased.read().unwrap_err(), FlashError::Empty);
+        assert!(chip.read().is_ok());
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //! external flash, randomizes, programs the application processor, and then
 //! plays watchdog.
 
+use std::sync::Arc;
+
 use avr_core::image::FirmwareImage;
 use mavr::policy::{FlashWear, RandomizationPolicy};
-use mavr::{randomize, RandomizeError, RandomizeOptions};
+use mavr::{RandomizeError, RandomizeOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use telemetry::{kinds, Telemetry, Value};
@@ -12,7 +14,7 @@ use telemetry::{kinds, Telemetry, Value};
 use crate::app::AppProcessor;
 use crate::bootloader::ProtocolError;
 use crate::chaos::{FaultPlan, ResilienceStats};
-use crate::ext_flash::{ExternalFlash, FlashError};
+use crate::ext_flash::{Decoded, ExternalFlash, FlashError};
 use crate::link::SerialLink;
 
 /// Bounded retries for the container read from external flash.
@@ -217,8 +219,8 @@ impl MasterProcessor {
         // Stage 1: read + integrity-check the container. Bit rot is
         // transient per read, so bounded re-reads can clear it.
         let fresh = match self.read_container(ext_flash, boot_count, &mut retries, &mut extra_ms) {
-            Ok(container) => {
-                let randomized = randomize(&container.image, &mut self.rng, &self.options)?;
+            Ok(decoded) => {
+                let randomized = decoded.randomize(&mut self.rng, &self.options)?;
                 self.telemetry.emit("master.randomize", None, || {
                     vec![(
                         "functions_permuted",
@@ -303,19 +305,17 @@ impl MasterProcessor {
         boot: u32,
         retries: &mut u32,
         extra_ms: &mut f64,
-    ) -> Result<hexfile::MavrContainer, FlashError> {
+    ) -> Result<Arc<Decoded>, FlashError> {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
             match ext_flash.read_chaos(&mut self.chaos) {
-                Ok(container) => {
+                Ok(decoded) => {
                     self.telemetry.emit("master.container_read", None, || {
-                        vec![(
-                            "image_bytes",
-                            Value::U64(u64::from(container.image.code_size())),
-                        )]
+                        let bytes = decoded.container().image.code_size();
+                        vec![("image_bytes", Value::U64(u64::from(bytes)))]
                     });
-                    return Ok(container);
+                    return Ok(decoded);
                 }
                 Err(e) if attempt < MAX_CONTAINER_READS => {
                     *retries += 1;

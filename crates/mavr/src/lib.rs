@@ -17,6 +17,10 @@
 //!    resolved by binary search over the old symbol table, §VI-B3) and
 //!    rewrite every function pointer recorded in the data section.
 //!
+//! Steps 2 and 3 are one [`PatchPlan`]: the scan that finds the blocks,
+//! sites and pointer slots depends only on the image, so it is built once
+//! per image, and each boot [applies](PatchPlan::apply) its permutation.
+//!
 //! [`math`] carries the security analysis of §V-D and §VIII-B (brute-force
 //! expectations and permutation entropy), and [`policy`] the randomization
 //! frequency / flash-wear tradeoff of §V-C.
@@ -43,7 +47,7 @@ pub mod preprocess;
 pub mod randomize;
 
 pub use preprocess::preprocess;
-pub use randomize::{randomize, RandomizeError, RandomizeOptions, RandomizedImage};
+pub use randomize::{randomize, PatchPlan, RandomizeError, RandomizeOptions, RandomizedImage};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -125,208 +125,355 @@ pub struct PatchReport {
     pub pointers_patched: usize,
 }
 
-/// Shuffle the function blocks of `image` and patch every reference.
+/// Shuffle the function blocks of `image` and patch every reference:
+/// [`PatchPlan::new`], then [`PatchPlan::apply`].
 pub fn randomize(
     image: &FirmwareImage,
     rng: &mut impl Rng,
     opts: &RandomizeOptions,
 ) -> Result<RandomizedImage, RandomizeError> {
-    let movable: Vec<&Symbol> = image
-        .symbols
-        .iter()
-        .filter(|s| s.kind == SymbolKind::Function)
-        .collect();
-    if movable.is_empty() {
-        return Ok(RandomizedImage {
-            image: image.clone(),
-            permutation: Vec::new(),
+    PatchPlan::new(image).apply(image, rng, opts)
+}
+
+/// Address and size of one movable function block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Block {
+    addr: u32,
+    size: u32,
+}
+
+/// Where an address of the original image lands after a shuffle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// `offset` bytes into the movable block of rank `rank`.
+    Moved { rank: usize, offset: u32 },
+    /// Outside every movable block: the address stays put.
+    Fixed(u32),
+}
+
+impl Place {
+    fn resolve(self, new_addr: &[u32]) -> u32 {
+        match self {
+            Place::Moved { rank, offset } => new_addr[rank] + offset,
+            Place::Fixed(addr) => addr,
+        }
+    }
+}
+
+/// One absolute `call`/`jmp` whose target maps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Site {
+    at: Place,
+    target: Place,
+    call: bool,
+}
+
+/// Everything the randomizer learns from an image before it draws a
+/// permutation. The paper's master rescans the binary as it streams it
+/// (§VI-B3); nothing found by that scan depends on the permutation, so a
+/// plan is built once per image and each boot only [applies](Self::apply)
+/// it: shuffle, relocate, and patch the sites and slots listed here.
+#[derive(Debug, Clone)]
+pub struct PatchPlan {
+    /// Length of the image the plan was built from.
+    image_len: usize,
+    /// The movable functions, by rank (address order).
+    blocks: Vec<Block>,
+    /// First address where the movable region is not contiguous.
+    non_contiguous: Option<u32>,
+    /// Ranks a data-section function pointer targets.
+    constrained: Vec<bool>,
+    /// Every absolute call/jmp with a mappable target, in address order.
+    sites: Vec<Site>,
+    /// The walk's first error by address: an unmappable call/jmp target
+    /// or a relative branch that leaves its block.
+    walk_error: Option<RandomizeError>,
+    /// The walk's first unmappable target, its error when relaxed
+    /// branches are ignored.
+    unmappable: Option<RandomizeError>,
+    /// Each function-pointer slot and where its target lies (`None`:
+    /// outside every symbol).
+    pointers: Vec<(u32, Option<Place>)>,
+    /// Movable rank at each symbol's address.
+    symbol_ranks: Vec<Option<usize>>,
+    /// What every successful application reports.
+    report: PatchReport,
+}
+
+impl PatchPlan {
+    /// Scan `image` once: its movable blocks and their contiguity, the
+    /// icall-constrained blocks, every call/jmp site and pointer slot, and
+    /// the errors any application would meet.
+    pub fn new(image: &FirmwareImage) -> PatchPlan {
+        let movable: Vec<&Symbol> = image
+            .symbols
+            .iter()
+            .filter(|s| s.kind == SymbolKind::Function)
+            .collect();
+        let mut plan = PatchPlan {
+            image_len: image.bytes.len(),
+            blocks: movable
+                .iter()
+                .map(|s| Block {
+                    addr: s.addr,
+                    size: s.size,
+                })
+                .collect(),
+            non_contiguous: None,
+            constrained: vec![false; movable.len()],
+            sites: Vec::new(),
+            walk_error: None,
+            unmappable: None,
+            pointers: Vec::new(),
+            symbol_ranks: Vec::new(),
             report: PatchReport::default(),
-        });
-    }
-
-    // The movable region must be one contiguous span with nothing fixed
-    // inside it.
-    let region_start = movable[0].addr;
-    let region_end = movable.last().unwrap().end();
-    let mut cursor = region_start;
-    for s in &movable {
-        if s.addr != cursor {
-            return Err(RandomizeError::NonContiguousText { addr: cursor });
-        }
-        cursor = s.end();
-    }
-    for s in &image.symbols {
-        if s.kind != SymbolKind::Function && s.addr >= region_start && s.addr < region_end {
-            return Err(RandomizeError::NonContiguousText { addr: s.addr });
-        }
-    }
-
-    // Which movable functions are targets of data-section pointers?
-    let mut constrained = vec![false; movable.len()];
-    if opts.constrain_icall_targets {
-        for &loc in &image.fn_ptr_locs {
-            let word = image.read_word(loc);
-            let byte = u32::from(word) * 2;
-            if let Some(rank) = rank_of(&movable, byte) {
-                constrained[rank] = true;
-            }
-        }
-    }
-
-    // Draw the permutation: a uniform shuffle of placement order, then
-    // repair icall-reach violations by swapping violators with
-    // unconstrained blocks placed low.
-    let n = movable.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(rng);
-    if opts.constrain_icall_targets {
-        repair_constraints(&mut order, &movable, &constrained, region_start, rng)?;
-    }
-
-    // New address of each movable rank.
-    let mut new_addr = vec![0u32; n];
-    let mut cursor = region_start;
-    for &rank in &order {
-        new_addr[rank] = cursor;
-        cursor += movable[rank].size;
-    }
-    debug_assert_eq!(cursor, region_end);
-
-    // Relocate the blocks.
-    let mut bytes = image.bytes.clone();
-    for (rank, sym) in movable.iter().enumerate() {
-        let src = sym.addr as usize..sym.end() as usize;
-        let dst = new_addr[rank] as usize;
-        bytes[dst..dst + sym.size as usize].copy_from_slice(&image.bytes[src]);
-    }
-
-    // Address translation for code targets.
-    let map_addr = |old_byte: u32, at: u32| -> Result<u32, RandomizeError> {
-        if let Some(rank) = rank_of(&movable, old_byte) {
-            return Ok(new_addr[rank] + (old_byte - movable[rank].addr));
-        }
-        // Outside the movable region: fixed code (vector table) is fine.
-        match image.symbol_containing(old_byte) {
-            Some(_) => Ok(old_byte),
-            None => Err(RandomizeError::UnmappableTarget {
-                at,
-                target: old_byte,
-            }),
-        }
-    };
-
-    // Streaming patch pass over the executable region: every absolute
-    // call/jmp is retargeted; relative branches must stay inside their
-    // (moved) block.
-    let mut report = PatchReport::default();
-    let mut next = 0u32;
-    while next + 1 < image.text_end {
-        let off = next;
-        let Some(words) = width_at(&image.bytes, off as usize) else {
-            break;
         };
-        next += words * 2;
-        // Only calls and jumps need decoding; everything else is stepped
-        // over by its width.
-        if !is_call_or_jump(image.read_word(off)) {
-            continue;
+        if movable.is_empty() {
+            return plan;
         }
-        let (insn, _) = decode_at(&image.bytes, off as usize).expect("width_at read this word");
-        match insn {
-            Insn::Call { k } | Insn::Jmp { k } => {
-                // Only a retargeted instruction needs its relocated offset.
-                let new_off = map_addr(off, off).unwrap_or(off);
-                let old_target = k * 2;
-                let new_target = map_addr(old_target, off)?;
-                match insn {
-                    Insn::Call { .. } => report.calls_patched += 1,
-                    _ => {
-                        report.jumps_patched += 1;
-                        if let Some(rank) = rank_of(&movable, old_target) {
-                            if old_target != movable[rank].addr {
-                                report.trampolines_patched += 1;
-                            }
+
+        // The movable region must be one contiguous span with nothing fixed
+        // inside it.
+        let region_start = movable[0].addr;
+        let region_end = movable.last().unwrap().end();
+        let mut cursor = region_start;
+        for s in &movable {
+            if s.addr != cursor {
+                plan.non_contiguous = Some(cursor);
+                return plan;
+            }
+            cursor = s.end();
+        }
+        plan.non_contiguous = image
+            .symbols
+            .iter()
+            .find(|s| {
+                s.kind != SymbolKind::Function && s.addr >= region_start && s.addr < region_end
+            })
+            .map(|s| s.addr);
+        if plan.non_contiguous.is_some() {
+            return plan;
+        }
+
+        // Where an original address lands: in a movable block, in fixed
+        // code (the vector table), or nowhere.
+        let moved = |byte: u32| {
+            rank_of(&movable, byte).map(|rank| Place::Moved {
+                rank,
+                offset: byte - movable[rank].addr,
+            })
+        };
+        let place = |byte: u32| {
+            moved(byte).or_else(|| image.symbol_containing(byte).map(|_| Place::Fixed(byte)))
+        };
+
+        // The streaming patch pass's scan of the executable region: every
+        // absolute call/jmp is a site; relative branches must stay inside
+        // their block.
+        let mut next = 0u32;
+        while next + 1 < image.text_end {
+            let off = next;
+            let Some(words) = width_at(&image.bytes, off as usize) else {
+                break;
+            };
+            next += words * 2;
+            // Only calls and jumps need decoding; everything else is stepped
+            // over by its width.
+            if !is_call_or_jump(image.read_word(off)) {
+                continue;
+            }
+            let (insn, _) = decode_at(&image.bytes, off as usize).expect("width_at read this word");
+            match insn {
+                Insn::Call { k } | Insn::Jmp { k } => {
+                    let call = matches!(insn, Insn::Call { .. });
+                    let Some(target) = place(k * 2) else {
+                        let e = RandomizeError::UnmappableTarget {
+                            at: off,
+                            target: k * 2,
+                        };
+                        plan.unmappable.get_or_insert(e.clone());
+                        plan.walk_error.get_or_insert(e);
+                        continue;
+                    };
+                    if call {
+                        plan.report.calls_patched += 1;
+                    } else {
+                        plan.report.jumps_patched += 1;
+                        if matches!(target, Place::Moved { offset, .. } if offset != 0) {
+                            plan.report.trampolines_patched += 1;
                         }
                     }
+                    let at = moved(off).unwrap_or(Place::Fixed(off));
+                    plan.sites.push(Site { at, target, call });
                 }
-                let patched = match insn {
-                    Insn::Call { .. } => Insn::Call { k: new_target / 2 },
-                    _ => Insn::Jmp { k: new_target / 2 },
-                };
-                let ws = encode(&patched).expect("patched long branch re-encodes");
-                let base = new_off as usize;
-                bytes[base..base + 2].copy_from_slice(&ws[0].to_le_bytes());
-                bytes[base + 2..base + 4].copy_from_slice(&ws[1].to_le_bytes());
-            }
-            Insn::Rcall { k } | Insn::Rjmp { k } => {
-                // Target must stay inside the same function block.
-                let target = off.wrapping_add(2).wrapping_add_signed(i32::from(k) * 2);
-                let same_block = match (rank_of(&movable, off), rank_of(&movable, target)) {
-                    (Some(a), Some(b)) => a == b,
-                    // Fixed-region code may branch within itself.
-                    (None, None) => true,
-                    _ => false,
-                };
-                if !same_block && !opts.ignore_relaxed_branches {
-                    return Err(RandomizeError::RelaxedBranch { at: off });
+                Insn::Rcall { k } | Insn::Rjmp { k } => {
+                    // Target must stay inside the same function block.
+                    let target = off.wrapping_add(2).wrapping_add_signed(i32::from(k) * 2);
+                    let same_block = match (rank_of(&movable, off), rank_of(&movable, target)) {
+                        (Some(a), Some(b)) => a == b,
+                        // Fixed-region code may branch within itself.
+                        (None, None) => true,
+                        _ => false,
+                    };
+                    if !same_block {
+                        plan.walk_error
+                            .get_or_insert(RandomizeError::RelaxedBranch { at: off });
+                    }
                 }
+                _ => {}
             }
-            _ => {}
         }
+
+        // Data-section function pointers (16-bit word addresses); the
+        // movable functions they target must stay within icall reach.
+        for &loc in &image.fn_ptr_locs {
+            let target = place(u32::from(image.read_word(loc)) * 2);
+            if let Some(Place::Moved { rank, .. }) = target {
+                plan.constrained[rank] = true;
+            }
+            plan.pointers.push((loc, target));
+        }
+        plan.report.pointers_patched = plan.pointers.len();
+        plan.symbol_ranks = image
+            .symbols
+            .iter()
+            .map(|s| rank_of(&movable, s.addr))
+            .collect();
+        plan
     }
 
-    // Patch data-section function pointers (16-bit word addresses).
-    for &loc in &image.fn_ptr_locs {
-        let word = image.read_word(loc);
-        let old_byte = u32::from(word) * 2;
-        if rank_of(&movable, old_byte).is_none() && image.symbol_containing(old_byte).is_none() {
-            return Err(RandomizeError::BadFunctionPointer { loc });
+    /// One boot's randomization of `image`, the image this plan was built
+    /// from: draw a permutation, repair it for icall reach, relocate the
+    /// blocks, and patch every listed site and pointer slot.
+    ///
+    /// Errors come in a fixed order: a non-contiguous region before any
+    /// draw, then the repair, then the scan's first error by address, then
+    /// the pointer slots in order.
+    pub fn apply(
+        &self,
+        image: &FirmwareImage,
+        rng: &mut impl Rng,
+        opts: &RandomizeOptions,
+    ) -> Result<RandomizedImage, RandomizeError> {
+        assert_eq!(
+            image.bytes.len(),
+            self.image_len,
+            "a patch plan applies only to the image it was built from"
+        );
+        if self.blocks.is_empty() {
+            return Ok(RandomizedImage {
+                image: image.clone(),
+                permutation: Vec::new(),
+                report: PatchReport::default(),
+            });
         }
-        let new_byte = map_addr(old_byte, loc)?;
-        if new_byte >= ICALL_REACH_BYTES && opts.constrain_icall_targets {
-            // Cannot happen when repair_constraints succeeded; a loud check
-            // beats a silently truncated pointer.
-            return Err(RandomizeError::ConstraintUnsatisfiable);
+        if let Some(addr) = self.non_contiguous {
+            return Err(RandomizeError::NonContiguousText { addr });
         }
-        let new_word = (new_byte / 2) as u16;
-        bytes[loc as usize..loc as usize + 2].copy_from_slice(&new_word.to_le_bytes());
-        report.pointers_patched += 1;
-    }
 
-    // Rebuild the symbol table at the new addresses.
-    let mut symbols: Vec<Symbol> = image
-        .symbols
-        .iter()
-        .map(|s| {
-            let mut s = s.clone();
-            if s.kind == SymbolKind::Function {
-                let rank = rank_of(&movable, s.addr).expect("movable symbol");
-                s.addr = new_addr[rank];
+        // Draw the permutation: a uniform shuffle of placement order, then
+        // repair icall-reach violations by swapping violators with
+        // unconstrained blocks placed low.
+        let region_start = self.blocks[0].addr;
+        let n = self.blocks.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.shuffle(rng);
+        if opts.constrain_icall_targets {
+            repair_constraints(
+                &mut order,
+                &self.blocks,
+                &self.constrained,
+                region_start,
+                rng,
+            )?;
+        }
+        let walk_error = if opts.ignore_relaxed_branches {
+            &self.unmappable
+        } else {
+            &self.walk_error
+        };
+        if let Some(e) = walk_error {
+            return Err(e.clone());
+        }
+
+        // New address of each movable rank.
+        let mut new_addr = vec![0u32; n];
+        let mut cursor = region_start;
+        for &rank in &order {
+            new_addr[rank] = cursor;
+            cursor += self.blocks[rank].size;
+        }
+
+        // Relocate the blocks.
+        let mut bytes = image.bytes.clone();
+        for (b, &dst) in self.blocks.iter().zip(&new_addr) {
+            let src = b.addr as usize..(b.addr + b.size) as usize;
+            bytes[dst as usize..(dst + b.size) as usize].copy_from_slice(&image.bytes[src]);
+        }
+
+        // Retarget every absolute call/jmp at its relocated address.
+        for site in &self.sites {
+            let k = site.target.resolve(&new_addr) / 2;
+            let patched = if site.call {
+                Insn::Call { k }
+            } else {
+                Insn::Jmp { k }
+            };
+            let ws = encode(&patched).expect("patched long branch re-encodes");
+            let base = site.at.resolve(&new_addr) as usize;
+            bytes[base..base + 2].copy_from_slice(&ws[0].to_le_bytes());
+            bytes[base + 2..base + 4].copy_from_slice(&ws[1].to_le_bytes());
+        }
+
+        // Rewrite the data-section function pointers.
+        for &(loc, target) in &self.pointers {
+            let new_byte = target
+                .ok_or(RandomizeError::BadFunctionPointer { loc })?
+                .resolve(&new_addr);
+            if new_byte >= ICALL_REACH_BYTES && opts.constrain_icall_targets {
+                // Cannot happen when repair_constraints succeeded; a loud check
+                // beats a silently truncated pointer.
+                return Err(RandomizeError::ConstraintUnsatisfiable);
             }
-            s
+            let new_word = (new_byte / 2) as u16;
+            bytes[loc as usize..loc as usize + 2].copy_from_slice(&new_word.to_le_bytes());
+        }
+
+        // Rebuild the symbol table at the new addresses.
+        let mut symbols: Vec<Symbol> = image
+            .symbols
+            .iter()
+            .zip(&self.symbol_ranks)
+            .map(|(s, rank)| {
+                let mut s = s.clone();
+                if s.kind == SymbolKind::Function {
+                    s.addr = new_addr[rank.expect("movable symbol")];
+                }
+                s
+            })
+            .collect();
+        symbols.sort_by_key(|s| s.addr);
+
+        // permutation[i] = new rank of old rank i.
+        let mut order_index = vec![0usize; n];
+        for (pos, &rank) in order.iter().enumerate() {
+            order_index[rank] = pos;
+        }
+
+        let out = FirmwareImage {
+            device: image.device,
+            bytes,
+            symbols,
+            text_end: image.text_end,
+            fn_ptr_locs: image.fn_ptr_locs.clone(),
+        };
+        debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
+        Ok(RandomizedImage {
+            image: out,
+            permutation: order_index,
+            report: self.report,
         })
-        .collect();
-    symbols.sort_by_key(|s| s.addr);
-
-    // permutation[i] = new rank of old rank i.
-    let mut order_index = vec![0usize; n];
-    for (pos, &rank) in order.iter().enumerate() {
-        order_index[rank] = pos;
     }
-
-    let out = FirmwareImage {
-        device: image.device,
-        bytes,
-        symbols,
-        text_end: image.text_end,
-        fn_ptr_locs: image.fn_ptr_locs.clone(),
-    };
-    debug_assert!(out.validate().is_ok(), "{:?}", out.validate());
-    Ok(RandomizedImage {
-        image: out,
-        permutation: order_index,
-        report,
-    })
 }
 
 /// Whether `word` opens an absolute (`jmp`, `call`: `1001 010k kkkk 11ck`)
@@ -348,7 +495,7 @@ fn rank_of(movable: &[&Symbol], byte_addr: u32) -> Option<usize> {
 /// stay within icall reach.
 fn repair_constraints(
     order: &mut [usize],
-    movable: &[&Symbol],
+    blocks: &[Block],
     constrained: &[bool],
     region_start: u32,
     rng: &mut impl Rng,
@@ -356,9 +503,9 @@ fn repair_constraints(
     let limit = ICALL_REACH_BYTES;
     let total_constrained: u32 = constrained
         .iter()
-        .zip(movable)
+        .zip(blocks)
         .filter(|(c, _)| **c)
-        .map(|(_, s)| s.size)
+        .map(|(_, b)| b.size)
         .sum();
     if region_start + total_constrained > limit {
         return Err(RandomizeError::ConstraintUnsatisfiable);
@@ -370,7 +517,7 @@ fn repair_constraints(
         let mut violator_pos = None;
         let mut low_positions = Vec::new();
         for (pos, &rank) in order.iter().enumerate() {
-            let end = cursor + movable[rank].size;
+            let end = cursor + blocks[rank].size;
             if constrained[rank] && end > limit && violator_pos.is_none() {
                 violator_pos = Some(pos);
             }

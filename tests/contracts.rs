@@ -1,8 +1,15 @@
 //! Cross-crate contracts: constants and formats that two crates must agree
 //! on are pinned here so a drift in either side fails loudly.
 
+use std::sync::OnceLock;
+
+use mavr_repro::avr_asm::ToolchainOptions;
 use mavr_repro::avr_sim::{Machine, HEARTBEAT_BIT};
+use mavr_repro::hexfile::MavrContainer;
 use mavr_repro::mavlink_lite::{crc_x25, msg, Parser};
+use mavr_repro::mavr::randomize::PatchReport;
+use mavr_repro::mavr::{randomize, RandomizeError, RandomizeOptions, RandomizedImage};
+use mavr_repro::mavr_board::ext_flash::crc32;
 use mavr_repro::synth_firmware::{apps, build, layout, BuildOptions};
 
 #[test]
@@ -112,14 +119,45 @@ fn sensor_addresses_flow_into_telemetry() {
     assert_eq!(imu.gyro[2], 0x7f5a);
 }
 
+/// Every app's vulnerable build under MAVR's toolchain and the stock
+/// (relaxed) one, preprocessed into the container the external flash
+/// stores; built once and shared by the pins below.
+struct AppBuilds {
+    name: &'static str,
+    mavr: MavrContainer,
+    stock: MavrContainer,
+}
+
+fn app_builds() -> &'static [AppBuilds] {
+    static BUILDS: OnceLock<Vec<AppBuilds>> = OnceLock::new();
+    BUILDS.get_or_init(|| {
+        apps::APP_NAMES
+            .split(", ")
+            .map(|name| {
+                let container = |toolchain| {
+                    let options = BuildOptions {
+                        toolchain,
+                        ..BuildOptions::vulnerable_mavr()
+                    };
+                    let fw = build(&apps::by_name(name).unwrap(), &options).unwrap();
+                    mavr_repro::mavr::preprocess(&fw.image).unwrap()
+                };
+                AppBuilds {
+                    name,
+                    mavr: container(ToolchainOptions::mavr()),
+                    stock: container(ToolchainOptions::stock()),
+                }
+            })
+            .collect()
+    })
+}
+
 #[test]
 fn container_text_is_byte_stable_for_every_app() {
     // The container text is what the external flash stores and what the
     // master's footer CRC covers: its encoder may get faster, but its bytes
     // must not move. Length and CRC-32 per app of the vulnerable build,
     // under both toolchains: each has its own calibration size target.
-    use mavr_repro::avr_asm::ToolchainOptions;
-    use mavr_repro::mavr_board::ext_flash::crc32;
     let expected = [
         ("plane", (638_492, 0x1edd_1f1b), (639_395, 0xc8ed_4b84)),
         ("copter", (705_169, 0xa0b4_e8e8), (706_107, 0x58d7_143a)),
@@ -127,25 +165,162 @@ fn container_text_is_byte_stable_for_every_app() {
         ("tiny", (14_452, 0x140d_e756), (13_417, 0xdff6_2978)),
         ("quad", (15_100, 0x7cfb_f67c), (14_162, 0xbe17_14f2)),
     ];
-    let names: Vec<&str> = apps::APP_NAMES.split(", ").collect();
-    assert_eq!(names, expected.map(|(name, _, _)| name));
-    for (name, mavr, stock) in expected {
-        for (toolchain, pinned) in [
-            (ToolchainOptions::mavr(), mavr),
-            (ToolchainOptions::stock(), stock),
-        ] {
-            let options = BuildOptions {
-                toolchain,
-                ..BuildOptions::vulnerable_mavr()
-            };
-            let fw = build(&apps::by_name(name).unwrap(), &options).unwrap();
-            let text = mavr_repro::mavr::preprocess(&fw.image).unwrap().to_text();
+    let builds = app_builds();
+    assert_eq!(
+        builds.iter().map(|b| b.name).collect::<Vec<_>>(),
+        expected.map(|(name, _, _)| name)
+    );
+    for (b, (name, mavr, stock)) in builds.iter().zip(expected) {
+        for (relax, container, pinned) in [(false, &b.mavr, mavr), (true, &b.stock, stock)] {
+            let text = container.to_text();
             assert_eq!(
                 (text.len(), crc32(text.as_bytes())),
                 pinned,
-                "{name}, relax = {}",
-                toolchain.relax
+                "{name}, relax = {relax}"
             );
         }
+    }
+}
+
+/// CRC-32 over everything a randomization returns: the randomized bytes,
+/// the permutation, the patch report and the symbol table.
+fn randomized_digest(r: &RandomizedImage) -> u32 {
+    let PatchReport {
+        calls_patched,
+        jumps_patched,
+        trampolines_patched,
+        pointers_patched,
+    } = r.report;
+    let mut buf = r.image.bytes.clone();
+    let counts = [
+        calls_patched,
+        jumps_patched,
+        trampolines_patched,
+        pointers_patched,
+    ];
+    for n in r.permutation.iter().chain(&counts) {
+        buf.extend_from_slice(&(*n as u32).to_le_bytes());
+    }
+    for s in &r.image.symbols {
+        buf.extend_from_slice(s.name.as_bytes());
+        buf.push(0);
+        buf.extend_from_slice(&s.addr.to_le_bytes());
+        buf.extend_from_slice(&s.size.to_le_bytes());
+        buf.push(s.kind as u8);
+    }
+    crc32(&buf)
+}
+
+#[test]
+fn randomizer_output_is_byte_stable_for_every_app() {
+    // What the master programs at each boot is a pure function of the
+    // stored image, the options and the RNG stream: the randomizer may get
+    // faster, but none of its outputs may move. Seeds 1-8 of every app's
+    // MAVR build, and what a stock (relaxed) build gets: the refusal by
+    // default, and seed 1's broken image under `ignore_relaxed_branches`.
+    let expected: [(&str, [u32; 8], u32, u32); 5] = [
+        (
+            "plane",
+            [
+                0x0a17_619c,
+                0x90bc_3707,
+                0xb66f_981e,
+                0x2417_609f,
+                0xded5_bc5c,
+                0x22f3_90c9,
+                0x13b5_cc57,
+                0x4caf_6e6a,
+            ],
+            0x198,
+            0x1af2_5e21,
+        ),
+        (
+            "copter",
+            [
+                0x0310_863f,
+                0xc88d_ac07,
+                0x338d_a23e,
+                0xf4ae_d452,
+                0x9a56_cbea,
+                0x3d59_4409,
+                0x63b7_8db8,
+                0xee67_5bb8,
+            ],
+            0x198,
+            0x6b9d_c338,
+        ),
+        (
+            "rover",
+            [
+                0xcfa1_54af,
+                0x5b0a_71c5,
+                0x29b1_8821,
+                0x5f3e_5aad,
+                0x715c_8900,
+                0x76b9_7c44,
+                0x74f8_23c4,
+                0xaee5_1773,
+            ],
+            0x198,
+            0x455d_6bc4,
+        ),
+        (
+            "tiny",
+            [
+                0x0879_79d9,
+                0x4679_c6e3,
+                0x0ee7_c703,
+                0x302d_c5b5,
+                0x3c62_0afb,
+                0x92d6_c514,
+                0xdfce_b2c4,
+                0xb0d4_0d7a,
+            ],
+            0x198,
+            0xcf57_7d18,
+        ),
+        (
+            "quad",
+            [
+                0x556c_99e7,
+                0x8d68_90e0,
+                0xec50_8b4e,
+                0xab99_b554,
+                0xc3be_bf3d,
+                0x19db_dba8,
+                0x2616_dd5d,
+                0xfd0c_99de,
+            ],
+            0x19c,
+            0xeb27_aa21,
+        ),
+    ];
+    let default = RandomizeOptions::default();
+    let forced = RandomizeOptions {
+        ignore_relaxed_branches: true,
+        ..default
+    };
+    let seeded = |container: &MavrContainer, seed, opts: &RandomizeOptions| {
+        randomize(
+            &container.image,
+            &mut mavr_repro::mavr::seeded_rng(seed),
+            opts,
+        )
+    };
+    let builds = app_builds();
+    assert_eq!(builds.len(), expected.len());
+    for (b, (name, pins, pinned_refusal, pinned_forced)) in builds.iter().zip(expected) {
+        assert_eq!(b.name, name);
+        let digests: Vec<u32> = (1..=8u64)
+            .map(|seed| randomized_digest(&seeded(&b.mavr, seed, &default).unwrap()))
+            .collect();
+        let refusal = match seeded(&b.stock, 1, &default) {
+            Err(RandomizeError::RelaxedBranch { at }) => at,
+            other => panic!("{}: stock build gave {other:?}", b.name),
+        };
+        assert_eq!(digests, pins, "{name}: seeds 1-8");
+        assert_eq!(refusal, pinned_refusal, "{name}: relaxed-branch refusal");
+        let forced = randomized_digest(&seeded(&b.stock, 1, &forced).unwrap());
+        assert_eq!(forced, pinned_forced, "{name}: forced relaxed image");
     }
 }
