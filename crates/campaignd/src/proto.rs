@@ -59,8 +59,9 @@ pub struct ServiceStats {
     pub busy_rejected: AtomicU64,
     /// Requests rejected for exceeding the line-size cap.
     pub oversized: AtomicU64,
-    /// Durable writes the degradation ladder skipped (checkpoint or
-    /// finalized stream) — work re-ran instead of aborting.
+    /// Checkpoints the degradation ladder skipped — their slices' work
+    /// re-runs instead of aborting, and their streams are rewritten from
+    /// the last saved checkpoint.
     pub checkpoint_skipped: AtomicU64,
     /// Work slices executed.
     pub slices: AtomicU64,

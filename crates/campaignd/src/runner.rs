@@ -3,20 +3,22 @@
 //! The runner is what makes a million-board campaign cost the same RAM as
 //! an 8-board one: it holds exactly one shard's outcomes at a time
 //! (plus the fixed-size cell matrix), streams each board's result to the
-//! shard's JSONL file the moment its prefix completes, and folds shards
-//! through the fleet's one merge law (`CampaignAggregate::fold_shard`)
-//! instead of accumulating outcome vectors. The merge step is two
-//! O(largest-shard) passes that write the report **byte-identical** to an
-//! unsharded `run_campaign().to_json()` — the laws behind that identity
-//! are proptested in `mavr-fleet/tests/shard_props.rs`.
+//! shard's one JSONL file the moment its prefix completes (rebuilt from
+//! the shard's checkpoint whenever the shard resumes, never repaired),
+//! and folds shards through the fleet's one merge law
+//! (`CampaignAggregate::fold_shard`) instead of accumulating outcome
+//! vectors. The merge step is two O(largest-shard) passes that write the
+//! report **byte-identical** to an unsharded `run_campaign().to_json()` —
+//! the laws behind that identity are proptested in
+//! `mavr-fleet/tests/shard_props.rs`.
 
 use crate::store::CampaignStore;
 use mavr_fleet::{
     json_prelude, run_shard_resume, summarize, CampaignAggregate, CampaignConfig, PreparedCampaign,
-    ShardCheckpoint, JSON_EPILOGUE,
+    JSON_EPILOGUE,
 };
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use telemetry::metrics::MetricsRegistry;
@@ -84,11 +86,11 @@ impl CampaignSession {
 
     /// Run a work slice: up to `budget_jobs` jobs across up to
     /// `max_shards` shards, in shard order, resuming wherever the last
-    /// slice (or process) stopped. Each shard's outcomes stream to its
-    /// `.jsonl.part` file as they complete; the shard checkpoint is
-    /// flushed atomically after the shard's slice, so a kill between
-    /// slices loses nothing and a kill *during* a slice loses only that
-    /// slice's work.
+    /// slice (or process) stopped. Each shard's slice rewrites its
+    /// `outcomes-NNNN.jsonl` stream from the checkpoint, appends each new
+    /// outcome as it completes, syncs the stream and then flushes the
+    /// checkpoint atomically, so a kill between slices loses nothing and a
+    /// kill *during* a slice loses only that slice's work.
     pub fn run(
         &self,
         budget_jobs: Option<usize>,
@@ -107,15 +109,6 @@ impl CampaignSession {
             let mut shard = self.store.load_shard(&self.cfg, index)?;
             if shard.complete() {
                 done_jobs += shard.outcomes.len() as u64;
-                // Heal a kill (or skipped write) that landed between the
-                // checkpoint flush and the finalized-stream rename: the
-                // checkpoint is complete but the .jsonl never made it.
-                if !self.store.outcomes_path(index).is_file() {
-                    if let Err(e) = self.finalize_shard(index, &shard) {
-                        slice_skips += 1;
-                        self.skip_durable_write(index, e);
-                    }
-                }
                 continue;
             }
             if stopped
@@ -128,18 +121,13 @@ impl CampaignSession {
                 continue;
             }
 
+            // The stream is rebuilt from the checkpoint, so a line torn by
+            // a kill, or the lines of jobs whose checkpoint was skipped,
+            // never survive into it: those jobs simply re-run below.
             let done_before = shard.outcomes.len() as u64;
-            let part_path = self.store.outcomes_part_path(index);
-            // A kill mid-write can tear the stream's final line. Drop any
-            // torn tail before appending — the torn job was never
-            // checkpointed, so it simply re-runs below.
-            repair_part_tail(&part_path)?;
-            let part = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&part_path)
-                .map_err(|e| format!("open {}: {e}", part_path.display()))?;
-            let mut part = std::io::BufWriter::new(part);
+            let path = self.store.outcomes_path(index);
+            let fail = |e: std::io::Error| format!("stream {}: {e}", path.display());
+            let mut stream = shard.open_stream(&path).map_err(fail)?;
             let mut stream_err: Option<std::io::Error> = None;
 
             let status = run_shard_resume(
@@ -150,15 +138,17 @@ impl CampaignSession {
                 done_jobs as usize + done_before as usize,
                 |_, outcome| {
                     if stream_err.is_none() {
-                        stream_err = writeln!(part, "{}", outcome.to_json_line()).err();
+                        stream_err = writeln!(stream, "{}", outcome.to_json_line()).err();
                     }
                 },
             )?;
-            part.flush()
-                .map_err(|e| format!("flush {}: {e}", part_path.display()))?;
             if let Some(e) = stream_err {
-                return Err(format!("stream {}: {e}", part_path.display()));
+                return Err(fail(e));
             }
+            // Every line the checkpoint below claims is on disk first, so a
+            // complete checkpoint always has a complete stream.
+            stream.flush().map_err(fail)?;
+            stream.get_ref().sync_data().map_err(fail)?;
 
             // The checkpoint is the authority; flush it atomically before
             // declaring any progress durable. If the disk refuses even
@@ -176,17 +166,16 @@ impl CampaignSession {
                             ("complete", Value::Bool(status.complete)),
                         ]
                     });
-                    if status.complete {
-                        if let Err(e) = self.finalize_shard(index, &shard) {
-                            slice_skips += 1;
-                            self.skip_durable_write(index, e);
-                        }
-                    }
                     done_jobs += done_before + status.ran as u64;
                 }
                 Err(e) => {
                     slice_skips += 1;
-                    self.skip_durable_write(index, e);
+                    self.checkpoints_skipped.fetch_add(1, Ordering::Relaxed);
+                    self.cfg
+                        .telemetry
+                        .emit(kinds::CHECKPOINT_SKIPPED, None, || {
+                            vec![("shard", Value::U64(index)), ("error", Value::Str(e))]
+                        });
                     // Only previously checkpointed jobs count as done.
                     done_jobs += done_before;
                 }
@@ -226,78 +215,6 @@ impl CampaignSession {
             interrupted,
             checkpoints_skipped: slice_skips,
         })
-    }
-
-    /// Rebuild the finalized outcome stream from the checkpoint (in job
-    /// order) so resumed shards still finalize to exactly one line per
-    /// job, then drop the advisory `.part` file.
-    fn finalize_shard(&self, index: u64, shard: &ShardCheckpoint) -> Result<(), String> {
-        let mut finalized = String::new();
-        for outcome in shard.outcomes.values() {
-            finalized.push_str(&outcome.to_json_line());
-            finalized.push('\n');
-        }
-        self.store
-            .write_durable(&self.store.outcomes_path(index), finalized.as_bytes())?;
-        let _ = std::fs::remove_file(self.store.outcomes_part_path(index));
-        Ok(())
-    }
-
-    /// Record a durable write abandoned after the store's retries: bump
-    /// the session counter and emit the telemetry event. The campaign
-    /// keeps running; the skipped work re-runs on a later slice.
-    fn skip_durable_write(&self, shard_index: u64, error: String) {
-        self.checkpoints_skipped.fetch_add(1, Ordering::Relaxed);
-        self.cfg
-            .telemetry
-            .emit(kinds::CHECKPOINT_SKIPPED, None, || {
-                vec![
-                    ("shard", Value::U64(shard_index)),
-                    ("error", Value::Str(error)),
-                ]
-            });
-    }
-}
-
-/// Truncate a `.part` outcome stream after its last intact line, so a
-/// stream torn by a mid-write kill appends cleanly on resume instead of
-/// surfacing as a parse error downstream. Missing file = nothing to do.
-fn repair_part_tail(path: &Path) -> Result<(), String> {
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(_) => return Ok(()),
-    };
-    let keep = intact_prefix(&bytes);
-    if keep == bytes.len() {
-        return Ok(());
-    }
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .open(path)
-        .map_err(|e| format!("repair {}: {e}", path.display()))?;
-    f.set_len(keep as u64)
-        .map_err(|e| format!("repair {}: {e}", path.display()))?;
-    Ok(())
-}
-
-/// Length of the longest prefix of `bytes` ending in a newline-terminated
-/// JSON object line. Walks back one line at a time: an unterminated tail
-/// is dropped, and so is a terminated-but-torn line (a kill can land a
-/// flushed prefix right before another writer's newline).
-fn intact_prefix(bytes: &[u8]) -> usize {
-    let mut end = bytes.len();
-    loop {
-        let Some(nl) = bytes[..end].iter().rposition(|&b| b == b'\n') else {
-            return 0;
-        };
-        let start = bytes[..nl]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |p| p + 1);
-        if nl > start && bytes[start] == b'{' && bytes[nl - 1] == b'}' {
-            return nl + 1;
-        }
-        end = start;
     }
 }
 

@@ -142,12 +142,17 @@ fn serve_stream(
                 if line.is_empty() {
                     continue;
                 }
-                let (response, control) = service.handle_line(line);
-                writeln!(writer, "{response}").map_err(wfail)?;
-                writer.flush().map_err(|e| format!("flush response: {e}"))?;
+                let (mut response, control) = service.handle_line(line);
+                response.push('\n');
+                let sent = writer
+                    .write_all(response.as_bytes())
+                    .and_then(|()| writer.flush());
+                // A client that sent `shutdown` and hung up without reading
+                // the reply still stops the service.
                 if control == Control::Shutdown {
                     return Ok(Control::Shutdown);
                 }
+                sent.map_err(wfail)?;
             }
             None => {
                 let n = chunk.len();
@@ -339,4 +344,33 @@ pub fn request(path: &Path, line: &str) -> Result<String, String> {
         return Err("service closed the connection without responding".into());
     }
     Ok(response.trim_end().to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    /// A client that hung up: every write fails.
+    struct HungUp;
+
+    impl Write for HungUp {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+    }
+
+    #[test]
+    fn shutdown_stops_the_stream_even_when_its_reply_cannot_be_written() {
+        let root = std::env::temp_dir().join("mavr-campaignd-tests");
+        let service = Service::new(root, Arc::new(AtomicBool::new(false)));
+        let input = &b"{\"op\":\"shutdown\"}\n"[..];
+        let control = serve_stream(&service, input, &mut HungUp, MAX_REQUEST_BYTES, None);
+        assert_eq!(control, Ok(Control::Shutdown));
+    }
 }

@@ -328,6 +328,11 @@ mod tests {
             (r#"{"name": ""}"#, "empty name"),
             (r#"{"name": "ok", "scenarois": ["v2"]}"#, "typoed key"),
             (r#"{"name": "ok", "boards": 0}"#, "zero boards"),
+            (
+                r#"{"name": "ok", "boards": 4611686018427387905,
+                    "scenarios": ["benign", "v2", "v1", "v3"]}"#,
+                "a job count that overflows u64",
+            ),
             (r#"{"name": "ok", "loss_levels": [1.5]}"#, "loss > 1"),
             (r#"{"name": "ok", "loss_levels": []}"#, "empty sweep"),
             (r#"{"name": "ok", "scenarios": []}"#, "no scenarios"),

@@ -6,9 +6,9 @@
 //! <root>/<name>/
 //!   spec.json            the canonical spec (identity; written once)
 //!   shard-0000.ckpt      one CRC-guarded ShardCheckpoint per shard
-//!   outcomes-0000.jsonl  the shard's outcomes, one JSON line per board,
-//!                        finalized only when the shard completes
-//!   outcomes-0000.jsonl.part  in-flight stream of the running shard
+//!   outcomes-0000.jsonl  the shard's outcome stream, one JSON line per
+//!                        board in job order, rebuilt from the checkpoint
+//!                        whenever the shard resumes
 //!   report.json          the merged campaign report (byte-identical to
 //!                        an unsharded run), written by `merge`
 //!   quarantine.jsonl     jobs the supervisor quarantined, one line each
@@ -17,10 +17,12 @@
 //!
 //! Every durable file lands via [`write_file_atomic`]: write to a `.tmp`
 //! sibling, fsync, rename. A kill at any instant leaves either the old
-//! file or the new one — never a torn checkpoint. The `.part` outcome
-//! stream is the one deliberately non-atomic file; it is advisory (live
-//! tailing) and is rebuilt from the authoritative checkpoint when the
-//! shard completes.
+//! file or the new one — never a torn checkpoint. The outcome stream is
+//! the one deliberately non-atomic file: the runner appends to it as jobs
+//! finish (live tailing) and syncs it before the checkpoint that claims
+//! its lines, so a complete checkpoint always has a complete stream, and
+//! a torn or overlong stream is simply rewritten from the checkpoint on
+//! resume.
 //!
 //! Durable writes go through [`CampaignStore::write_durable`]: the
 //! injectable [`FaultFs`] below (inert in production), wrapped in a
@@ -178,14 +180,9 @@ impl CampaignStore {
         self.dir.join(format!("shard-{index:04}.ckpt"))
     }
 
-    /// Path of shard `index`'s finalized outcome stream.
+    /// Path of shard `index`'s outcome stream.
     pub fn outcomes_path(&self, index: u64) -> PathBuf {
         self.dir.join(format!("outcomes-{index:04}.jsonl"))
-    }
-
-    /// Path of shard `index`'s in-flight outcome stream.
-    pub fn outcomes_part_path(&self, index: u64) -> PathBuf {
-        self.outcomes_path(index).with_extension("jsonl.part")
     }
 
     /// Path of the merged report.

@@ -1,7 +1,8 @@
 //! Fault-domain laws of the supervised campaign service: poison jobs end
 //! up quarantined exactly once, disk faults degrade to skipped
-//! checkpoints (never aborts, never byte drift), and a torn outcome
-//! stream repairs itself on resume.
+//! checkpoints (never aborts, never byte drift), and a shard's outcome
+//! stream is rebuilt from its checkpoint on resume, whatever state a kill
+//! or a skipped checkpoint left it in.
 
 use mavr_campaignd::{merge_store, CampaignSession, CampaignSpec, CampaignStore, FaultFs};
 use mavr_fleet::run_campaign;
@@ -85,7 +86,6 @@ fn quarantine_ledger_accounts_for_every_poison_job_exactly_once() {
 
 #[test]
 fn store_faults_degrade_to_skipped_checkpoints_never_aborts_or_drift() {
-    let root = tmp_root("faultfs");
     let mut spec = CampaignSpec::named("soak");
     spec.boards = 2;
     spec.scenarios = vec![
@@ -102,43 +102,52 @@ fn store_faults_degrade_to_skipped_checkpoints_never_aborts_or_drift() {
     let expected = run_campaign(&spec.to_config().unwrap());
     let expected_metrics = expected.metrics();
 
-    // Soak: half of all durable writes fail (EIO/ENOSPC/short write) even
-    // after the store's in-write retries have been burned through.
-    let store = CampaignStore::create(&root, spec).unwrap();
-    let faulty = store.clone().with_faults(FaultFs::seeded(3, 0.75));
-    let sess = session(faulty);
-    let mut slices = 0;
-    loop {
-        let outcome = sess.run(None, None).unwrap();
-        slices += 1;
-        if outcome.complete {
-            break;
+    // Soak every fault schedule of seeds 1-8: three in four durable writes
+    // fail (EIO/ENOSPC/short write) even after the store's in-write
+    // retries have been burned through.
+    let mut skipped = 0;
+    for seed in 1..=8 {
+        let root = tmp_root(&format!("faultfs-{seed}"));
+        let store = CampaignStore::create(&root, spec.clone()).unwrap();
+        let faulty = store.clone().with_faults(FaultFs::seeded(seed, 0.75));
+        let sess = session(faulty);
+        let mut slices = 0;
+        loop {
+            let outcome = sess.run(None, None).unwrap();
+            slices += 1;
+            if outcome.complete {
+                break;
+            }
+            assert!(
+                slices < 100,
+                "seed {seed}: degradation ladder must converge"
+            );
         }
-        assert!(slices < 100, "degradation ladder must converge");
+        skipped += sess.checkpoints_skipped();
+
+        // Merge through a clean store handle: byte-identical to the oracle
+        // — disk faults cost retries and re-runs, never result drift.
+        let (report_path, metrics) = merge_store(&store).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&report_path).unwrap(),
+            expected.to_json(),
+            "seed {seed}"
+        );
+        assert_eq!(metrics.to_prometheus(), expected_metrics.to_prometheus());
+        assert!(
+            !store.quarantine_path().exists(),
+            "no quarantined jobs here"
+        );
     }
     assert!(
-        sess.checkpoints_skipped() > 0,
+        skipped > 0,
         "the soak is only a soak if some checkpoints were actually skipped"
-    );
-
-    // Merge through a clean store handle: byte-identical to the oracle —
-    // disk faults cost retries and re-runs, never result drift.
-    let (report_path, metrics) = merge_store(&store).unwrap();
-    assert_eq!(
-        std::fs::read_to_string(&report_path).unwrap(),
-        expected.to_json()
-    );
-    assert_eq!(metrics.to_prometheus(), expected_metrics.to_prometheus());
-    assert!(
-        !store.quarantine_path().exists(),
-        "no quarantined jobs here"
     );
 }
 
 #[test]
-fn torn_part_tail_is_repaired_on_resume_not_parsed() {
-    let root = tmp_root("torn");
-    let mut spec = CampaignSpec::named("torn");
+fn outcome_stream_is_rebuilt_from_the_checkpoint_on_resume() {
+    let mut spec = CampaignSpec::named("stream");
     spec.boards = 4;
     spec.scenarios = vec![mavr_fleet::Scenario::Benign];
     spec.loss_levels = vec![0.01];
@@ -146,30 +155,44 @@ fn torn_part_tail_is_repaired_on_resume_not_parsed() {
     spec.warmup_cycles = 50_000;
     spec.attack_cycles = 100_000;
     spec.shard_jobs = 4;
-    let expected = run_campaign(&spec.to_config().unwrap());
+    let expected = run_campaign(&spec.to_config().unwrap()).to_jsonl();
 
-    let store = CampaignStore::create(&root, spec).unwrap();
-    let outcome = session(store.clone()).run(Some(2), None).unwrap();
-    assert_eq!(outcome.jobs_run, 2);
+    type Damage = fn(&CampaignStore, &std::path::Path);
+    let cases: [(&str, Damage); 3] = [
+        // A SIGKILL mid-write tears the stream's last line.
+        ("torn", |_, stream| {
+            let intact = std::fs::read_to_string(stream).unwrap();
+            std::fs::write(stream, format!("{intact}{{\"scenario\":\"ben")).unwrap();
+        }),
+        // A slice whose checkpoint the disk refused streamed lines the
+        // checkpoint does not claim.
+        ("skipped", |store, stream| {
+            let faulty = store.clone().with_faults(FaultFs::seeded(1, 1.0));
+            let outcome = session(faulty).run(None, None).unwrap();
+            assert_eq!((outcome.jobs_run, outcome.checkpoints_skipped), (2, 1));
+            assert_eq!(store.status().unwrap().done_jobs, 2);
+            let streamed = std::fs::read_to_string(stream).unwrap();
+            assert_eq!(streamed.lines().count(), 4);
+        }),
+        ("deleted", |_, stream| std::fs::remove_file(stream).unwrap()),
+    ];
+    for (case, damage) in cases {
+        let root = tmp_root(&format!("stream-{case}"));
+        let store = CampaignStore::create(&root, spec.clone()).unwrap();
+        let outcome = session(store.clone()).run(Some(2), None).unwrap();
+        assert_eq!(outcome.jobs_run, 2);
+        let stream = store.outcomes_path(0);
+        assert_eq!(std::fs::read_to_string(&stream).unwrap().lines().count(), 2);
+        damage(&store, &stream);
 
-    // A SIGKILL mid-write leaves a torn final line in the .part stream.
-    let part = store.outcomes_part_path(0);
-    let intact = std::fs::read_to_string(&part).unwrap();
-    assert_eq!(intact.lines().count(), 2);
-    std::fs::write(&part, format!("{intact}{{\"scenario\":\"ben")).unwrap();
-
-    // Resume: the torn tail is dropped, the stream stays one valid JSON
-    // line per job, and the finalized file matches the oracle exactly.
-    let outcome = session(store.clone()).run(None, None).unwrap();
-    assert!(outcome.complete);
-    let finalized = std::fs::read_to_string(store.outcomes_path(0)).unwrap();
-    let lines: Vec<&str> = finalized.lines().collect();
-    assert_eq!(lines.len(), 4);
-    for (line, outcome) in lines.iter().zip(&expected.outcomes) {
-        assert_eq!(line, &outcome.to_json_line());
+        // Resume: the stream is rewritten from the checkpoint's two jobs,
+        // then the other two append — exactly the oracle's lines.
+        let outcome = session(store.clone()).run(None, None).unwrap();
+        assert!(outcome.complete, "{case}");
+        assert_eq!(
+            std::fs::read_to_string(&stream).unwrap(),
+            expected,
+            "{case}"
+        );
     }
-    assert_eq!(
-        std::fs::read_to_string(merge_store(&store).unwrap().0).unwrap(),
-        expected.to_json()
-    );
 }

@@ -81,8 +81,20 @@ fn sliced_interrupted_service_run_merges_byte_identical_to_direct_run() {
     for (line, outcome) in lines.iter().zip(&expected.outcomes) {
         assert_eq!(line, &outcome.to_json_line());
     }
-    // No in-flight residue after completion.
-    assert!(!store.outcomes_part_path(0).exists());
+    // The checkpoints and their streams are the campaign's only state:
+    // nothing else is left behind.
+    let mut files: Vec<String> = std::fs::read_dir(&store.dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    let mut expected_files = vec!["report.json".to_string(), "spec.json".to_string()];
+    for index in 0..3 {
+        expected_files.push(format!("outcomes-{index:04}.jsonl"));
+        expected_files.push(format!("shard-{index:04}.ckpt"));
+    }
+    expected_files.sort();
+    assert_eq!(files, expected_files);
 }
 
 /// A campaign deleted and resubmitted under the same name with another
@@ -345,17 +357,21 @@ fn protocol_answers_status_and_survives_garbage() {
     std::fs::create_dir(&root).unwrap();
     let service = Service::new(root.clone(), Arc::new(AtomicBool::new(false)));
 
-    // Garbage never kills the service.
+    // Garbage never kills the service, however deep it nests.
+    let deep = "[".repeat(100_000);
     for bad in [
         "not json",
         "{}",
         r#"{"op":"frobnicate"}"#,
         r#"{"op":"run"}"#,
+        &deep,
     ] {
         let (resp, control) = service.handle_line(bad);
         assert!(resp.contains(r#""ok":false"#), "{bad} -> {resp}");
         assert_eq!(control, mavr_campaignd::Control::Continue);
     }
+    let (resp, _) = service.handle_line(r#"{"op":"stats"}"#);
+    assert!(resp.contains(r#""campaignd_errors":5"#), "{resp}");
     // A campaign name that is not one plain directory name gets a typed
     // error from every op that turns it into a path.
     for name in ["..", ".", "a/b", "../x", ""] {

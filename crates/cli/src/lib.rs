@@ -944,7 +944,10 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
 /// With `--checkpoint FILE`, completed jobs are persisted to `FILE` and a
 /// rerun with the same arguments resumes where the last run stopped
 /// (`--max-jobs` caps how many jobs one invocation flies); the stitched
-/// report is byte-identical to an uninterrupted run's.
+/// report is byte-identical to an uninterrupted run's. `--jsonl -o FILE`
+/// streams each outcome line as its board finishes, after the lines the
+/// checkpoint already holds, so a resumed run's file is an uninterrupted
+/// run's too.
 pub fn cmd_fleet(args: &Args) -> Result<String, CliError> {
     run_campaign_cmd(args, vec![0.0])
 }
@@ -1488,12 +1491,15 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
             })
             .transpose()?;
     }
-    // `--jsonl -o FILE` on a fresh run streams outcome lines to the file
-    // *as boards finish* (tail -f friendly); the final bytes are
-    // to_jsonl()'s, line for line.
-    let stream_to = file_out.filter(|_| ckpt_path.is_none() && args.flags.contains("jsonl"));
+    // `--jsonl -o FILE` streams outcome lines to the file *as boards
+    // finish* (tail -f friendly), after the lines of the jobs the
+    // checkpoint already holds; the final bytes are to_jsonl()'s, line for
+    // line. A checkpoint of another campaign is refused before the file is
+    // touched.
+    let stream_to = file_out.filter(|_| args.flags.contains("jsonl"));
+    shard.check(&cfg).map_err(CliError::Failed)?;
     let mut sink = stream_to
-        .map(|path| std::fs::File::create(path).map(std::io::BufWriter::new))
+        .map(|path| shard.open_stream(std::path::Path::new(path)))
         .transpose()
         .map_err(fail)?;
     let mut stream_err = None;
@@ -1553,12 +1559,7 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
             ));
         }
         // A file sink defaults to the machine-readable form.
-        let payload = if args.flags.contains("jsonl") {
-            report.to_jsonl()
-        } else {
-            report.to_json()
-        };
-        std::fs::write(path, payload).map_err(fail)?;
+        std::fs::write(path, report.to_json()).map_err(fail)?;
         Ok(format!(
             "{}wrote campaign report to {path}\n{metrics_note}",
             report.render()
@@ -1639,8 +1640,10 @@ COMMANDS:
         full report as JSON). Identical arguments give byte-identical
         JSON, whatever --threads is. --checkpoint persists completed jobs
         so an interrupted campaign resumes (budgeted by --max-jobs) to the
-        byte-identical report. --progress streams live status lines to
-        stderr; --metrics-out dumps the campaign metrics registry at exit
+        byte-identical report. --jsonl -o FILE streams outcome lines as
+        boards finish (a resumed run rewrites the checkpointed lines
+        first). --progress streams live status lines to stderr;
+        --metrics-out dumps the campaign metrics registry at exit
         (Prometheus text if FILE ends in .prom, JSON lines otherwise) —
         the dump is byte-identical whatever --threads is, and identical
         between checkpointed and uninterrupted runs. --no-fusion turns
@@ -2366,6 +2369,28 @@ halt:
         stdout_run.push("--jsonl");
         let expected = run(&s(&stdout_run)).unwrap();
         assert_eq!(std::fs::read_to_string(&streamed).unwrap(), expected);
+
+        // A checkpointed run streams too: a one-job leg leaves one line,
+        // and the resumed leg rewrites it before appending the rest.
+        let ckpt = tmp("fleet-stream.ckpt");
+        let resumed = tmp("fleet-stream-resumed.jsonl");
+        let _ = std::fs::remove_file(&ckpt);
+        let _ = std::fs::remove_file(&resumed);
+        let mut leg: Vec<&str> = base.to_vec();
+        leg.extend(["--checkpoint", &ckpt, "--jsonl", "-o", &resumed]);
+        let mut first = leg.clone();
+        first.extend(["--max-jobs", "1"]);
+        run(&s(&first)).unwrap();
+        let one = std::fs::read_to_string(&resumed).unwrap();
+        assert_eq!(one.lines().count(), 1, "{one}");
+        run(&s(&leg)).unwrap();
+        assert_eq!(std::fs::read_to_string(&resumed).unwrap(), expected);
+        // Another campaign's checkpoint is refused before the file is
+        // touched.
+        let mut foreign = leg.clone();
+        foreign.extend(["--seed", "9"]);
+        assert!(matches!(run(&s(&foreign)), Err(CliError::Failed(_))));
+        assert_eq!(std::fs::read_to_string(&resumed).unwrap(), expected);
     }
 
     #[test]

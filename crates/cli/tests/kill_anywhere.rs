@@ -1,12 +1,13 @@
 //! Kill-anywhere recovery proof: SIGKILL the one-shot campaign service
-//! at seeded random instants — mid-slice, mid-checkpoint, mid-finalize,
+//! at seeded random instants — mid-slice, mid-stream, mid-checkpoint,
 //! wherever the timer lands — then resume. The completed campaign must
 //! merge to a report **byte-identical** to one uninterrupted, unsharded
 //! engine run, with byte-identical metrics and no quarantine residue.
 //!
 //! This drives the real binary (`CARGO_BIN_EXE_mavr-cli`), so the whole
 //! stack is under the knife: CLI arg parsing, the session runner, the
-//! atomic store discipline, torn-tail repair, and the merge.
+//! atomic store discipline, the outcome stream rebuilt from the
+//! checkpoint, and the merge.
 
 #![cfg(unix)]
 

@@ -320,7 +320,9 @@ pub(crate) mod tests {
             let mut c = cfg.clone();
             mutate(&mut c);
             assert_ne!(config_fingerprint(&c), base);
-            assert!(!crate::ShardCheckpoint::whole_campaign(&cfg).matches(&c));
+            assert!(crate::ShardCheckpoint::whole_campaign(&cfg)
+                .check(&c)
+                .is_err());
         }
     }
 }

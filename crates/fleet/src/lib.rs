@@ -216,12 +216,13 @@ impl CampaignConfig {
     }
 
     /// The one check of a campaign matrix, shared by the CLI, campaign
-    /// specs and every shard run: at least one board, no empty axis, every
-    /// rate a probability, and no two matrix cells that would fold into
-    /// one report row or metrics series — a repeated scenario (aliases
-    /// parse to the same one), a repeated loss or fault level (compared
-    /// with `==`, so `-0` repeats `0`), or two loss levels that print
-    /// alike at the report's 4 decimals.
+    /// specs and every shard run: at least one board, no empty axis, a job
+    /// count that fits in a u64, every rate a probability, and no two
+    /// matrix cells that would fold into one report row or metrics
+    /// series — a repeated scenario (aliases parse to the same one), a
+    /// repeated loss or fault level (compared with `==`, so `-0` repeats
+    /// `0`), or two loss levels that print alike at the report's 4
+    /// decimals.
     pub fn validate(&self) -> Result<(), String> {
         let probability = |p: &f64| (0.0..=1.0).contains(p);
         if self.boards == 0 {
@@ -230,6 +231,23 @@ impl CampaignConfig {
         if self.scenarios.is_empty() || self.loss_levels.is_empty() || self.fault_levels.is_empty()
         {
             return Err("the scenario, loss and fault lists must not be empty".into());
+        }
+        let axes = [
+            self.scenarios.len(),
+            self.loss_levels.len(),
+            self.fault_levels.len(),
+            self.boards,
+        ];
+        if axes
+            .iter()
+            .try_fold(1u64, |n, &a| n.checked_mul(a as u64))
+            .is_none()
+        {
+            return Err(format!(
+                "the campaign matrix ({} scenarios x {} loss x {} fault levels x {} boards) \
+                 has more jobs than fit in a u64",
+                axes[0], axes[1], axes[2], axes[3]
+            ));
         }
         if let Some(s) = first_repeat(&self.scenarios, |a, b| a == b) {
             return Err(format!("scenario `{}` is listed twice", s.name()));

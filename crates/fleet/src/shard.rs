@@ -25,6 +25,9 @@ use crate::{
 };
 use mavr_snapshot::{Kind, Reader, SnapshotError, Writer};
 use std::collections::BTreeMap;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::Path;
 use telemetry::metrics::MetricsRegistry;
 use telemetry::{kinds, Value};
 
@@ -106,9 +109,26 @@ impl ShardCheckpoint {
         ShardCheckpoint::new(cfg, &ShardPlan::new(cfg, cfg.total_jobs() as u64), 0)
     }
 
-    /// Whether this shard belongs to `cfg`.
-    pub fn matches(&self, cfg: &CampaignConfig) -> bool {
-        self.fingerprint == config_fingerprint(cfg)
+    /// Refuse a shard that does not belong to `cfg`: another campaign's
+    /// fingerprint, or a range past the end of `cfg`'s job space.
+    pub fn check(&self, cfg: &CampaignConfig) -> Result<(), String> {
+        if self.fingerprint != config_fingerprint(cfg) {
+            return Err(format!(
+                "shard fingerprint {:#018x} does not match this campaign ({:#018x}) — \
+                 refusing to mix results from different configurations",
+                self.fingerprint,
+                config_fingerprint(cfg)
+            ));
+        }
+        if self.job_hi > cfg.total_jobs() as u64 {
+            return Err(format!(
+                "shard range {}..{} exceeds the campaign's {} jobs",
+                self.job_lo,
+                self.job_hi,
+                cfg.total_jobs()
+            ));
+        }
+        Ok(())
     }
 
     /// Jobs in the shard's range.
@@ -134,6 +154,18 @@ impl ShardCheckpoint {
             self.outcomes.insert(job, outcome).is_none(),
             "job {job} checkpointed twice"
         );
+    }
+
+    /// Truncate `path` and write the JSON line of every outcome this shard
+    /// holds, in job order: the shard's outcome stream, rebuilt from its
+    /// checkpoint rather than repaired. A run appends each new outcome's
+    /// line to the returned writer as its job finishes.
+    pub fn open_stream(&self, path: &Path) -> std::io::Result<BufWriter<File>> {
+        let mut stream = BufWriter::new(File::create(path)?);
+        for outcome in self.outcomes.values() {
+            writeln!(stream, "{}", outcome.to_json_line())?;
+        }
+        Ok(stream)
     }
 
     /// Serialize as a CRC-guarded snapshot blob ([`Kind::ShardCheckpoint`]).
@@ -231,22 +263,7 @@ pub fn run_shard_resume(
     mut on_outcome: impl FnMut(u64, &BoardOutcome),
 ) -> Result<ShardRunStatus, String> {
     cfg.validate()?;
-    if !ckpt.matches(cfg) {
-        return Err(format!(
-            "shard fingerprint {:#018x} does not match this campaign ({:#018x}) — \
-             refusing to mix results from different configurations",
-            ckpt.fingerprint,
-            config_fingerprint(cfg)
-        ));
-    }
-    if ckpt.job_hi > cfg.total_jobs() as u64 {
-        return Err(format!(
-            "shard range {}..{} exceeds the campaign's {} jobs",
-            ckpt.job_lo,
-            ckpt.job_hi,
-            cfg.total_jobs()
-        ));
-    }
+    ckpt.check(cfg)?;
     let mut pending: Vec<Job> = (ckpt.job_lo..ckpt.job_hi)
         .filter(|j| !ckpt.outcomes.contains_key(j))
         .map(|j| crate::job_at(cfg, j as usize))
