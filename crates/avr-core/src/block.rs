@@ -16,8 +16,7 @@
 //!   simulator, so [`scan_block`] takes the policy as a closure.
 //!
 //! The walker never follows control flow: a block always ends *before* its
-//! terminator, which the simulator executes on its careful per-instruction
-//! path.
+//! terminator, which the simulator steps on its own after the block.
 
 use crate::decode::Predecoded;
 use crate::Insn;
@@ -34,22 +33,13 @@ pub const MAX_BLOCK_WORDS: u16 = 128;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuseStep {
     /// The instruction is straight-line and may join the block.
-    Fuse {
-        /// The instruction may observe timer state (a load whose target the
-        /// policy cannot prove is timer-free), so the simulator must keep
-        /// the timer advanced instruction by instruction.
-        timer_read: bool,
-        /// The instruction can neither fault nor observe the program counter
-        /// or cycle counter mid-block, so all of its bookkeeping can be
-        /// folded to the block boundary.
-        pure: bool,
-    },
+    Fuse,
     /// Block boundary; the instruction is *not* included.
     End,
 }
 
 /// A discovered block: instruction count, word span, and the folded cycle
-/// total, plus the properties the simulator's fused dispatch keys on.
+/// total.
 ///
 /// `insns == 0` means the very first word was a terminator; such addresses
 /// are not worth fusing and execute on the per-instruction path.
@@ -63,10 +53,6 @@ pub struct Block {
     /// instructions have no dynamic cycle component (only taken branches and
     /// skips do, and those are terminators).
     pub cycles: u32,
-    /// Whether any instruction reported `timer_read` (see [`FuseStep`]).
-    pub timer_reads: bool,
-    /// Whether *every* instruction reported `pure` (see [`FuseStep`]).
-    pub pure: bool,
 }
 
 /// Whether `insn` ends a block for structural reasons, independent of any
@@ -100,19 +86,13 @@ pub fn scan_block(table: &[Predecoded], start: usize, policy: impl Fn(&Insn) -> 
         insns: 0,
         words: 0,
         cycles: 0,
-        timer_reads: false,
-        pure: true,
     };
     let mut w = start;
     while b.insns < MAX_BLOCK_INSNS {
         let Some(entry) = table.get(w) else { break };
-        if structural_end(&entry.insn) {
+        if structural_end(&entry.insn) || policy(&entry.insn) == FuseStep::End {
             break;
         }
-        let (timer_read, pure) = match policy(&entry.insn) {
-            FuseStep::Fuse { timer_read, pure } => (timer_read, pure),
-            FuseStep::End => break,
-        };
         let width = u16::from(entry.width);
         if b.words + width > MAX_BLOCK_WORDS {
             break;
@@ -120,8 +100,6 @@ pub fn scan_block(table: &[Predecoded], start: usize, policy: impl Fn(&Insn) -> 
         b.insns += 1;
         b.words += width;
         b.cycles += u32::from(entry.cycles);
-        b.timer_reads |= timer_read;
-        b.pure &= pure;
         w += usize::from(entry.width);
     }
     b
@@ -150,10 +128,7 @@ mod tests {
     }
 
     fn fuse_all(_: &Insn) -> FuseStep {
-        FuseStep::Fuse {
-            timer_read: false,
-            pure: true,
-        }
+        FuseStep::Fuse
     }
 
     #[test]
@@ -175,11 +150,10 @@ mod tests {
         assert_eq!(b.insns, 3);
         assert_eq!(b.words, 4, "lds is two words");
         assert_eq!(b.cycles, 1 + 2 + 1);
-        assert!(b.pure);
     }
 
     #[test]
-    fn policy_end_is_excluded_and_flags_accumulate() {
+    fn policy_end_is_excluded() {
         let table = image(&[
             Insn::Ld {
                 d: Reg::R0,
@@ -193,21 +167,12 @@ mod tests {
             Insn::Nop,
         ]);
         let policy = |i: &Insn| match i {
-            Insn::Ld { .. } => FuseStep::Fuse {
-                timer_read: true,
-                pure: false,
-            },
-            Insn::Push { .. } => FuseStep::Fuse {
-                timer_read: false,
-                pure: false,
-            },
             Insn::Out { .. } => FuseStep::End,
             _ => fuse_all(i),
         };
         let b = scan_block(&table, 0, policy);
         assert_eq!(b.insns, 2, "policy End excludes the out");
-        assert!(b.timer_reads);
-        assert!(!b.pure);
+        assert_eq!(b.cycles, 2 + 2, "ld and push fold, the out does not");
     }
 
     #[test]

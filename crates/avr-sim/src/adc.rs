@@ -121,22 +121,18 @@ impl Adc {
         };
     }
 
-    /// CPU cycles until the in-flight conversion completes; `None` while
-    /// idle. The fast run loop's event horizon for an armed conversion.
-    pub fn cycles_to_done(&self) -> Option<u64> {
-        self.converting
+    /// CPU cycles until the in-flight conversion completes, while its
+    /// completion can interrupt (`ADIE` set; the caller checks the global
+    /// I flag); `None` while idle or masked. The fast run loop's event
+    /// horizon for the ADC.
+    pub fn cycles_to_irq(&self) -> Option<u64> {
+        self.converting.filter(|_| self.control & ADIE != 0)
     }
 
     /// Whether a conversion-complete interrupt is pending (flag set and
     /// `ADIE` enabled).
     pub fn irq_pending(&self) -> bool {
         self.adif && self.control & ADIE != 0
-    }
-
-    /// Whether conversion-complete delivery is armed: a conversion is in
-    /// flight and `ADIE` is set (the caller checks the global I flag).
-    pub fn irq_armed(&self) -> bool {
-        self.converting.is_some() && self.control & ADIE != 0
     }
 
     /// Acknowledge the interrupt (hardware clears `ADIF` on vector entry).
@@ -266,7 +262,7 @@ mod tests {
     use super::*;
 
     fn start(adc: &mut Adc) {
-        adc.write(ADCSRA_ADDR, ADEN | ADSC | 0x02); // prescale /4
+        adc.write(ADCSRA_ADDR, ADEN | ADSC | ADIE | 0x02); // prescale /4
     }
 
     #[test]
@@ -275,7 +271,7 @@ mod tests {
         adc.channels[0] = 0x155;
         start(&mut adc);
         // First conversion: 25 ADC clocks at /4 = 100 cycles.
-        assert_eq!(adc.cycles_to_done(), Some(100));
+        assert_eq!(adc.cycles_to_irq(), Some(100));
         adc.advance(99);
         assert_ne!(adc.read(ADCSRA_ADDR) & ADSC, 0, "still converting");
         assert_eq!(adc.read(ADCSRA_ADDR) & ADIF, 0);
@@ -286,7 +282,7 @@ mod tests {
         assert_eq!(adc.read(ADCH_ADDR), 0x01);
         // Second conversion: 13 clocks = 52 cycles.
         start(&mut adc);
-        assert_eq!(adc.cycles_to_done(), Some(52));
+        assert_eq!(adc.cycles_to_irq(), Some(52));
     }
 
     #[test]
@@ -320,12 +316,18 @@ mod tests {
     #[test]
     fn irq_gating_and_flag_clear() {
         let mut adc = Adc::default();
-        adc.write(ADCSRA_ADDR, ADEN | ADSC | ADIE | 0x02);
-        assert!(adc.irq_armed());
+        adc.write(ADCSRA_ADDR, ADEN | ADSC | 0x02);
+        assert_eq!(adc.cycles_to_irq(), None, "masked while ADIE clear");
+        adc.write(ADCSRA_ADDR, ADEN | ADIE | 0x02);
+        assert_eq!(adc.cycles_to_irq(), Some(100));
         assert!(!adc.irq_pending());
         adc.advance(100);
         assert!(adc.irq_pending());
-        assert!(!adc.irq_armed(), "nothing in flight after completion");
+        assert_eq!(
+            adc.cycles_to_irq(),
+            None,
+            "nothing in flight after completion"
+        );
         adc.ack();
         assert!(!adc.irq_pending());
         // Flag also clears by writing 1 to ADIF.
@@ -342,11 +344,14 @@ mod tests {
         start(&mut adc);
         adc.advance(100);
         start(&mut adc);
-        assert_eq!(adc.cycles_to_done(), Some(52));
-        adc.write(ADCSRA_ADDR, 0);
-        assert_eq!(adc.cycles_to_done(), None);
+        assert_eq!(adc.cycles_to_irq(), Some(52));
+        // Clear ADEN but keep ADIE, so `None` can only mean the conversion
+        // in flight was aborted.
+        adc.write(ADCSRA_ADDR, ADIE);
+        assert_eq!(adc.cycles_to_irq(), None);
+        assert_eq!(adc.read(ADCSRA_ADDR) & ADSC, 0);
         start(&mut adc);
-        assert_eq!(adc.cycles_to_done(), Some(100), "first conversion again");
+        assert_eq!(adc.cycles_to_irq(), Some(100), "first conversion again");
     }
 
     #[test]
@@ -355,7 +360,7 @@ mod tests {
         adc.channels[2] = 0x123;
         start(&mut adc);
         adc.reset();
-        assert_eq!(adc.cycles_to_done(), None);
+        assert_eq!(adc.cycles_to_irq(), None);
         assert_eq!(adc.read(ADCSRA_ADDR), 0);
         assert_eq!(adc.channels[2], 0x123, "analog world survives a reboot");
     }

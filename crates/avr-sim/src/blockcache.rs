@@ -28,7 +28,7 @@
 //!
 //! * `push`/`pop`: the compiler records the block's stack-pointer
 //!   excursion, and dispatch proves the whole excursion in bounds with one
-//!   range check (falling back to the careful per-instruction path when it
+//!   range check (stepping the block through `step_tail` when it
 //!   cannot);
 //! * loads that may observe Timer0 (indirect loads, direct timer-block
 //!   reads): their micro-ops carry the cycle offset of the instructions
@@ -55,7 +55,9 @@ const SREG_DATA: u16 = io::to_data_address(io::SREG);
 const SPL_DATA: u16 = io::to_data_address(io::SPL);
 const SPH_DATA: u16 = io::to_data_address(io::SPH);
 
-/// Verdict for a data-space *write* to a statically known address.
+/// Verdict for a data-space *write* to a statically known address. Reads
+/// never end a block: a cycle-dependent read compiles to a micro-op that
+/// syncs the peripherals first (see [`load_mop`]).
 fn write_policy(addr: u16) -> FuseStep {
     match addr {
         // SREG writes arm irq_delay; timer-block writes move the event
@@ -66,51 +68,7 @@ fn write_policy(addr: u16) -> FuseStep {
         ADCL_ADDR..=ADMUX_ADDR => FuseStep::End,
         // The heartbeat monitor timestamps PORTB writes with the cycle
         // counter; the compiled micro-op carries the exact offset.
-        _ => FuseStep::Fuse {
-            timer_read: false,
-            pure: true,
-        },
-    }
-}
-
-/// Verdict for a data-space *read* from a statically known address.
-fn read_policy(addr: u16) -> FuseStep {
-    match addr {
-        // Timer registers must be read with the timer advanced to "now";
-        // the compiled micro-op carries the sync offset. The ADC's result
-        // and status registers are cycle-dependent the same way (an
-        // in-flight conversion completes at a particular cycle).
-        TCNT0_ADDR | TCCR0B_ADDR | TIMSK0_ADDR | TIFR0_ADDR => FuseStep::Fuse {
-            timer_read: true,
-            pure: true,
-        },
-        ADCL_ADDR | ADCH_ADDR | ADCSRA_ADDR => FuseStep::Fuse {
-            timer_read: true,
-            pure: true,
-        },
-        _ => FuseStep::Fuse {
-            timer_read: false,
-            pure: true,
-        },
-    }
-}
-
-fn combine(a: FuseStep, b: FuseStep) -> FuseStep {
-    match (a, b) {
-        (
-            FuseStep::Fuse {
-                timer_read: t1,
-                pure: p1,
-            },
-            FuseStep::Fuse {
-                timer_read: t2,
-                pure: p2,
-            },
-        ) => FuseStep::Fuse {
-            timer_read: t1 || t2,
-            pure: p1 && p2,
-        },
-        _ => FuseStep::End,
+        _ => FuseStep::Fuse,
     }
 }
 
@@ -125,37 +83,14 @@ pub(crate) fn classify(insn: &Insn) -> FuseStep {
         // `sei` arms the irq_delay window, exactly like an SREG store.
         Insn::Bset { s } if s == sreg::I => FuseStep::End,
         Insn::Sts { k, .. } => write_policy(k),
-        Insn::Out { a, .. } => write_policy(io::to_data_address(a)),
-        Insn::Sbi { a, b: _ } | Insn::Cbi { a, b: _ } => {
-            let addr = io::to_data_address(a);
-            combine(read_policy(addr), write_policy(addr))
+        Insn::Out { a, .. } | Insn::Sbi { a, .. } | Insn::Cbi { a, .. } => {
+            write_policy(io::to_data_address(a))
         }
-        Insn::Lds { k, .. } => read_policy(k),
-        Insn::In { a, .. } => read_policy(io::to_data_address(a)),
-        // Indirect loads: target unknown, may observe the timer (but reads
-        // cannot end delivery or fault, so they fuse; the micro-op carries
-        // a sync offset for reads that land on the timer).
-        Insn::Ld { .. } | Insn::Ldd { .. } => FuseStep::Fuse {
-            timer_read: true,
-            pure: true,
-        },
-        // Stack traffic is pure modulo the stack staying in bounds; the
-        // compiler records the block's SP excursion and dispatch proves it
-        // with one range check (see the module docs).
-        Insn::Push { .. } | Insn::Pop { .. } => FuseStep::Fuse {
-            timer_read: false,
-            pure: true,
-        },
-        // `wdr` pets the watchdog with the *current* cycle count — the
-        // micro-op reconstructs it from its in-block offset.
-        Insn::Wdr => FuseStep::Fuse {
-            timer_read: false,
-            pure: true,
-        },
-        _ => FuseStep::Fuse {
-            timer_read: false,
-            pure: true,
-        },
+        // Everything else joins the block: loads (direct or indirect) whose
+        // micro-ops sync a cycle-dependent read, stack traffic whose bounds
+        // dispatch proves with one range check, `wdr` and heartbeat stores
+        // whose micro-ops carry their in-block cycle offset.
+        _ => FuseStep::Fuse,
     }
 }
 
@@ -342,9 +277,9 @@ fn store_mop(r: Reg, k: u16) -> PureOp {
     PureOp::new(op, r.num(), 0, k)
 }
 
-/// Lower one policy-pure instruction to a micro-op. `None` demotes the
-/// whole block to the careful per-instruction path — translation is the
-/// authority on what the micro interpreter can run.
+/// Lower one policy-pure instruction to a micro-op. `None` leaves the
+/// whole block uncompiled, stepped per instruction through `step_tail` —
+/// translation is the authority on what the micro interpreter can run.
 fn translate(insn: &Insn) -> Option<PureOp> {
     use Mop as M;
     const ARITH: u8 = alu::C | alu::Z | alu::N | alu::V | alu::S | alu::H;
@@ -468,8 +403,8 @@ fn translate(insn: &Insn) -> Option<PureOp> {
 
 /// Compile a policy-pure block to a micro-op stream: translate every
 /// instruction, run backward flag liveness, and record the stack-pointer
-/// excursion. Returns `None` (demote to careful) when any instruction
-/// fails to translate, or when a stack op follows an SP write — the
+/// excursion. Returns `None` (the block is stepped instead) when any
+/// instruction fails to translate, or when a stack op follows an SP write — the
 /// entry-SP margin proof would not cover it.
 fn compile(
     icache: &[Predecoded],
@@ -560,10 +495,10 @@ const UNDISCOVERED: u32 = u32::MAX;
 /// fused record; the per-instruction path handles it.
 const TINY: u32 = u32::MAX - 1;
 
-/// One fused superinstruction: a block's folded totals plus, for pure
-/// blocks, the compiled micro-op stream (a range of [`BlockCache::mops`]).
-/// Careful (impure) dispatch walks the block's instructions straight out of
-/// the predecode table — overlapping blocks (every skip- or branch-landing
+/// One fused superinstruction: a block's folded totals plus, for compiled
+/// blocks, the micro-op stream (a range of [`BlockCache::mops`]). A block
+/// that did not compile steps its instructions straight out of the
+/// predecode table — overlapping blocks (every skip- or branch-landing
 /// inside a run gets its own suffix record) then share the same cache lines
 /// instead of each holding a copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -576,14 +511,12 @@ pub(crate) struct FusedBlock {
     pub insns: u16,
     /// Folded base-cycle total.
     pub cycles: u32,
-    /// Offset of the compiled stream in [`BlockCache::mops`] (pure only).
+    /// Offset of the compiled stream in [`BlockCache::mops`] (compiled only).
     pub mops: u32,
     /// Compiled stream length (≤ `insns`: dead ops are deleted).
     pub mop_len: u16,
-    /// Contains a load that may observe Timer0.
-    pub timer_reads: bool,
     /// Compiled to a micro-op stream (see the module docs).
-    pub pure: bool,
+    pub compiled: bool,
     /// Contains stack ops; dispatch must prove `sp_lo`/`sp_hi` in bounds.
     pub stack: bool,
     /// Lowest SP-relative offset any stack op accesses.
@@ -689,24 +622,21 @@ impl BlockCache {
             cycles: b.cycles,
             mops: 0,
             mop_len: 0,
-            timer_reads: b.timer_reads,
-            pure: false,
+            compiled: false,
             stack: false,
             sp_lo: 0,
             sp_hi: 0,
         };
-        if b.pure {
-            // Translation is the authority on purity: if any instruction
-            // resists lowering, the block demotes to the careful path.
-            if let Some((ops, has_stack, lo, hi)) = compile(icache, pc as usize, b.insns) {
-                fused.pure = true;
-                fused.mops = self.mops.len() as u32;
-                fused.mop_len = ops.len() as u16;
-                fused.stack = has_stack;
-                fused.sp_lo = lo;
-                fused.sp_hi = hi;
-                self.mops.extend_from_slice(&ops);
-            }
+        // Translation is the authority on compilation: if any instruction
+        // resists lowering, the block is stepped per instruction instead.
+        if let Some((ops, has_stack, lo, hi)) = compile(icache, pc as usize, b.insns) {
+            fused.compiled = true;
+            fused.mops = self.mops.len() as u32;
+            fused.mop_len = ops.len() as u16;
+            fused.stack = has_stack;
+            fused.sp_lo = lo;
+            fused.sp_hi = hi;
+            self.mops.extend_from_slice(&ops);
         }
         let id = self.blocks.len() as u32;
         self.blocks.push(fused);
@@ -830,79 +760,47 @@ mod tests {
     }
 
     #[test]
-    fn policy_classifies_purity_and_timer_reads() {
+    fn policy_fuses_reads_stack_ops_and_observers() {
         // cli is safe (it can only stop delivery, never start it mid-block).
-        assert!(matches!(
-            classify(&Insn::Bclr { s: sreg::I }),
-            FuseStep::Fuse { pure: true, .. }
-        ));
-        // Timer reads compile to sync-offset micro-ops: pure, but flagged
-        // so the careful fallback still advances per instruction.
-        assert_eq!(
-            classify(&Insn::In {
-                d: Reg::R0,
-                a: 0x26
-            }),
-            FuseStep::Fuse {
-                timer_read: true,
-                pure: true
-            }
-        );
-        assert_eq!(
-            classify(&Insn::Lds {
-                d: Reg::R0,
-                k: TCNT0_ADDR
-            }),
-            FuseStep::Fuse {
-                timer_read: true,
-                pure: true
-            }
-        );
-        // ADC result/status reads are cycle-dependent the same way.
-        for k in [ADCL_ADDR, ADCH_ADDR, ADCSRA_ADDR] {
-            assert_eq!(
-                classify(&Insn::Lds { d: Reg::R0, k }),
-                FuseStep::Fuse {
-                    timer_read: true,
-                    pure: true
-                }
-            );
-        }
-        assert!(matches!(
-            classify(&Insn::Ld {
-                d: Reg::R0,
-                ptr: avr_core::PtrReg::X
-            }),
-            FuseStep::Fuse {
-                timer_read: true,
-                pure: true
-            }
-        ));
-        // Heartbeat stores carry their cycle offset in the micro-op: pure.
-        assert_eq!(
-            classify(&Insn::Sts {
-                k: PORTB_ADDR,
-                r: Reg::R0
-            }),
-            FuseStep::Fuse {
-                timer_read: false,
-                pure: true
-            }
-        );
-        // PORTB as io (0x05) — distinct from TCCR0B's data address 0x25.
-        assert_eq!(
-            classify(&Insn::Out {
-                a: 0x05,
-                r: Reg::R0
-            }),
-            FuseStep::Fuse {
-                timer_read: false,
-                pure: true
-            }
-        );
-        // Plain ALU / immediate / SRAM traffic is pure — and so are stack
-        // ops, whose bounds dispatch proves with the SP-margin check.
+        // Reads never end a block, cycle-dependent ones included: their
+        // micro-ops sync the peripherals first. Heartbeat stores carry
+        // their cycle offset in the micro-op; stack ops are proved by the
+        // dispatch margin check.
         for i in [
+            Insn::Bclr { s: sreg::I },
+            Insn::In {
+                d: Reg::R0,
+                a: 0x26,
+            },
+            Insn::Lds {
+                d: Reg::R0,
+                k: TCNT0_ADDR,
+            },
+            Insn::Lds {
+                d: Reg::R0,
+                k: ADCL_ADDR,
+            },
+            Insn::Lds {
+                d: Reg::R0,
+                k: ADCH_ADDR,
+            },
+            Insn::Lds {
+                d: Reg::R0,
+                k: ADCSRA_ADDR,
+            },
+            Insn::Ld {
+                d: Reg::R0,
+                ptr: avr_core::PtrReg::X,
+            },
+            Insn::Sts {
+                k: PORTB_ADDR,
+                r: Reg::R0,
+            },
+            // PORTB as io (0x05) — distinct from TCCR0B's data address 0x25.
+            Insn::Out {
+                a: 0x05,
+                r: Reg::R0,
+            },
             Insn::Ldi { d: Reg::R16, k: 1 },
             Insn::Add {
                 d: Reg::R0,
@@ -921,14 +819,7 @@ mod tests {
             Insn::Push { r: Reg::R0 },
             Insn::Pop { d: Reg::R0 },
         ] {
-            assert_eq!(
-                classify(&i),
-                FuseStep::Fuse {
-                    timer_read: false,
-                    pure: true
-                },
-                "{i:?}"
-            );
+            assert_eq!(classify(&i), FuseStep::Fuse, "{i:?}");
         }
     }
 
@@ -947,7 +838,7 @@ mod tests {
         c.ensure(t.len());
         let b = c.lookup(&mut t, &[], 0).unwrap();
         assert_eq!((b.insns, b.words, b.cycles), (3, 3, 3));
-        assert!(b.pure);
+        assert!(b.compiled);
         assert_eq!(b.mop_len, 3, "three live micro-ops");
         assert_eq!(c.live(), 1);
         // Memoized: same record back.
@@ -1068,7 +959,7 @@ mod tests {
         let mut c = BlockCache::default();
         c.ensure(t.len());
         let b = c.lookup(&mut t, &[], 0).unwrap();
-        assert!(b.pure);
+        assert!(b.compiled);
         assert_eq!((b.insns, b.mop_len), (3, 2), "cp deleted outright");
         let ops = &c.mops[b.mops as usize..b.mops as usize + usize::from(b.mop_len)];
         assert_eq!(ops[0].op, Mop::SubiNf, "dead flags: flag-free rewrite");
@@ -1120,7 +1011,7 @@ mod tests {
         let mut c = BlockCache::default();
         c.ensure(t.len());
         let b = c.lookup(&mut t, &[], 0).unwrap();
-        assert!(b.pure);
+        assert!(b.compiled);
         assert_eq!(b.mop_len, 3, "cp is pinned live by the dynamic read");
         let ops = &c.mops[b.mops as usize..b.mops as usize + usize::from(b.mop_len)];
         assert_eq!(ops[0].op, Mop::Cp);
@@ -1138,7 +1029,7 @@ mod tests {
         let mut c = BlockCache::default();
         c.ensure(t.len());
         let b = c.lookup(&mut t, &[], 0).unwrap();
-        assert!(b.pure && b.stack);
+        assert!(b.compiled && b.stack);
         // Accesses at sp+0 (push), sp-1 (push), sp-1 (pop).
         assert_eq!((b.sp_lo, b.sp_hi), (-1, 0));
     }
@@ -1146,7 +1037,7 @@ mod tests {
     #[test]
     fn compile_demotes_stack_ops_after_sp_write() {
         // `out SPL, r28` retargets the stack; a later push would escape the
-        // entry-SP margin proof, so the block must fall to the careful path.
+        // entry-SP margin proof, so the block must be stepped, not compiled.
         let mut t = table(&[
             Insn::Out {
                 a: io::SPL,
@@ -1158,7 +1049,7 @@ mod tests {
         let mut c = BlockCache::default();
         c.ensure(t.len());
         let b = c.lookup(&mut t, &[], 0).unwrap();
-        assert!(!b.pure, "SP write before a stack op demotes the block");
+        assert!(!b.compiled, "SP write before a stack op demotes the block");
     }
 
     #[test]

@@ -61,18 +61,16 @@ impl fmt::Display for Fault {
 
 impl std::error::Error for Fault {}
 
-/// How a `run`-family call ended.
+/// How a `Machine::run` call ended.
 ///
-/// `Machine::run` and `Machine::run_until` share the same exit conditions,
-/// checked in this order on every instruction boundary:
+/// The exit conditions, checked in this order on every instruction
+/// boundary:
 ///
 /// 1. the cycle budget is exhausted → [`CyclesExhausted`];
 /// 2. the PC sits on a registered breakpoint (checked *before* the
 ///    instruction executes, so resuming requires stepping over it) →
 ///    [`Breakpoint`];
-/// 3. the instruction faults → [`Faulted`];
-/// 4. (`run_until` only) the predicate holds *after* the instruction →
-///    [`Breakpoint`] with the current PC.
+/// 3. the instruction faults → [`Faulted`].
 ///
 /// [`CyclesExhausted`]: RunExit::CyclesExhausted
 /// [`Breakpoint`]: RunExit::Breakpoint
@@ -83,10 +81,9 @@ pub enum RunExit {
     CyclesExhausted,
     /// The machine faulted (it stays faulted until reset).
     Faulted(Fault),
-    /// A registered breakpoint was hit (PC is at the breakpoint), or a
-    /// `run_until` predicate became true.
+    /// A registered breakpoint was hit (PC is at the breakpoint).
     Breakpoint {
-        /// Byte address of the breakpoint (or of the PC at predicate time).
+        /// Byte address of the breakpoint.
         addr: u32,
     },
 }

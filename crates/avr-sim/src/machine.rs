@@ -561,38 +561,6 @@ impl Machine {
         self.fetch_at(pc).map_or(1, |e| u32::from(e.width))
     }
 
-    /// Timer0 overflow dispatch: ack, push the PC, clear I, vector.
-    fn vector_timer0(&mut self) -> Result<(), Fault> {
-        self.timer0.ack();
-        self.push_pc(self.pc)?;
-        let f = self.sreg() & !(1 << avr_core::sreg::I);
-        self.set_sreg(f);
-        self.pc = timer::TIMER0_OVF_VECTOR * 2; // 4-byte vector slots
-        self.cycles += 5;
-        self.interrupts_taken += 1;
-        if let Some(p) = &mut self.cycle_profile {
-            p.interrupt(self.pc * 2, 5);
-        }
-        Ok(())
-    }
-
-    /// ADC conversion-complete dispatch, same shape as [`vector_timer0`].
-    ///
-    /// [`vector_timer0`]: Machine::vector_timer0
-    fn vector_adc(&mut self) -> Result<(), Fault> {
-        self.adc.ack();
-        self.push_pc(self.pc)?;
-        let f = self.sreg() & !(1 << avr_core::sreg::I);
-        self.set_sreg(f);
-        self.pc = crate::adc::ADC_VECTOR * 2; // 4-byte vector slots
-        self.cycles += 5;
-        self.interrupts_taken += 1;
-        if let Some(p) = &mut self.cycle_profile {
-            p.interrupt(self.pc * 2, 5);
-        }
-        Ok(())
-    }
-
     /// Whether any modelled interrupt source is pending (ignoring the
     /// global I flag and the one-instruction suppression window).
     #[inline]
@@ -600,15 +568,28 @@ impl Machine {
         self.timer0.irq_pending() || self.adc.irq_pending()
     }
 
-    /// Vector the highest-priority pending interrupt: Timer0 overflow
+    /// Vector the highest-priority pending interrupt — Timer0 overflow
     /// (vector 23) outranks ADC conversion complete (vector 29), as on the
-    /// part. The caller has established that a source is pending.
+    /// part: ack its flag, push the PC, clear I and jump to its 4-byte
+    /// slot. The caller has established that a source is pending.
     fn vector_pending(&mut self) -> Result<(), Fault> {
-        if self.timer0.irq_pending() {
-            self.vector_timer0()
+        let vector = if self.timer0.irq_pending() {
+            self.timer0.ack();
+            timer::TIMER0_OVF_VECTOR
         } else {
-            self.vector_adc()
+            self.adc.ack();
+            crate::adc::ADC_VECTOR
+        };
+        self.push_pc(self.pc)?;
+        let f = self.sreg() & !(1 << avr_core::sreg::I);
+        self.set_sreg(f);
+        self.pc = vector * 2;
+        self.cycles += 5;
+        self.interrupts_taken += 1;
+        if let Some(p) = &mut self.cycle_profile {
+            p.interrupt(self.pc * 2, 5);
         }
+        Ok(())
     }
 
     /// Advance every cycle-driven peripheral in lockstep. Both advances are
@@ -730,12 +711,11 @@ impl Machine {
     ///
     /// With block fusion enabled, whole straight-line blocks dispatch as
     /// superinstructions: one interrupt/horizon check per block, entered
-    /// only when the block provably fits before the horizon and before the
-    /// next possible Timer0 overflow delivery (see [`fused_block_at`] for
-    /// the exactness conditions). Anything that does not fit — block
-    /// boundaries, pending-delivery edges, tiny blocks — falls through to
-    /// the per-instruction body, which checks interrupt delivery every
-    /// step (two loads and a branch).
+    /// only when the block provably ends by the event horizon (see
+    /// [`fused_block_at`] for the exactness conditions). Anything that does
+    /// not fit — block boundaries, pending-delivery edges, tiny blocks —
+    /// falls through to the per-instruction body, which checks interrupt
+    /// delivery every step (two loads and a branch).
     ///
     /// [`run`]: Machine::run
     /// [`fused_block_at`]: Machine::fused_block_at
@@ -813,8 +793,9 @@ impl Machine {
 
     /// Step one instruction through the predecode table with full
     /// per-instruction accounting — the fallback when no fused block
-    /// dispatches (`rem` 0), and the tail step for a block's terminator,
-    /// where `rem` is the block's still-owed timer remainder. Pure
+    /// dispatches and the body of a block that runs stepped (`rem` 0), and
+    /// the tail step for a block's terminator, where `rem` is the block's
+    /// still-owed timer remainder. Pure
     /// control-flow terminators never touch Timer0, so their advance
     /// merges with the remainder into one call; anything that might (an
     /// I/O-dispatching store, an `sbic` probing a timer flag) settles the
@@ -866,73 +847,62 @@ impl Machine {
         result
     }
 
-    /// The fused block starting at `pc`, if one exists (discovered lazily)
-    /// *and* dispatching it whole is provably identical to stepping it:
+    /// The cycle no fused block may run past: the caller's budget/watchdog
+    /// `horizon`, lowered — only while I is set — to the next cycle at
+    /// which an armed interrupt source (Timer0 overflow, ADC conversion
+    /// complete) raises its flag. Instructions that could arm, retime or
+    /// unmask a source mid-block (SREG/`sei`, timer- and ADC-block writes)
+    /// all end blocks, so the horizon holds for the whole block.
     ///
-    /// 1. the block's folded cycle total fits before `horizon`, so no
-    ///    intermediate instruction boundary crosses the cycle budget or the
-    ///    watchdog deadline (every instruction costs ≥ 1 cycle, so each
-    ///    boundary sits strictly below the horizon);
-    /// 2. if Timer0 overflow delivery is armed (I set, TOIE0 set, timer
-    ///    running), the block completes no later than the next overflow —
-    ///    an overflow raised by the block's *last* cycle is delivered at
-    ///    the boundary check after the block, exactly where the stepping
-    ///    loop would take it. Mid-block hazards cannot arise otherwise:
-    ///    every instruction that could unmask or retrigger the interrupt
-    ///    (SREG/TIMSK0/TCCR0B/TCNT0/TIFR0 writes, `sei`) ends a block.
+    /// A block may end *on* an event cycle: the flag its last cycle raises
+    /// is seen by the boundary check after the block.
+    #[inline]
+    fn event_horizon(&self, horizon: u64) -> u64 {
+        if self.data[SREG_DATA as usize] & (1 << avr_core::sreg::I) == 0 {
+            return horizon;
+        }
+        [self.timer0.cycles_to_irq(), self.adc.cycles_to_irq()]
+            .into_iter()
+            .flatten()
+            .fold(horizon, |h, t| h.min(self.cycles + t))
+    }
+
+    /// The fused block starting at `pc`, if one exists (discovered lazily)
+    /// *and* it ends by the [`event_horizon`]: every instruction costs ≥ 1
+    /// cycle, so each intermediate boundary sits strictly below the cycle
+    /// budget, the watchdog deadline and the next interrupt event, and
+    /// dispatching the block whole is identical to stepping it.
+    ///
+    /// [`event_horizon`]: Machine::event_horizon
     fn fused_block_at(&mut self, pc: u32, horizon: u64) -> Option<FusedBlock> {
         let b = self.bcache.lookup(&mut self.icache, &self.flash, pc)?;
-        if self.cycles + u64::from(b.cycles) > horizon {
-            return None;
-        }
-        if self.data[SREG_DATA as usize] & (1 << avr_core::sreg::I) != 0 {
-            if self.timer0.timsk & timer::TOV0 != 0 {
-                if let Some(to_overflow) = self.timer0.cycles_to_overflow() {
-                    if u64::from(b.cycles) > to_overflow {
-                        return None;
-                    }
-                }
-            }
-            // Same reasoning for an armed ADC conversion: the block must
-            // complete no later than conversion end, so a completion raised
-            // by the last cycle delivers at the boundary check after the
-            // block — exactly where stepping would take it. ADC register
-            // writes (start, enable, ADIE) all end blocks.
-            if self.adc.irq_armed() {
-                if let Some(to_done) = self.adc.cycles_to_done() {
-                    if u64::from(b.cycles) > to_done {
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(b)
+        (self.cycles + u64::from(b.cycles) <= self.event_horizon(horizon)).then_some(b)
     }
 
     /// Execute a fused block whose entry conditions [`fused_block_at`] has
-    /// already established. Pure blocks run their compiled micro-op stream
-    /// and batch *all* per-instruction bookkeeping — `pc`, `cycles`,
-    /// `insns_retired`, the timer advance — into one update per block (no
-    /// instruction in them reads the PC or cycle counter, faults, or
-    /// observes the timer; `Timer0::advance` is linear, so one folded
-    /// advance is bit-identical to per-instruction advances). Pure blocks
-    /// containing stack ops first prove the whole SP excursion in bounds —
-    /// the margin check — so their pushes and pops cannot fault either;
-    /// when the proof fails they fall to the careful path, which keeps
-    /// per-instruction accounting and fault checks and advances the timer
-    /// per instruction only when a load could observe it.
+    /// already established. Compiled blocks run their micro-op stream and
+    /// batch *all* per-instruction bookkeeping — `pc`, `cycles`,
+    /// `insns_retired`, the peripheral advance — into one update per block
+    /// (no micro-op reads the PC, faults, or observes a peripheral without
+    /// first syncing it; both advances are linear, so one folded advance is
+    /// bit-identical to per-instruction advances). Blocks containing stack
+    /// ops first prove the whole SP excursion in bounds — the margin check
+    /// — so their pushes and pops cannot fault either. A block that did not
+    /// compile, or whose margin check fails, steps its instructions one by
+    /// one through [`step_tail`].
     ///
-    /// On success returns the block's *unadvanced* timer remainder: the
-    /// cycles the caller still owes [`Timer0::advance`]. The careful path
-    /// settles its own advances and returns 0; the pure path defers its
-    /// folded advance so the caller can merge it with the terminator
-    /// tail's into a single call.
+    /// On success returns the block's *unadvanced* peripheral remainder:
+    /// the cycles the caller still owes [`advance_peripherals`]. A stepped
+    /// block settles its own advances and returns 0; a compiled block
+    /// defers its folded advance so the caller can merge it with the
+    /// terminator tail's into a single call.
     ///
     /// [`fused_block_at`]: Machine::fused_block_at
-    /// [`Timer0::advance`]: Timer0::advance
+    /// [`step_tail`]: Machine::step_tail
+    /// [`advance_peripherals`]: Machine::advance_peripherals
     fn exec_block(&mut self, b: &FusedBlock) -> Result<u64, Fault> {
         debug_assert_eq!(self.pc, b.start);
-        if b.pure && (!b.stack || self.sp_margin_ok(b)) {
+        if b.compiled && (!b.stack || self.sp_margin_ok(b)) {
             // The stream moves out of `self` for the duration of the block
             // so `exec_mop` can borrow `self` mutably; no micro-op can
             // reach the block cache.
@@ -952,17 +922,13 @@ impl Machine {
             // tail's own advance) completes the exact per-instruction total.
             return Ok(u64::from(b.cycles) - u64::from(synced));
         }
-        // The predecode table moves out of `self` for the duration of the
-        // block so `exec` can borrow `self` mutably. No fusable instruction
-        // can reach it: flash writes (`spm`) are structural terminators and
-        // `exec` never consults the table otherwise.
-        let icache = std::mem::take(&mut self.icache);
-        let result = self.exec_block_careful(b, &icache);
-        self.icache = icache;
-        result.map(|()| 0)
+        for _ in 0..b.insns {
+            self.step_tail(0)?;
+        }
+        Ok(0)
     }
 
-    /// Prove every stack access of a pure block in bounds from the entry
+    /// Prove every stack access of a compiled block in bounds from the entry
     /// SP: accesses span `sp + sp_lo ..= sp + sp_hi` (the compile-time
     /// excursion), so one range check covers them all.
     fn sp_margin_ok(&self, b: &FusedBlock) -> bool {
@@ -1234,64 +1200,6 @@ impl Machine {
         }
         let v = self.read_data(addr);
         self.data[d] = v;
-    }
-
-    fn exec_block_careful(&mut self, b: &FusedBlock, icache: &[Predecoded]) -> Result<(), Fault> {
-        let c_start = self.cycles;
-        let mut w = b.start as usize;
-        for _ in 0..b.insns {
-            let e = &icache[w];
-            w += usize::from(e.width);
-            let pc0 = self.pc;
-            let width = u32::from(e.width);
-            self.pc += width;
-            let c0 = self.cycles;
-            self.cycles += u64::from(e.cycles);
-            self.insns_retired += 1;
-            let result = self.exec(e.insn, pc0, width);
-            if b.timer_reads {
-                self.advance_peripherals(self.cycles - c0);
-            }
-            if let Err(f) = result {
-                // A fault mid-block leaves the peripherals exactly as the
-                // stepping loop would: advanced through the faulting
-                // instruction (step() advances even on Err).
-                if !b.timer_reads {
-                    self.advance_peripherals(self.cycles - c_start);
-                }
-                return Err(f);
-            }
-        }
-        if !b.timer_reads {
-            self.advance_peripherals(self.cycles - c_start);
-        }
-        Ok(())
-    }
-
-    /// Run until `pred` returns true (checked after every instruction), a
-    /// breakpoint is hit (checked before each instruction, exactly as in
-    /// [`run`]), a fault occurs, or the cycle budget is exhausted. The exit
-    /// conditions are documented on [`RunExit`].
-    ///
-    /// [`run`]: Machine::run
-    pub fn run_until(
-        &mut self,
-        max_cycles: u64,
-        mut pred: impl FnMut(&Machine) -> bool,
-    ) -> RunExit {
-        let limit = self.cycles.saturating_add(max_cycles);
-        while self.cycles < limit {
-            if self.breakpoints.contains(&self.pc) {
-                return RunExit::Breakpoint { addr: self.pc * 2 };
-            }
-            if let Err(f) = self.step() {
-                return RunExit::Faulted(f);
-            }
-            if pred(self) {
-                return RunExit::Breakpoint { addr: self.pc * 2 };
-            }
-        }
-        RunExit::CyclesExhausted
     }
 
     fn skip_next(&mut self) {

@@ -73,13 +73,17 @@ impl Timer0 {
     }
 
     /// CPU cycles until [`advance`] would next set `TOV0`, given the current
-    /// counter, prescaler and residual; `None` while the timer is stopped.
-    /// An event horizon for hosts scheduling around the overflow interrupt —
-    /// only a lower bound once firmware runs, since it may rewrite `TCNT0`
-    /// or `TCCR0B` at any instruction.
+    /// counter, prescaler and residual, while the overflow can interrupt
+    /// (`TOIE0` set; the caller checks the global I flag); `None` while the
+    /// interrupt is masked or the timer is stopped. The fast run loop's
+    /// event horizon for Timer0 — exact only until firmware rewrites
+    /// `TCNT0`, `TCCR0B` or `TIMSK0`.
     ///
     /// [`advance`]: Timer0::advance
-    pub fn cycles_to_overflow(&self) -> Option<u64> {
+    pub fn cycles_to_irq(&self) -> Option<u64> {
+        if self.timsk & TOV0 == 0 {
+            return None;
+        }
         let div = self.prescale()?;
         let ticks = 256 - u64::from(self.tcnt);
         Some((ticks * div).saturating_sub(self.residual))
@@ -165,16 +169,22 @@ mod tests {
     }
 
     #[test]
-    fn cycles_to_overflow_predicts_advance() {
-        let mut t = Timer0::default();
-        assert_eq!(t.cycles_to_overflow(), None, "stopped timer has no event");
+    fn cycles_to_irq_predicts_advance() {
+        let mut t = Timer0 {
+            timsk: TOV0,
+            ..Default::default()
+        };
+        assert_eq!(t.cycles_to_irq(), None, "stopped timer has no event");
         t.tccr_b = 3; // div 64
         t.tcnt = 254;
-        assert_eq!(t.cycles_to_overflow(), Some(2 * 64));
+        assert_eq!(t.cycles_to_irq(), Some(2 * 64));
+        t.timsk = 0;
+        assert_eq!(t.cycles_to_irq(), None, "masked overflow is no event");
+        t.timsk = TOV0;
         t.advance(64); // one tick: residual consumed, tcnt -> 255
-        assert_eq!(t.cycles_to_overflow(), Some(64));
+        assert_eq!(t.cycles_to_irq(), Some(64));
         t.advance(63);
-        assert_eq!(t.cycles_to_overflow(), Some(1), "residual counts down");
+        assert_eq!(t.cycles_to_irq(), Some(1), "residual counts down");
         assert_eq!(t.tifr & TOV0, 0);
         t.advance(1);
         assert_ne!(t.tifr & TOV0, 0, "overflow exactly at the horizon");

@@ -10,7 +10,7 @@
 //! edges, resize the image, and run off its end.
 
 use avr_core::encode::encode_to_bytes;
-use avr_core::{Insn, PtrReg, Reg, YZ};
+use avr_core::{io, Insn, PtrReg, Reg, YZ};
 use avr_sim::timer::{TCCR0B_ADDR, TCNT0_ADDR, TOV0};
 use avr_sim::{Fault, Machine};
 use proptest::collection::vec as pvec;
@@ -514,6 +514,82 @@ proptest! {
         };
         for m in &ms {
             prop_assert_eq!(m.fault(), Some(expected));
+        }
+    }
+}
+
+/// The two ways real firmware reaches a block that runs stepped rather
+/// than compiled, swept over every Timer0 phase at prescales 1 and 2 with
+/// the watchdog armed, so the timer overflows and the watchdog fires at
+/// every offset inside the stepped blocks:
+///
+/// * the paper's `stk_move` pivot epilogue (Fig. 4): `out SPL` then the
+///   `pop`s in one block, which the SP write demotes, then `ret` through a
+///   frame that loops back — plus a `TCNT0` read the stepped block must
+///   see at its exact cycle;
+/// * an `out SPH` that moves SP past the data space, a terminator, then a
+///   block of `push`es whose SP-margin check fails: it must fault at the
+///   same instruction and cycle as stepping.
+///
+/// I stays clear: the stepped blocks themselves are under test here, not
+/// interrupt admission around them.
+#[test]
+fn blocks_that_do_not_compile_step_exactly() {
+    const SP0: u16 = 0x2000;
+    let [lo, hi] = SP0.to_le_bytes();
+    let (r0, r28, r29) = (Reg::R0, Reg::R28, Reg::R29);
+    let read_tcnt0 = Insn::In {
+        d: Reg::R24,
+        a: 0x26,
+    };
+    let stk_move = [
+        Insn::Ldi { d: r28, k: lo },
+        Insn::Ldi { d: r29, k: hi },
+        Insn::Out { a: io::SPH, r: r29 },
+        Insn::Out { a: io::SREG, r: r0 },
+        Insn::Out { a: io::SPL, r: r28 },
+        Insn::Pop { d: r28 },
+        Insn::Pop { d: r29 },
+        Insn::Pop { d: Reg::R16 },
+        read_tcnt0,
+        Insn::Ret,
+    ];
+    let sp_past_data = [
+        Insn::Ldi { d: r29, k: 0x30 },
+        Insn::Out { a: io::SPH, r: r29 },
+        Insn::Rjmp { k: 0 },
+        Insn::Inc { d: Reg::R25 },
+        read_tcnt0,
+        Insn::Push { r: Reg::R24 },
+        Insn::Push { r: Reg::R25 },
+        Insn::Rjmp { k: -8 },
+    ];
+    let batches: Vec<u64> = [1, 3, 17, 60, 250]
+        .repeat(8)
+        .into_iter()
+        .chain([10_000])
+        .collect();
+    for (prog, fault) in [
+        (&stk_move[..], Fault::WatchdogTimeout),
+        (&sp_past_data[..], Fault::StackOutOfBounds { sp: 0x30ff }),
+    ] {
+        for prescale in [1, 2] {
+            for tcnt in 0..=255 {
+                let mut ms = triple(|m| {
+                    place(m, PROG_WORD, prog);
+                    m.set_pc_bytes(PROG_WORD * 2);
+                    // The frame `ret` pops after the three `pop`s: word
+                    // PROG_WORD, high byte first.
+                    for (i, b) in [0, 0, PROG_WORD as u8].into_iter().enumerate() {
+                        m.poke_data(SP0 + 4 + i as u16, b);
+                    }
+                    m.timer0.tccr_b = prescale;
+                    m.timer0.tcnt = tcnt;
+                    m.watchdog.enable(4_000, 0);
+                });
+                lockstep_batched(&mut ms, &batches);
+                assert_eq!(ms[0].fault(), Some(fault));
+            }
         }
     }
 }

@@ -628,9 +628,12 @@ pub fn campaignd_memory(quick: bool) -> BenchRecord {
 ///   one-job resume slice. That is the service's MTTR: how long a
 ///   supervisor waits between "process gone" and "campaign making
 ///   checkpointed progress again". Swept across injected disk-fault
-///   rates; the first repetition drives each campaign to completion to
-///   count abandoned checkpoint flushes and resume slices. `worst_mttr_ms`
-///   is each repetition's slowest recovery.
+///   rates; the top rate also sweeps the fault schedules of seeds 1-8,
+///   since one schedule may never fail a flush past the store's retries.
+///   The first repetition drives each campaign to completion to count
+///   abandoned checkpoint flushes (before and after the kill) and resume
+///   slices, summed over the rate's schedules. `worst_mttr_ms` is each
+///   repetition's slowest recovery.
 /// - **Quarantine** (`panic_<rate>.*`): sweep the seeded sabotage panic
 ///   rate through an otherwise identical campaign and time run + merge.
 ///   Poison jobs cost their retries (bounded attempts with millisecond
@@ -666,50 +669,66 @@ pub fn robust_service(quick: bool) -> BenchRecord {
         &[0.0, 0.05, 0.1]
     };
 
+    let top_rate = fault_rates[fault_rates.len() - 1];
+
     for rep in 0..campaign_reps(quick) {
         let mut worst_mttr_ms = 0.0f64;
         for &rate in fault_rates {
-            let name = format!("mttr-{}-{rep}", (rate * 100.0) as u32);
-            let faults = if rate == 0.0 {
-                FaultFs::none()
+            let seeds = if rate == top_rate {
+                1..=8
             } else {
-                FaultFs::seeded(0x0DD5_EED0 + (rate * 100.0) as u64, rate)
+                let seed = 0x0DD5_EED0 + (rate * 100.0) as u64;
+                seed..=seed
             };
-            let store = CampaignStore::create(&root, spec_named(&name))
-                .expect("create campaign")
-                .with_faults(faults.clone());
-            // The doomed first process: half the campaign, then gone. A
-            // dropped session and a SIGKILLed one leave the same disk.
-            let doomed = bench_session(store);
-            doomed.run(Some(boards / 2), None).expect("partial run");
-            drop(doomed);
+            let (mut skipped, mut slices) = (0u64, 0u64);
+            for seed in seeds {
+                let name = format!("mttr-{}-{seed}-{rep}", (rate * 100.0) as u32);
+                let faults = if rate == 0.0 {
+                    FaultFs::none()
+                } else {
+                    FaultFs::seeded(seed, rate)
+                };
+                let store = CampaignStore::create(&root, spec_named(&name))
+                    .expect("create campaign")
+                    .with_faults(faults.clone());
+                // The doomed first process: half the campaign, then gone. A
+                // dropped session and a SIGKILLed one leave the same disk.
+                let doomed = bench_session(store);
+                doomed.run(Some(boards / 2), None).expect("partial run");
+                skipped += doomed.checkpoints_skipped();
+                drop(doomed);
 
-            let t0 = std::time::Instant::now();
-            let store = CampaignStore::open(&root.join(&name))
-                .expect("reopen campaign")
-                .with_faults(faults);
-            let resumed = bench_session(store);
-            resumed.run(Some(1), None).expect("one-job resume slice");
-            let mttr_ms = t0.elapsed().as_secs_f64() * 1e3;
-            rec.sample(&format!("fault_{rate}.mttr_ms"), "ms", mttr_ms);
-            worst_mttr_ms = worst_mttr_ms.max(mttr_ms);
+                let t0 = std::time::Instant::now();
+                let store = CampaignStore::open(&root.join(&name))
+                    .expect("reopen campaign")
+                    .with_faults(faults);
+                let resumed = bench_session(store);
+                resumed.run(Some(1), None).expect("one-job resume slice");
+                let mttr_ms = t0.elapsed().as_secs_f64() * 1e3;
+                rec.sample(&format!("fault_{rate}.mttr_ms"), "ms", mttr_ms);
+                worst_mttr_ms = worst_mttr_ms.max(mttr_ms);
 
-            if rep == 0 {
-                // Drive to completion under the same fault rate: skipped
-                // checkpoints re-run their slices, so this converges.
-                let mut slices = 1u64;
-                loop {
-                    slices += 1;
-                    if resumed.run(None, None).expect("resume slice").complete {
-                        break;
+                if rep == 0 {
+                    // Drive to completion under the same fault rate:
+                    // skipped checkpoints re-run their slices, so this
+                    // converges.
+                    let mut n = 1u64;
+                    loop {
+                        n += 1;
+                        if resumed.run(None, None).expect("resume slice").complete {
+                            break;
+                        }
+                        assert!(n < 10_000, "campaign failed to converge under faults");
                     }
-                    assert!(slices < 10_000, "campaign failed to converge under faults");
+                    slices += n;
+                    skipped += resumed.checkpoints_skipped();
                 }
-                let skipped = resumed.checkpoints_skipped() as f64;
+            }
+            if rep == 0 {
                 rec.sample(
                     &format!("fault_{rate}.checkpoints_skipped"),
                     "count",
-                    skipped,
+                    skipped as f64,
                 );
                 rec.sample(
                     &format!("fault_{rate}.slices_to_complete"),
@@ -832,9 +851,12 @@ fn reference_registry(cells: usize, seed: u64) -> telemetry::metrics::MetricsReg
     for cell in 0..cells {
         let loss = format!("{:.4}", cell as f64 * 0.01);
         let labels = [("scenario", "bench"), ("loss", loss.as_str())];
-        reg.add_counter("campaign_boards_total", &labels, 8);
-        reg.add_counter("recoveries_total", &labels, next() % 8);
-        reg.add_counter("sim_cycles_total", &labels, next() % 1_000_000);
+        reg.add_counter("campaign_boards_total", &labels, 8)
+            .unwrap();
+        reg.add_counter("recoveries_total", &labels, next() % 8)
+            .unwrap();
+        reg.add_counter("sim_cycles_total", &labels, next() % 1_000_000)
+            .unwrap();
         for _ in 0..64 {
             reg.observe_sketch(
                 "campaign_detection_latency_cycles",

@@ -303,23 +303,29 @@ impl CellReport {
     /// into the aggregate. Every field is a sum, count, max or sketch
     /// insert, so folding outcome-by-outcome is exactly the batch
     /// aggregation — this incrementality is what lets sharded campaigns
-    /// build their cells without ever holding the outcome list.
-    fn fold(&mut self, o: &BoardOutcome) {
+    /// build their cells without ever holding the outcome list. `None`
+    /// when a sum would overflow `u64` (a checkpoint can claim counts no
+    /// run reaches).
+    fn fold(&mut self, o: &BoardOutcome) -> Option<()> {
         if let Some(l) = o.time_to_recovery {
+            // The sketch saturates its exact sum; the fold refuses instead.
+            self.latency_sketch.sum().checked_add(l)?;
             self.latency_sketch.record(l);
         }
         self.boards += 1;
         self.attack_successes += usize::from(o.attack_succeeded);
         self.boards_recovered += usize::from(o.recoveries > 0);
-        self.recoveries_total += o.recoveries as u64;
-        self.heartbeats += o.heartbeats;
-        self.seq_gaps += o.seq_gaps;
-        self.packets_lost += o.packets_lost;
-        self.bad_checksums += o.bad_checksums;
-        self.bytes_dropped += o.up_stats.dropped + o.down_stats.dropped;
-        self.bytes_corrupted += o.up_stats.corrupted + o.down_stats.corrupted;
-        self.reflash_retries += o.reflash_retries;
-        self.degraded_boots += o.degraded_boots;
+        add(&mut self.recoveries_total, o.recoveries as u64)?;
+        add(&mut self.heartbeats, o.heartbeats)?;
+        add(&mut self.seq_gaps, o.seq_gaps)?;
+        add(&mut self.packets_lost, o.packets_lost)?;
+        add(&mut self.bad_checksums, o.bad_checksums)?;
+        let dropped = o.up_stats.dropped.checked_add(o.down_stats.dropped)?;
+        add(&mut self.bytes_dropped, dropped)?;
+        let corrupted = o.up_stats.corrupted.checked_add(o.down_stats.corrupted)?;
+        add(&mut self.bytes_corrupted, corrupted)?;
+        add(&mut self.reflash_retries, o.reflash_retries)?;
+        add(&mut self.degraded_boots, o.degraded_boots)?;
         self.boards_degraded += usize::from(o.degraded_boots > 0);
         self.boards_bricked += usize::from(o.bricked);
         self.jobs_quarantined += usize::from(o.failure.is_some());
@@ -327,10 +333,11 @@ impl CellReport {
             let cell = self.world.get_or_insert_with(WorldCellMetrics::default);
             cell.peak_alt_err_m = cell.peak_alt_err_m.max(w.peak_alt_err_m);
             cell.boards_crashed += usize::from(w.ground_impacts > 0);
-            cell.ground_impacts += u64::from(w.ground_impacts);
+            add(&mut cell.ground_impacts, u64::from(w.ground_impacts))?;
             cell.alt_lost_m += w.alt_lost_m;
-            cell.recoveries_caught += u64::from(w.recoveries_caught);
+            add(&mut cell.recoveries_caught, u64::from(w.recoveries_caught))?;
         }
+        Some(())
     }
 
     /// Mean reflash retries per board — the cell's retry-rate point on
@@ -443,7 +450,14 @@ impl CellReport {
     }
 }
 
-/// Fold one board's outcome into a metrics registry.
+/// `total += v`, or `None` (leaving `total` unchanged) past `u64::MAX`.
+fn add(total: &mut u64, v: u64) -> Option<()> {
+    *total = total.checked_add(v)?;
+    Some(())
+}
+
+/// Fold one board's outcome into a metrics registry; `None` when a
+/// counter would overflow `u64`.
 ///
 /// This is the **single** aggregation function behind campaign metrics:
 /// [`CampaignAggregate`] calls it one outcome at a time as shards fold
@@ -453,7 +467,8 @@ impl CellReport {
 /// (outcomes are outcomes, however they were scheduled). Labels are the
 /// cell coordinates; values are counters, one latency sketch, and one
 /// packets histogram per cell, so memory is O(cells), not O(boards).
-pub fn fold_outcome_metrics(reg: &mut MetricsRegistry, o: &BoardOutcome) {
+#[must_use]
+pub fn fold_outcome_metrics(reg: &mut MetricsRegistry, o: &BoardOutcome) -> Option<()> {
     let loss = format!("{:.4}", o.loss);
     let fault = format!("{}", o.fault);
     let labels: &[(&str, &str)] = &[
@@ -461,43 +476,40 @@ pub fn fold_outcome_metrics(reg: &mut MetricsRegistry, o: &BoardOutcome) {
         ("loss", &loss),
         ("fault", &fault),
     ];
-    reg.add_counter("campaign_boards_total", labels, 1);
-    reg.add_counter(
-        "campaign_attack_successes_total",
-        labels,
-        u64::from(o.attack_succeeded),
-    );
-    reg.add_counter(
-        "campaign_boards_recovered_total",
-        labels,
-        u64::from(o.recoveries > 0),
-    );
-    reg.add_counter("campaign_recoveries_total", labels, o.recoveries as u64);
-    reg.add_counter("campaign_reflash_retries_total", labels, o.reflash_retries);
-    reg.add_counter("campaign_degraded_boots_total", labels, o.degraded_boots);
-    reg.add_counter(
-        "campaign_boards_bricked_total",
-        labels,
-        u64::from(o.bricked),
-    );
-    reg.add_counter("campaign_heartbeats_total", labels, o.heartbeats);
-    reg.add_counter("campaign_seq_gaps_total", labels, o.seq_gaps);
-    reg.add_counter("campaign_sim_cycles_total", labels, o.final_cycle);
-    reg.add_counter("campaign_sim_block_hits_total", labels, o.sim_block_hits);
-    reg.add_counter(
-        "campaign_sim_block_invalidations_total",
-        labels,
-        o.sim_block_invalidations,
-    );
-    reg.add_counter("campaign_sim_block_count", labels, o.sim_block_count);
+    for (name, v) in [
+        ("campaign_boards_total", 1),
+        (
+            "campaign_attack_successes_total",
+            u64::from(o.attack_succeeded),
+        ),
+        (
+            "campaign_boards_recovered_total",
+            u64::from(o.recoveries > 0),
+        ),
+        ("campaign_recoveries_total", o.recoveries as u64),
+        ("campaign_reflash_retries_total", o.reflash_retries),
+        ("campaign_degraded_boots_total", o.degraded_boots),
+        ("campaign_boards_bricked_total", u64::from(o.bricked)),
+        ("campaign_heartbeats_total", o.heartbeats),
+        ("campaign_seq_gaps_total", o.seq_gaps),
+        ("campaign_sim_cycles_total", o.final_cycle),
+        ("campaign_sim_block_hits_total", o.sim_block_hits),
+        (
+            "campaign_sim_block_invalidations_total",
+            o.sim_block_invalidations,
+        ),
+        ("campaign_sim_block_count", o.sim_block_count),
+    ] {
+        reg.add_counter(name, labels, v)?;
+    }
     if let Some(latency) = o.time_to_recovery {
         reg.observe_sketch("campaign_detection_latency_cycles", labels, latency);
     }
     // Quarantine counters appear only when a job actually failed, so
     // fault-free expositions stay byte-identical to pre-supervision runs.
     if let Some(f) = o.failure {
-        reg.add_counter("campaign_jobs_quarantined_total", labels, 1);
-        reg.add_counter("campaign_job_attempts_total", labels, u64::from(f.attempts));
+        reg.add_counter("campaign_jobs_quarantined_total", labels, 1)?;
+        reg.add_counter("campaign_job_attempts_total", labels, u64::from(f.attempts))?;
     }
     reg.observe_histogram("campaign_packets_per_board", labels, o.packets);
     // Physics counters appear only when the campaign flew in the world
@@ -507,22 +519,26 @@ pub fn fold_outcome_metrics(reg: &mut MetricsRegistry, o: &BoardOutcome) {
             "campaign_ground_impacts_total",
             labels,
             u64::from(w.ground_impacts),
-        );
+        )?;
         reg.add_counter(
             "campaign_world_recoveries_total",
             labels,
             u64::from(w.recoveries_caught),
-        );
+        )?;
     }
+    Some(())
 }
 
 /// Build the complete campaign registry from an outcome list: every
 /// outcome folded via [`fold_outcome_metrics`] plus the job-count gauge —
 /// what [`CampaignAggregate::finish`] returns for the same outcomes.
+///
+/// Panics if a counter would overflow `u64`. A merged report's outcomes
+/// cannot: [`CampaignAggregate`] made the same fold and refused them.
 pub fn registry_from_outcomes(outcomes: &[BoardOutcome]) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     for o in outcomes {
-        fold_outcome_metrics(&mut reg, o);
+        fold_outcome_metrics(&mut reg, o).expect("a merged report's counters fit in u64");
     }
     reg.set_gauge("campaign_jobs_total", &[], outcomes.len() as f64);
     reg
@@ -574,7 +590,8 @@ impl CampaignAggregate {
 
     /// Fold the next shard in job order. Refuses a shard of a different
     /// campaign, one that does not start where the previous shard ended,
-    /// an incomplete one, and an outcome that is not its job's cell.
+    /// an incomplete one, an outcome that is not its job's cell, and an
+    /// outcome that takes a sum past `u64::MAX`.
     pub fn fold_shard(&mut self, shard: &ShardCheckpoint) -> Result<(), String> {
         if shard.fingerprint != self.fingerprint {
             return Err(format!(
@@ -620,15 +637,20 @@ impl CampaignAggregate {
                     o.fault
                 )
             })?;
-        cell.fold(o);
-        self.fleet.links += 1;
-        self.fleet.packets += o.packets;
-        self.fleet.heartbeats += o.heartbeats;
-        self.fleet.bad_checksums += o.bad_checksums;
-        self.fleet.seq_gaps += o.seq_gaps;
-        self.fleet.packets_lost += o.packets_lost;
-        fold_outcome_metrics(&mut self.metrics, o);
-        Ok(())
+        let overflow = || format!("job {job}'s outcome takes a campaign total past u64::MAX");
+        cell.fold(o).ok_or_else(overflow)?;
+        let f = &mut self.fleet;
+        f.links += 1;
+        for (total, v) in [
+            (&mut f.packets, o.packets),
+            (&mut f.heartbeats, o.heartbeats),
+            (&mut f.bad_checksums, o.bad_checksums),
+            (&mut f.seq_gaps, o.seq_gaps),
+            (&mut f.packets_lost, o.packets_lost),
+        ] {
+            add(total, v).ok_or_else(overflow)?;
+        }
+        fold_outcome_metrics(&mut self.metrics, o).ok_or_else(overflow)
     }
 
     /// Finish the aggregation: the cell matrix, fleet totals, and the

@@ -103,7 +103,7 @@ proptest! {
             .map(|w| {
                 let mut shard = MetricsRegistry::new();
                 for o in &outcomes[w[0]..w[1]] {
-                    fold_outcome_metrics(&mut shard, o);
+                    fold_outcome_metrics(&mut shard, o).unwrap();
                 }
                 shard
             })

@@ -198,6 +198,32 @@ fn aggregate_rejects_foreign_outcomes() {
     CampaignAggregate::new(&cfg).fold_shard(&shard).unwrap();
 }
 
+/// A CRC-valid checkpoint can claim counts no run reaches. The merge
+/// refuses a sum past `u64::MAX` and names the job, in debug and release
+/// builds alike: a cell and fleet total (`heartbeats`), and a counter
+/// only the metrics fold adds (`sim_block_count`).
+#[test]
+fn aggregate_refuses_sums_past_u64() {
+    let cfg = cfg();
+    let plan = ShardPlan::new(&cfg, 2);
+    let heartbeats = BoardOutcome {
+        heartbeats: u64::MAX,
+        ..sample()
+    };
+    let blocks = BoardOutcome {
+        sim_block_count: u64::MAX,
+        ..sample()
+    };
+    for huge in [heartbeats, blocks] {
+        let mut shard = ShardCheckpoint::new(&cfg, &plan, 0);
+        shard.insert_outcome(0, huge.clone());
+        shard.insert_outcome(1, huge);
+        let shard = ShardCheckpoint::from_bytes(&shard.to_bytes()).unwrap();
+        let err = CampaignAggregate::new(&cfg).fold_shard(&shard).unwrap_err();
+        assert!(err.contains("job 1") && err.contains("u64::MAX"), "{err}");
+    }
+}
+
 fn sample() -> BoardOutcome {
     BoardOutcome {
         scenario: Scenario::Benign,

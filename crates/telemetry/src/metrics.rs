@@ -320,17 +320,22 @@ impl MetricsRegistry {
         self.metrics.is_empty()
     }
 
-    /// Add `delta` to a counter, creating it at zero first.
+    /// Add `delta` to a counter, creating it at zero first. `None`, with
+    /// the counter unchanged, when the sum would overflow `u64`.
     ///
     /// Panics if the series already exists with a different type — mixing
     /// types under one series is a programming error, not a data error.
-    pub fn add_counter(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
+    #[must_use]
+    pub fn add_counter(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) -> Option<()> {
         match self
             .metrics
             .entry(key(name, labels))
             .or_insert(Metric::Counter(0))
         {
-            Metric::Counter(c) => *c += delta,
+            Metric::Counter(c) => {
+                *c = c.checked_add(delta)?;
+                Some(())
+            }
             other => panic!("{name} is a {}, not a counter", other.type_name()),
         }
     }
@@ -713,7 +718,8 @@ mod tests {
         let build = |vals: &[(u64, u64)]| {
             let mut r = MetricsRegistry::new();
             for &(packets, latency) in vals {
-                r.add_counter("boards_total", &[("scenario", "v2")], 1);
+                r.add_counter("boards_total", &[("scenario", "v2")], 1)
+                    .unwrap();
                 r.observe_histogram("packets", &[("scenario", "v2")], packets);
                 r.observe_sketch("latency", &[("scenario", "v2")], latency);
             }
@@ -745,9 +751,9 @@ mod tests {
     #[test]
     fn label_order_does_not_matter() {
         let mut a = MetricsRegistry::new();
-        a.add_counter("x", &[("b", "2"), ("a", "1")], 3);
+        a.add_counter("x", &[("b", "2"), ("a", "1")], 3).unwrap();
         let mut b = MetricsRegistry::new();
-        b.add_counter("x", &[("a", "1"), ("b", "2")], 3);
+        b.add_counter("x", &[("a", "1"), ("b", "2")], 3).unwrap();
         assert_eq!(a.to_prometheus(), b.to_prometheus());
         assert_eq!(a.counter_value("x", &[("b", "2"), ("a", "1")]), 3);
     }

@@ -13,7 +13,8 @@ fn shard_registry(values: &[u64]) -> MetricsRegistry {
     let mut reg = MetricsRegistry::new();
     for &v in values {
         let labels = [("scenario", "prop"), ("loss", "0.0000")];
-        reg.add_counter("campaign_boards_total", &labels, 1);
+        reg.add_counter("campaign_boards_total", &labels, 1)
+            .unwrap();
         reg.observe_sketch("campaign_detection_latency_cycles", &labels, v);
         reg.observe_histogram("campaign_packets_per_board", &labels, v % 4096);
     }
