@@ -52,23 +52,23 @@ const CONVERSION_CLOCKS: u64 = 13;
 const FIRST_CONVERSION_CLOCKS: u64 = 25;
 
 /// The ADC peripheral.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Adc {
     /// `ADMUX`: channel select (bits 2:0 honoured) and `ADLAR`.
     pub admux: u8,
     /// `ADCSRA` control bits as written (`ADEN`, `ADIE`, prescaler);
     /// `ADSC`/`ADIF` are reconstructed from the conversion state on read.
-    control: u8,
+    pub control: u8,
     /// `ADCSRB`: stored and read back, otherwise unmodelled.
     pub adcsrb: u8,
     /// Latched 10-bit result, already `ADLAR`-adjusted at latch time.
-    data: u16,
+    pub data: u16,
     /// CPU cycles until the in-flight conversion completes.
-    converting: Option<u64>,
+    pub converting: Option<u64>,
     /// Conversion-complete flag (`ADIF`).
-    adif: bool,
+    pub adif: bool,
     /// The next conversion is the extended first-after-enable one.
-    first: bool,
+    pub first: bool,
     /// Host-side analog inputs, one 10-bit sample per channel. Written by
     /// the world model; latched into `data` when a conversion completes.
     pub channels: [u16; ADC_CHANNELS],
@@ -201,60 +201,6 @@ impl Adc {
             ..Adc::default()
         };
     }
-
-    /// Snapshot of the full ADC state, including the in-flight conversion
-    /// countdown and the host-side channel inputs.
-    pub fn state(&self) -> AdcState {
-        AdcState {
-            admux: self.admux,
-            control: self.control,
-            adcsrb: self.adcsrb,
-            data: self.data,
-            converting: self.converting,
-            adif: self.adif,
-            first: self.first,
-            channels: self.channels,
-        }
-    }
-
-    /// Replace the state with a snapshot taken by [`Adc::state`].
-    pub fn restore(&mut self, s: &AdcState) {
-        self.admux = s.admux;
-        self.control = s.control;
-        self.adcsrb = s.adcsrb;
-        self.data = s.data;
-        self.converting = s.converting;
-        self.adif = s.adif;
-        self.first = s.first;
-        self.channels = s.channels;
-    }
-}
-
-/// Serializable snapshot of an [`Adc`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdcState {
-    /// `ADMUX`.
-    pub admux: u8,
-    /// `ADCSRA` control bits (`ADEN`, `ADIE`, prescaler).
-    pub control: u8,
-    /// `ADCSRB`.
-    pub adcsrb: u8,
-    /// Latched result.
-    pub data: u16,
-    /// CPU cycles until the in-flight conversion completes.
-    pub converting: Option<u64>,
-    /// `ADIF` flag.
-    pub adif: bool,
-    /// Next conversion is the extended first one.
-    pub first: bool,
-    /// Host-side analog inputs.
-    pub channels: [u16; ADC_CHANNELS],
-}
-
-impl Default for AdcState {
-    fn default() -> Self {
-        Adc::default().state()
-    }
 }
 
 #[cfg(test)]
@@ -299,7 +245,7 @@ mod tests {
         for _ in 0..100 {
             b.advance(1);
         }
-        assert_eq!(a.state(), b.state());
+        assert_eq!(a, b);
     }
 
     #[test]

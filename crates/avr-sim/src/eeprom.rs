@@ -25,13 +25,16 @@ pub const EEPE: u8 = 1 << 1;
 pub const EEMPE: u8 = 1 << 2;
 
 /// The EEPROM array plus its I/O-register state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Eeprom {
-    bytes: Vec<u8>,
-    addr: u16,
-    data: u8,
+    /// The persistent array.
+    pub bytes: Vec<u8>,
+    /// `EEAR` address register.
+    pub addr: u16,
+    /// `EEDR` data register.
+    pub data: u8,
     /// Set by writing EEMPE; consumed by the next EEPE write.
-    master_enable: bool,
+    pub master_enable: bool,
     /// Total program operations (EEPROM endurance is 100k cycles; tracked
     /// like the flash-wear ledger).
     pub writes: u64,
@@ -99,41 +102,6 @@ impl Eeprom {
             *cell = v;
         }
     }
-
-    /// Snapshot of the array and the register state machine.
-    pub fn state(&self) -> EepromState {
-        EepromState {
-            bytes: self.bytes.clone(),
-            addr: self.addr,
-            data: self.data,
-            master_enable: self.master_enable,
-            writes: self.writes,
-        }
-    }
-
-    /// Replace the state with a snapshot taken by [`Eeprom::state`].
-    pub fn restore(&mut self, s: &EepromState) {
-        self.bytes = s.bytes.clone();
-        self.addr = s.addr;
-        self.data = s.data;
-        self.master_enable = s.master_enable;
-        self.writes = s.writes;
-    }
-}
-
-/// Serializable snapshot of an [`Eeprom`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct EepromState {
-    /// The persistent array.
-    pub bytes: Vec<u8>,
-    /// `EEAR` address register.
-    pub addr: u16,
-    /// `EEDR` data register.
-    pub data: u8,
-    /// Whether `EEMPE` arming is pending.
-    pub master_enable: bool,
-    /// Lifetime program operations.
-    pub writes: u64,
 }
 
 #[cfg(test)]

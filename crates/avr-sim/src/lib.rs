@@ -48,14 +48,12 @@ mod periph;
 pub mod profiler;
 pub mod timer;
 
-pub use adc::{Adc, AdcState};
+pub use adc::Adc;
 pub use blockcache::BlockStats;
-pub use eeprom::{Eeprom, EepromState};
+pub use eeprom::Eeprom;
 pub use fault::{Fault, RunExit};
 pub use forensics::CrashReport;
 pub use machine::{Machine, MachineState, SimCounters, Trace, HEARTBEAT_BIT};
-pub use periph::{
-    Heartbeat, HeartbeatState, PortB, Pwm, Uart, UartState, Watchdog, WatchdogState, PORTB_ADDR,
-};
+pub use periph::{Heartbeat, PortB, Pwm, Uart, Watchdog, PORTB_ADDR};
 pub use profiler::{CycleProfile, Flow, FuncCycles};
-pub use timer::{Timer0, Timer0State};
+pub use timer::Timer0;

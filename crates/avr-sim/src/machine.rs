@@ -1597,18 +1597,18 @@ impl Machine {
         MachineState {
             flash: self.flash.clone(),
             data: self.data.clone(),
-            eeprom: self.eeprom.state(),
+            eeprom: self.eeprom.clone(),
             pc: self.pc,
             cycles: self.cycles,
             fault: self.fault,
             irq_delay: self.irq_delay,
-            uart0: self.uart0.state(),
-            heartbeat: self.heartbeat.state(),
-            watchdog: self.watchdog.state(),
-            timer0: self.timer0.state(),
-            adc: self.adc.state(),
+            uart0: self.uart0.clone(),
+            heartbeat: self.heartbeat.clone(),
+            watchdog: self.watchdog,
+            timer0: self.timer0,
+            adc: self.adc.clone(),
             pwm: self.pwm,
-            portb: self.portb.value,
+            portb: self.portb,
             insns_retired: self.insns_retired,
             interrupts_taken: self.interrupts_taken,
         }
@@ -1637,18 +1637,18 @@ impl Machine {
         );
         self.flash.copy_from_slice(&s.flash);
         self.data.copy_from_slice(&s.data);
-        self.eeprom.restore(&s.eeprom);
+        self.eeprom.clone_from(&s.eeprom);
         self.pc = s.pc;
         self.cycles = s.cycles;
         self.fault = s.fault;
         self.irq_delay = s.irq_delay;
-        self.uart0.restore(&s.uart0);
-        self.heartbeat.restore(&s.heartbeat);
-        self.watchdog.restore(&s.watchdog);
-        self.timer0.restore(&s.timer0);
-        self.adc.restore(&s.adc);
+        self.uart0.clone_from(&s.uart0);
+        self.heartbeat.clone_from(&s.heartbeat);
+        self.watchdog = s.watchdog;
+        self.timer0 = s.timer0;
+        self.adc.clone_from(&s.adc);
         self.pwm = s.pwm;
-        self.portb.value = s.portb;
+        self.portb = s.portb;
         self.insns_retired = s.insns_retired;
         self.interrupts_taken = s.interrupts_taken;
         self.extent_words = self
@@ -1712,7 +1712,7 @@ pub struct MachineState {
     /// The linear data space: registers, I/O, SRAM.
     pub data: Vec<u8>,
     /// EEPROM array and register state machine.
-    pub eeprom: crate::eeprom::EepromState,
+    pub eeprom: Eeprom,
     /// Program counter, in words.
     pub pc: u32,
     /// Elapsed CPU cycles.
@@ -1722,19 +1722,19 @@ pub struct MachineState {
     /// One-instruction interrupt suppression pending (SREG write / reti).
     pub irq_delay: bool,
     /// USART0 buffers and counters.
-    pub uart0: crate::periph::UartState,
+    pub uart0: Uart,
     /// Heartbeat toggle history.
-    pub heartbeat: crate::periph::HeartbeatState,
+    pub heartbeat: Heartbeat,
     /// Watchdog configuration.
-    pub watchdog: crate::periph::WatchdogState,
+    pub watchdog: Watchdog,
     /// Timer/Counter0 registers.
-    pub timer0: crate::timer::Timer0State,
+    pub timer0: Timer0,
     /// ADC registers, conversion countdown and analog inputs.
-    pub adc: crate::adc::AdcState,
+    pub adc: Adc,
     /// PWM duty latches.
-    pub pwm: crate::periph::Pwm,
+    pub pwm: Pwm,
     /// PORTB output latch.
-    pub portb: u8,
+    pub portb: PortB,
     /// Instructions retired.
     pub insns_retired: u64,
     /// Interrupts vectored.

@@ -105,10 +105,12 @@ impl Pwm {
 /// The ground station (or the MAVR master, on the programming link) feeds
 /// [`Uart::inject`]; firmware polls `UCSR0A.RXC0` and reads `UDR0`.
 /// Transmitted bytes accumulate in [`Uart::take_tx`] for the host to drain.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Uart {
-    rx: VecDeque<u8>,
-    tx: Vec<u8>,
+    /// Unread receive queue, front first.
+    pub rx: VecDeque<u8>,
+    /// Undrained transmit buffer.
+    pub tx: Vec<u8>,
     /// Total bytes the firmware has consumed from the receive queue
     /// (monotonic; survives [`Uart::clear`]).
     pub rx_bytes: u64,
@@ -165,37 +167,6 @@ impl Uart {
         self.rx.clear();
         self.tx.clear();
     }
-
-    /// Snapshot of the full UART state, including undrained buffers.
-    pub fn state(&self) -> UartState {
-        UartState {
-            rx: self.rx.iter().copied().collect(),
-            tx: self.tx.clone(),
-            rx_bytes: self.rx_bytes,
-            tx_bytes: self.tx_bytes,
-        }
-    }
-
-    /// Replace the UART state with a snapshot taken by [`Uart::state`].
-    pub fn restore(&mut self, s: &UartState) {
-        self.rx = s.rx.iter().copied().collect();
-        self.tx = s.tx.clone();
-        self.rx_bytes = s.rx_bytes;
-        self.tx_bytes = s.tx_bytes;
-    }
-}
-
-/// Serializable snapshot of a [`Uart`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct UartState {
-    /// Unread receive queue, front first.
-    pub rx: Vec<u8>,
-    /// Undrained transmit buffer.
-    pub tx: Vec<u8>,
-    /// Lifetime bytes received by firmware.
-    pub rx_bytes: u64,
-    /// Lifetime bytes transmitted by firmware.
-    pub tx_bytes: u64,
 }
 
 /// Records transitions of the heartbeat pin, with cycle timestamps.
@@ -204,10 +175,12 @@ pub struct UartState {
 /// performs simple timing analysis to determine whether a failed attack has
 /// occurred" (§V-A2). This model gives it the raw signal: every toggle of
 /// the heartbeat bit on PORTB, timestamped in CPU cycles.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct Heartbeat {
-    toggles: Vec<u64>,
-    last_level: bool,
+    /// Cycle timestamps of every toggle.
+    pub toggles: Vec<u64>,
+    /// Pin level after the last observed write.
+    pub last_level: bool,
 }
 
 impl Heartbeat {
@@ -251,37 +224,16 @@ impl Heartbeat {
         self.toggles.clear();
         self.last_level = false;
     }
-
-    /// Snapshot of the toggle history and current pin level.
-    pub fn state(&self) -> HeartbeatState {
-        HeartbeatState {
-            toggles: self.toggles.clone(),
-            last_level: self.last_level,
-        }
-    }
-
-    /// Replace the state with a snapshot taken by [`Heartbeat::state`].
-    pub fn restore(&mut self, s: &HeartbeatState) {
-        self.toggles = s.toggles.clone();
-        self.last_level = s.last_level;
-    }
-}
-
-/// Serializable snapshot of a [`Heartbeat`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct HeartbeatState {
-    /// Cycle timestamps of every toggle.
-    pub toggles: Vec<u64>,
-    /// Pin level after the last observed write.
-    pub last_level: bool,
 }
 
 /// A watchdog timer. Disabled by default; when enabled, the machine faults
 /// if `timeout` cycles pass without a `wdr` instruction.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Watchdog {
-    timeout: Option<u64>,
-    last_reset: u64,
+    /// Timeout in cycles; `None` while disabled.
+    pub timeout: Option<u64>,
+    /// Cycle of the last `wdr` (or enable).
+    pub last_reset: u64,
 }
 
 impl Watchdog {
@@ -319,29 +271,6 @@ impl Watchdog {
     pub fn deadline(&self) -> Option<u64> {
         self.timeout.map(|t| self.last_reset.saturating_add(t))
     }
-
-    /// Snapshot of the watchdog configuration and pet time.
-    pub fn state(&self) -> WatchdogState {
-        WatchdogState {
-            timeout: self.timeout,
-            last_reset: self.last_reset,
-        }
-    }
-
-    /// Replace the state with a snapshot taken by [`Watchdog::state`].
-    pub fn restore(&mut self, s: &WatchdogState) {
-        self.timeout = s.timeout;
-        self.last_reset = s.last_reset;
-    }
-}
-
-/// Serializable snapshot of a [`Watchdog`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WatchdogState {
-    /// Timeout in cycles; `None` while disabled.
-    pub timeout: Option<u64>,
-    /// Cycle of the last `wdr` (or enable).
-    pub last_reset: u64,
 }
 
 #[cfg(test)]

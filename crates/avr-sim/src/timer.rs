@@ -21,7 +21,7 @@ pub const TOV0: u8 = 1 << 0;
 pub const TIMER0_OVF_VECTOR: u32 = 23;
 
 /// Timer/Counter0 state.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Timer0 {
     /// `TCNT0` counter value.
     pub tcnt: u8,
@@ -32,7 +32,7 @@ pub struct Timer0 {
     /// `TIFR0` (bit 0 = TOV0).
     pub tifr: u8,
     /// Accumulated CPU cycles not yet converted into timer ticks.
-    residual: u64,
+    pub residual: u64,
 }
 
 impl Timer0 {
@@ -93,42 +93,6 @@ impl Timer0 {
     pub fn ack(&mut self) {
         self.tifr &= !TOV0;
     }
-
-    /// Snapshot of the timer registers, including the private prescaler
-    /// residual (without it a restored timer would drift by up to one tick).
-    pub fn state(&self) -> Timer0State {
-        Timer0State {
-            tcnt: self.tcnt,
-            tccr_b: self.tccr_b,
-            timsk: self.timsk,
-            tifr: self.tifr,
-            residual: self.residual,
-        }
-    }
-
-    /// Replace the state with a snapshot taken by [`Timer0::state`].
-    pub fn restore(&mut self, s: &Timer0State) {
-        self.tcnt = s.tcnt;
-        self.tccr_b = s.tccr_b;
-        self.timsk = s.timsk;
-        self.tifr = s.tifr;
-        self.residual = s.residual;
-    }
-}
-
-/// Serializable snapshot of a [`Timer0`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Timer0State {
-    /// `TCNT0` counter value.
-    pub tcnt: u8,
-    /// `TCCR0B` clock-select field.
-    pub tccr_b: u8,
-    /// `TIMSK0`.
-    pub timsk: u8,
-    /// `TIFR0`.
-    pub tifr: u8,
-    /// CPU cycles accumulated toward the next prescaler tick.
-    pub residual: u64,
 }
 
 #[cfg(test)]

@@ -112,17 +112,6 @@ pub struct ResilienceStats {
     pub degraded_boots: u64,
 }
 
-/// A [`FaultPlan`]'s mutable state: its stream position and injection
-/// count, which determinism tests compare (the configuration is
-/// construction-time input).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosState {
-    /// Raw xoshiro256++ state words of the fault stream.
-    pub rng: [u64; 4],
-    /// Total faults injected so far.
-    pub injected: u64,
-}
-
 /// A seeded source of faults for one board's recovery pipeline.
 ///
 /// The plan owns its own RNG stream, separate from the master's
@@ -163,14 +152,6 @@ impl FaultPlan {
     /// Total faults injected so far (all surfaces).
     pub fn injected(&self) -> u64 {
         self.injected
-    }
-
-    /// The plan's mutable state.
-    pub fn state(&self) -> ChaosState {
-        ChaosState {
-            rng: self.rng.state(),
-            injected: self.injected,
-        }
     }
 
     /// Flip one random bit in each byte selected at probability `p`.
@@ -317,7 +298,7 @@ mod tests {
     #[test]
     fn inert_plan_changes_nothing_and_holds_rng_still() {
         let mut plan = FaultPlan::none();
-        let before = plan.state();
+        let before = plan.clone();
         let stream = crate::bootloader::programming_stream(&[0xab; 1024], 256);
         assert_eq!(plan.mangle_stream(&stream), stream);
         let mut bytes = vec![0x55u8; 4096];
@@ -325,7 +306,7 @@ mod tests {
         assert!(bytes.iter().all(|&b| b == 0x55));
         assert_eq!(plan.power_loss_cut(16), None);
         assert_eq!(plan.partial_page_len(256), None);
-        assert_eq!(plan.state(), before);
+        assert_eq!(plan, before);
         assert_eq!(plan.injected(), 0);
     }
 
@@ -337,7 +318,7 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(a.mangle_stream(&stream), b.mangle_stream(&stream));
         }
-        assert_eq!(a.state(), b.state());
+        assert_eq!(a, b);
 
         let mut c = FaultPlan::new(100, noisy());
         let differs = (0..8).any(|_| {

@@ -32,7 +32,7 @@ pub mod software_only;
 
 pub use app::AppProcessor;
 pub use board::{BoardEvent, MavrBoard, RecoveryCause};
-pub use chaos::{ChaosConfig, ChaosState, FaultPlan, ResilienceStats};
+pub use chaos::{ChaosConfig, FaultPlan, ResilienceStats};
 pub use ext_flash::ExternalFlash;
 pub use link::SerialLink;
 pub use master::{MasterError, MasterProcessor, StartupReport};

@@ -65,6 +65,9 @@ pub struct ServiceStats {
     pub checkpoint_skipped: AtomicU64,
     /// Work slices executed.
     pub slices: AtomicU64,
+    /// Work-queue scans: passes over every campaign's checkpoints looking
+    /// for one with unfinished jobs.
+    pub scans: AtomicU64,
     /// Jobs executed across all slices (re-runs included).
     pub jobs_run: AtomicU64,
 }
@@ -81,6 +84,10 @@ pub struct Service {
     exec: Mutex<()>,
     fault_fs: FaultFs,
     stats: ServiceStats,
+    /// Whether the work queue may have changed since the executor last
+    /// scanned it: set at start, by each submit, and by the executor after
+    /// each slice or error. An idle executor scans only when it is set.
+    work_hint: AtomicBool,
 }
 
 impl Service {
@@ -93,6 +100,7 @@ impl Service {
             exec: Mutex::new(()),
             fault_fs: FaultFs::none(),
             stats: ServiceStats::default(),
+            work_hint: AtomicBool::new(true),
         }
     }
 
@@ -158,6 +166,7 @@ impl Service {
         let spec_json = req.get("spec").ok_or("submit needs a `spec` object")?;
         let spec = CampaignSpec::from_json(&spec_json.to_text())?;
         let store = CampaignStore::create(&self.root, spec)?.with_faults(self.fault_fs.clone());
+        self.hint_work();
         let plan = store.plan();
         let response = Json::Obj(vec![
             ("ok".into(), Json::Bool(true)),
@@ -259,6 +268,7 @@ impl Service {
                     n(&self.stats.checkpoint_skipped),
                 ),
                 ("campaignd_slices".into(), n(&self.stats.slices)),
+                ("campaignd_scans".into(), n(&self.stats.scans)),
                 ("campaignd_jobs_run".into(), n(&self.stats.jobs_run)),
             ]),
             Control::Continue,
@@ -316,6 +326,7 @@ impl Service {
     /// The first campaign with unfinished jobs (service work queue, in
     /// name order), or None when everything is complete.
     pub fn pending_campaign(&self) -> Result<Option<String>, String> {
+        self.stats.scans.fetch_add(1, Ordering::Relaxed);
         for store in CampaignStore::list(&self.root)? {
             let status = store.status()?;
             if !status.complete() {
@@ -323,6 +334,19 @@ impl Service {
             }
         }
         Ok(None)
+    }
+
+    /// Note that the work queue may have changed, so the executor's next
+    /// pass scans it. Release: a scan that takes the hint sees what was
+    /// written before it was set.
+    pub(crate) fn hint_work(&self) {
+        self.work_hint.store(true, Ordering::Release);
+    }
+
+    /// Take the work hint: whether the queue may have changed since the
+    /// last take.
+    pub(crate) fn take_work_hint(&self) -> bool {
+        self.work_hint.swap(false, Ordering::Acquire)
     }
 
     /// Whether the shared interrupt flag has tripped.

@@ -287,9 +287,19 @@ fn serve_connection(
 /// executor then turns the flag into a `halt`: a signal handler can set a
 /// flag but wake nothing, so the idle wait below bounds how late Ctrl-C is
 /// noticed when no campaign is running.
+///
+/// Scanning the queue decodes every campaign's checkpoints, so an idle
+/// executor scans only after the service's work hint is set (at start, by
+/// a submit, and after each slice or error of its own). A campaign written
+/// into the root behind the service's back is picked up at the next
+/// submit or restart.
 #[cfg(unix)]
 fn executor_loop(service: &Service, path: &Path, log: &Mutex<impl Write>) {
     while !service.interrupted() {
+        if !service.take_work_hint() {
+            std::thread::sleep(Duration::from_millis(25));
+            continue;
+        }
         match service.pending_campaign() {
             Ok(Some(name)) => match service.run_slice(&name, None, None) {
                 Ok(outcome) => logln(
@@ -311,12 +321,13 @@ fn executor_loop(service: &Service, path: &Path, log: &Mutex<impl Write>) {
                     std::thread::sleep(Duration::from_millis(250));
                 }
             },
-            Ok(None) => std::thread::sleep(Duration::from_millis(25)),
+            Ok(None) => continue,
             Err(e) => {
                 logln(log, format_args!("campaignd: scan: {e}"));
                 std::thread::sleep(Duration::from_millis(250));
             }
         }
+        service.hint_work();
     }
     halt(service, path);
 }

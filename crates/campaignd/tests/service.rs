@@ -186,7 +186,12 @@ struct Server {
 
 #[cfg(unix)]
 fn start_server(tag: &str, opts: mavr_campaignd::ServeOptions) -> Server {
-    let root = tmp_root(tag);
+    start_server_in(tmp_root(tag), opts)
+}
+
+/// [`start_server`] over an existing campaign root.
+#[cfg(unix)]
+fn start_server_in(root: PathBuf, opts: mavr_campaignd::ServeOptions) -> Server {
     let interrupt = Arc::new(AtomicBool::new(false));
     let service = Arc::new(Service::new(root.clone(), Arc::clone(&interrupt)));
     let sock = root.join("campaignd.sock");
@@ -214,6 +219,21 @@ fn start_server(tag: &str, opts: mavr_campaignd::ServeOptions) -> Server {
 impl Server {
     fn request(&self, line: &str) -> String {
         mavr_campaignd::server::request(&self.sock, line).unwrap()
+    }
+
+    /// One counter from the `stats` op.
+    fn stat(&self, name: &str) -> u64 {
+        let resp = self.request(r#"{"op":"stats"}"#);
+        let key = format!("\"{name}\":");
+        let at = resp
+            .find(&key)
+            .unwrap_or_else(|| panic!("no {name} in {resp}"))
+            + key.len();
+        let digits: String = resp[at..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
     }
 
     /// Trip the interrupt flag and require `serve_socket` to return.
@@ -245,6 +265,52 @@ fn socket_server_stops_within_2s_on_shutdown_and_on_interrupt() {
     // Nothing is pending, so the executor sits in its idle wait when the
     // flag trips; it must still wake the blocked accept loop.
     let server = start_server("stop-interrupt", Default::default());
+    server.interrupt_and_join();
+}
+
+/// An idle executor does not rescan finished campaigns: each scan decodes
+/// every checkpoint in the root. It scans once at start, then only after a
+/// submit and after each slice it runs.
+#[cfg(unix)]
+#[test]
+fn an_idle_executor_scans_only_when_work_may_have_arrived() {
+    let root = tmp_root("idle-scans");
+    let mut done = CampaignSpec::named("done");
+    done.boards = 2;
+    done.scenarios = vec![mavr_fleet::Scenario::Benign];
+    done.attack_cycles = 300_000;
+    let service = Service::new(root.clone(), Arc::new(AtomicBool::new(false)));
+    let (resp, _) = service.handle_line(&format!(r#"{{"op":"submit","spec":{}}}"#, done.to_json()));
+    assert!(resp.contains(r#""ok":true"#), "{resp}");
+    assert!(service.run_slice("done", None, None).unwrap().complete);
+
+    let server = start_server_in(root, Default::default());
+    std::thread::sleep(Duration::from_millis(300));
+    assert_eq!(server.stat("campaignd_scans"), 1, "one scan at start");
+
+    let mut three = CampaignSpec::named("three");
+    three.boards = 3;
+    three.scenarios = vec![mavr_fleet::Scenario::Benign];
+    three.attack_cycles = 300_000;
+    let resp = server.request(&format!(r#"{{"op":"submit","spec":{}}}"#, three.to_json()));
+    assert!(resp.contains(r#""total_jobs":3"#), "{resp}");
+    let ran = (0..2000).any(|_| {
+        std::thread::sleep(Duration::from_millis(5));
+        server.stat("campaignd_slices") == 1
+    });
+    assert!(ran, "the submit woke the executor");
+    let status = server.request(r#"{"op":"status","campaign":"three"}"#);
+    assert!(status.contains(r#""done_jobs":3"#), "{status}");
+    // The submit's scan found the campaign; the scan after its slice
+    // found nothing left, and the executor is idle again.
+    let settled = (0..400).any(|_| {
+        std::thread::sleep(Duration::from_millis(5));
+        server.stat("campaignd_scans") == 3
+    });
+    assert!(settled, "scans: {}", server.stat("campaignd_scans"));
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(server.stat("campaignd_scans"), 3);
+    assert_eq!(server.stat("campaignd_slices"), 1);
     server.interrupt_and_join();
 }
 

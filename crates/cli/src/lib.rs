@@ -1003,8 +1003,10 @@ fn load_spec(args: &Args, path: &str) -> Result<mavr_campaignd::CampaignSpec, Cl
 /// budget, or to Ctrl-C, either of which flushes valid shard checkpoints
 /// that the next identical invocation resumes. A completed one-shot run
 /// auto-merges the report. `--socket PATH` serves the ND-JSON control
-/// protocol on a Unix socket and runs pending shards while it answers;
-/// `--stdio` serves the same protocol on stdin/stdout (no background
+/// protocol on a Unix socket and runs pending shards while it answers
+/// (it scans the root at start and after each submit, so a campaign
+/// written into a live root with `submit --dir` waits for the next submit
+/// or restart); `--stdio` serves the same protocol on stdin/stdout (no background
 /// work — drive it with explicit `run` requests).
 ///
 /// Supervision knobs (all modes): `--deadline-s N` trips the cooperative
@@ -1667,8 +1669,9 @@ COMMANDS:
         run auto-merges its report; --shard-jobs and --tenant override
         the spec; --progress streams status with ETA). --socket PATH
         serves the ND-JSON control protocol on a Unix socket, running
-        pending shards while it answers; --stdio serves the protocol on
-        stdin/stdout. --deadline-s N trips the cooperative interrupt
+        pending shards while it answers (a campaign written into a live
+        root with `submit --dir` is picked up at the next submit or
+        restart); --stdio serves the protocol on stdin/stdout. --deadline-s N trips the cooperative interrupt
         after N seconds (checkpoints flush, exit 0); --store-fault RATE
         with --store-fault-seed N injects seeded disk faults into every
         durable store write (chaos harness). Campaign results are

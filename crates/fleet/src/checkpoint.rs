@@ -10,11 +10,11 @@
 //! pure fold over the per-board outcomes ([`crate::CampaignAggregate`]),
 //! which is what makes resumed reports bit-identical to uninterrupted ones.
 
-use crate::report::{BoardOutcome, JobFailure, JobFailureKind};
+use crate::report::{BoardOutcome, JobFailure, JobFailureKind, WorldMetrics};
 use crate::scenario::Scenario;
 use crate::CampaignConfig;
 use mavlink_lite::channel::ChannelStats;
-use mavr_snapshot::{Reader, SnapshotError, Writer};
+use mavr_snapshot::{optional, Reader, SnapshotError, Writer};
 
 /// FNV-1a over the campaign identity: everything that changes the result,
 /// nothing that doesn't (`threads` and telemetry wiring are excluded).
@@ -162,11 +162,7 @@ pub(crate) fn get_outcome(r: &mut Reader<'_>) -> Result<BoardOutcome, SnapshotEr
         reflash_retries: r.u64()?,
         degraded_boots: r.u64()?,
         bricked: r.bool()?,
-        time_to_recovery: {
-            let present = r.bool()?;
-            let v = r.u64()?;
-            present.then_some(v)
-        },
+        time_to_recovery: optional(r.bool()?, r.u64()?, 0)?,
         final_cycle: r.u64()?,
         heartbeats: r.u64()?,
         packets: r.u64()?,
@@ -179,28 +175,29 @@ pub(crate) fn get_outcome(r: &mut Reader<'_>) -> Result<BoardOutcome, SnapshotEr
         sim_block_count: r.u64()?,
         up_stats: get_stats(r)?,
         down_stats: get_stats(r)?,
-        world: {
-            let present = r.bool()?;
-            let wm = crate::report::WorldMetrics {
-                peak_alt_err_m: f64::from_bits(r.u64()?),
-                ground_impacts: r.u32()?,
-                alt_lost_m: f64::from_bits(r.u64()?),
-                recoveries_caught: r.u32()?,
-            };
-            present.then_some(wm)
-        },
-        failure: {
-            let present = r.bool()?;
-            let kind = r.u8()?;
-            let attempts = r.u32()?;
-            if present {
-                Some(JobFailure {
-                    kind: failure_from_tag(kind)?,
-                    attempts,
-                })
-            } else {
-                None
-            }
+        // An absent world is written as all-zero bits, compared as bits:
+        // `-0.0 == 0.0` would let a non-canonical one through.
+        world: optional(
+            r.bool()?,
+            (r.u64()?, r.u32()?, r.u64()?, r.u32()?),
+            (0, 0, 0, 0),
+        )?
+        .map(|(peak, impacts, lost, caught)| WorldMetrics {
+            peak_alt_err_m: f64::from_bits(peak),
+            ground_impacts: impacts,
+            alt_lost_m: f64::from_bits(lost),
+            recoveries_caught: caught,
+        }),
+        failure: match optional(
+            r.bool()?,
+            (r.u8()?, r.u32()?),
+            (failure_tag(JobFailureKind::Panic), 0),
+        )? {
+            Some((tag, attempts)) => Some(JobFailure {
+                kind: failure_from_tag(tag)?,
+                attempts,
+            }),
+            None => None,
         },
     })
 }

@@ -462,8 +462,15 @@ fn fly_board(
     payloads: Option<&[Vec<u8>]>,
     job: Job,
 ) -> BoardOutcome {
+    let Ok(mut board) = provisioned else {
+        // The very first boot exhausted its retries (there is no
+        // last-known-good image yet): dead on the bench.
+        return BoardOutcome {
+            bricked: true,
+            ..unflown_outcome(cfg, job)
+        };
+    };
     let stream_base = cfg.stream_base();
-    let board_seed = job_board_seed(cfg, job);
     let loss_cfg = LossConfig {
         drop: job.loss,
         corrupt: job.loss,
@@ -479,39 +486,6 @@ fn fly_board(
         loss_cfg.with_seed(derive_seed(stream_base, job.base_index as u64 * 3 + 2)),
     );
     let mut gcs = GroundStation::with_capacity(cfg.gcs_capacity);
-
-    let Ok(mut board) = provisioned else {
-        // The very first boot exhausted its retries (there is no
-        // last-known-good image yet): dead on the bench.
-        return BoardOutcome {
-            scenario: job.scenario,
-            loss: job.loss,
-            fault: job.fault,
-            board_index: job.board_index,
-            board_seed,
-            attack_packets: 0,
-            attack_succeeded: false,
-            recoveries: 0,
-            reflash_retries: 0,
-            degraded_boots: 0,
-            bricked: true,
-            time_to_recovery: None,
-            final_cycle: 0,
-            heartbeats: 0,
-            packets: 0,
-            seq_gaps: 0,
-            packets_lost: 0,
-            bad_checksums: 0,
-            uav_bad_crc: 0,
-            sim_block_hits: 0,
-            sim_block_invalidations: 0,
-            sim_block_count: 0,
-            up_stats: up.stats,
-            down_stats: down.stats,
-            world: None,
-            failure: None,
-        };
-    };
     board.app.machine.set_block_fusion(cfg.block_fusion);
 
     // The world's RNG stream lives at `(1 << 62) | base_index`: keyed by
@@ -592,7 +566,7 @@ fn fly_board(
         loss: job.loss,
         fault: job.fault,
         board_index: job.board_index,
-        board_seed,
+        board_seed: job_board_seed(cfg, job),
         attack_packets,
         attack_succeeded,
         recoveries: board.recoveries(),
@@ -783,13 +757,15 @@ fn run_board_supervised(
         kind: last,
         attempts: JOB_RETRY_CAP,
     };
-    quarantined_outcome(cfg, job, failure)
+    BoardOutcome {
+        failure: Some(failure),
+        ..unflown_outcome(cfg, job)
+    }
 }
 
-/// The outcome of a quarantined job: real matrix coordinates (so cell
-/// accounting and checkpoint contiguity hold), zeroed observations, and
-/// the typed failure record.
-fn quarantined_outcome(cfg: &CampaignConfig, job: Job, failure: JobFailure) -> BoardOutcome {
+/// The outcome of a job that never flew: real matrix coordinates (so cell
+/// accounting and checkpoint contiguity hold) and zeroed observations.
+fn unflown_outcome(cfg: &CampaignConfig, job: Job) -> BoardOutcome {
     BoardOutcome {
         scenario: job.scenario,
         loss: job.loss,
@@ -816,7 +792,7 @@ fn quarantined_outcome(cfg: &CampaignConfig, job: Job, failure: JobFailure) -> B
         up_stats: ChannelStats::default(),
         down_stats: ChannelStats::default(),
         world: None,
-        failure: Some(failure),
+        failure: None,
     }
 }
 

@@ -204,17 +204,21 @@ impl ShardCheckpoint {
                 job_hi - job_lo
             )));
         }
+        // The encoder writes jobs in ascending order, so each job lies
+        // past the previous one: any other order would decode to a
+        // checkpoint that re-encodes differently.
         let mut outcomes = BTreeMap::new();
+        let mut next = job_lo;
         for _ in 0..n {
             let job = r.u64()?;
-            if !(job_lo..job_hi).contains(&job) {
+            if !(next..job_hi).contains(&job) {
                 return Err(SnapshotError::Malformed(format!(
-                    "outcome for job {job} outside shard range {job_lo}..{job_hi}"
+                    "outcome for job {job} out of order or outside shard range \
+                     {job_lo}..{job_hi}"
                 )));
             }
-            if outcomes.insert(job, get_outcome(&mut r)?).is_some() {
-                return Err(SnapshotError::Malformed(format!("job {job} twice")));
-            }
+            next = job + 1;
+            outcomes.insert(job, get_outcome(&mut r)?);
         }
         r.done()?;
         Ok(ShardCheckpoint {

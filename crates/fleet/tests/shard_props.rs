@@ -11,9 +11,10 @@
 
 use mavr_fleet::{
     config_fingerprint, json_prelude, merge_shard_checkpoints, run_campaign, run_shard_resume,
-    summarize, BoardOutcome, CampaignAggregate, CampaignConfig, PreparedCampaign, Scenario,
-    ShardCheckpoint, ShardPlan, JSON_EPILOGUE,
+    summarize, BoardOutcome, CampaignAggregate, CampaignConfig, JobFailure, JobFailureKind,
+    PreparedCampaign, Scenario, ShardCheckpoint, ShardPlan, WorldMetrics, JSON_EPILOGUE,
 };
+use mavr_snapshot::{Kind, SnapshotError, Writer};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -252,5 +253,107 @@ fn sample() -> BoardOutcome {
         down_stats: Default::default(),
         world: None,
         failure: None,
+    }
+}
+
+/// Two checkpoints to mutate: an empty shard, and one holding outcomes
+/// with every optional field absent, and present.
+fn checkpoints() -> [ShardCheckpoint; 2] {
+    let cfg = cfg();
+    let plan = ShardPlan::new(&cfg, 4);
+    let empty = ShardCheckpoint::new(&cfg, &plan, 1);
+    let mut full = ShardCheckpoint::new(&cfg, &plan, 0);
+    full.insert_outcome(0, sample());
+    full.insert_outcome(
+        1,
+        BoardOutcome {
+            time_to_recovery: Some(40_000),
+            world: Some(WorldMetrics {
+                peak_alt_err_m: 1.5,
+                ground_impacts: 1,
+                alt_lost_m: 0.25,
+                recoveries_caught: 2,
+            }),
+            ..sample()
+        },
+    );
+    full.insert_outcome(
+        3,
+        BoardOutcome {
+            failure: Some(JobFailure {
+                kind: JobFailureKind::Timeout,
+                attempts: 3,
+            }),
+            ..sample()
+        },
+    );
+    [empty, full]
+}
+
+/// `payload` in a valid checkpoint frame, so only the payload decoder can
+/// refuse it.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut w = Writer::new();
+    for &b in payload {
+        w.put_u8(b);
+    }
+    w.finish(Kind::ShardCheckpoint)
+}
+
+/// The payload of a framed blob (19-byte header, 4-byte CRC trailer).
+fn payload(blob: &[u8]) -> &[u8] {
+    &blob[19..blob.len() - 4]
+}
+
+/// The totality contract for one blob: it decodes to a checkpoint that
+/// re-encodes to the same bytes, or it is refused — never a panic.
+fn decodes_exactly_or_refuses(blob: &[u8]) {
+    if let Ok(shard) = ShardCheckpoint::from_bytes(blob) {
+        assert_eq!(
+            shard.to_bytes(),
+            blob,
+            "a decoded blob must re-encode to itself"
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Every proper prefix of a payload, framed validly, is a truncation.
+    #[test]
+    fn truncated_checkpoints_are_truncations(pick in any::<bool>(), cut in any::<usize>()) {
+        let blob = checkpoints()[usize::from(pick)].to_bytes();
+        let whole = payload(&blob);
+        let short = frame(&whole[..cut % whole.len()]);
+        prop_assert!(
+            matches!(ShardCheckpoint::from_bytes(&short), Err(SnapshotError::Truncated { .. })),
+            "cut at {}", cut % whole.len()
+        );
+        prop_assert!(ShardCheckpoint::from_bytes(&blob[..cut % blob.len()]).is_err());
+    }
+
+    /// Flipped bits under a recomputed CRC decode exactly or are refused.
+    #[test]
+    fn bit_flipped_checkpoints_decode_exactly_or_are_refused(
+        pick in any::<bool>(),
+        flips in pvec((any::<usize>(), 0u8..8), 1..4),
+    ) {
+        let blob = checkpoints()[usize::from(pick)].to_bytes();
+        let mut bytes = payload(&blob).to_vec();
+        for (at, bit) in flips {
+            let at = at % bytes.len();
+            bytes[at] ^= 1 << bit;
+        }
+        decodes_exactly_or_refuses(&frame(&bytes));
+    }
+
+    /// Arbitrary payloads, rich in the bytes 0 and 1 so that flags, tags
+    /// and counts often parse, decode exactly or are refused.
+    #[test]
+    fn arbitrary_checkpoints_decode_exactly_or_are_refused(
+        bytes in pvec(prop_oneof![Just(0u8), Just(1u8), any::<u8>()], 0..600),
+    ) {
+        decodes_exactly_or_refuses(&frame(&bytes));
     }
 }

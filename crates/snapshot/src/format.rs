@@ -19,10 +19,8 @@
 //! bounds-checked cursor that never panics on truncated or malformed
 //! input; every structural problem surfaces as a [`SnapshotError`].
 
-use avr_sim::{
-    AdcState, EepromState, Fault, HeartbeatState, MachineState, Pwm, Timer0State, UartState,
-    WatchdogState,
-};
+use avr_sim::adc::ADC_CHANNELS;
+use avr_sim::{Adc, Eeprom, Fault, Heartbeat, MachineState, PortB, Pwm, Timer0, Uart, Watchdog};
 
 /// Leading magic of every snapshot blob.
 pub const MAGIC: &[u8; 8] = b"MAVRSNAP";
@@ -322,6 +320,25 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// An optional value as the wire carries it: a presence flag, then the
+/// value either way, with `absent` written in place of a missing one. A
+/// missing value written as anything else is refused, so every payload
+/// that decodes re-encodes to the same bytes. Call it as
+/// `optional(r.bool()?, r.u64()?, 0)`: arguments are read left to right.
+pub fn optional<T: PartialEq>(
+    present: bool,
+    value: T,
+    absent: T,
+) -> Result<Option<T>, SnapshotError> {
+    match (present, value == absent) {
+        (true, _) => Ok(Some(value)),
+        (false, true) => Ok(None),
+        (false, false) => Err(SnapshotError::Malformed(
+            "absent value with a nonzero encoding".into(),
+        )),
+    }
+}
+
 // ---- fault encoding ----
 
 fn put_fault(w: &mut Writer, f: Option<Fault>) {
@@ -370,144 +387,15 @@ fn get_fault(r: &mut Reader<'_>) -> Result<Option<Fault>, SnapshotError> {
 
 // ---- machine state ----
 
-fn put_eeprom(w: &mut Writer, e: &EepromState) {
-    w.put_bytes(&e.bytes);
-    w.put_u16(e.addr);
-    w.put_u8(e.data);
-    w.put_bool(e.master_enable);
-    w.put_u64(e.writes);
-}
-
-fn get_eeprom(r: &mut Reader<'_>) -> Result<EepromState, SnapshotError> {
-    Ok(EepromState {
-        bytes: r.bytes()?,
-        addr: r.u16()?,
-        data: r.u8()?,
-        master_enable: r.bool()?,
-        writes: r.u64()?,
-    })
-}
-
 /// A machine state on the wire: the CPU core and every peripheral first,
-/// then the flash, data-space and EEPROM arrays.
+/// then the flash, data-space and EEPROM arrays. Every struct is
+/// destructured without `..`, so a field added to a peripheral stops this
+/// from compiling instead of silently dropping out of the wire.
 fn put_machine_state(w: &mut Writer, s: &MachineState) {
-    w.put_u32(s.pc);
-    w.put_u64(s.cycles);
-    put_fault(w, s.fault);
-    w.put_bool(s.irq_delay);
-    w.put_u64(s.insns_retired);
-    w.put_u64(s.interrupts_taken);
-    // UART.
-    w.put_bytes(&s.uart0.rx);
-    w.put_bytes(&s.uart0.tx);
-    w.put_u64(s.uart0.rx_bytes);
-    w.put_u64(s.uart0.tx_bytes);
-    // Heartbeat.
-    w.put_u64(s.heartbeat.toggles.len() as u64);
-    for &t in &s.heartbeat.toggles {
-        w.put_u64(t);
-    }
-    w.put_bool(s.heartbeat.last_level);
-    // Watchdog.
-    w.put_bool(s.watchdog.timeout.is_some());
-    w.put_u64(s.watchdog.timeout.unwrap_or(0));
-    w.put_u64(s.watchdog.last_reset);
-    // Timer0.
-    w.put_u8(s.timer0.tcnt);
-    w.put_u8(s.timer0.tccr_b);
-    w.put_u8(s.timer0.timsk);
-    w.put_u8(s.timer0.tifr);
-    w.put_u64(s.timer0.residual);
-    // ADC.
-    w.put_u8(s.adc.admux);
-    w.put_u8(s.adc.control);
-    w.put_u8(s.adc.adcsrb);
-    w.put_u16(s.adc.data);
-    w.put_bool(s.adc.converting.is_some());
-    w.put_u64(s.adc.converting.unwrap_or(0));
-    w.put_bool(s.adc.adif);
-    w.put_bool(s.adc.first);
-    for ch in s.adc.channels {
-        w.put_u16(ch);
-    }
-    // PWM compare latches and the PORTB output latch.
-    w.put_u8(s.pwm.ocr0a);
-    w.put_u8(s.pwm.ocr0b);
-    w.put_u8(s.portb);
-    // The memories.
-    w.put_bytes(&s.flash);
-    w.put_bytes(&s.data);
-    put_eeprom(w, &s.eeprom);
-}
-
-/// Inverse of [`put_machine_state`]. Struct fields are evaluated in the
-/// order written, so every literal below reads in wire order.
-fn get_machine_state(r: &mut Reader<'_>) -> Result<MachineState, SnapshotError> {
-    let pc = r.u32()?;
-    let cycles = r.u64()?;
-    let fault = get_fault(r)?;
-    let irq_delay = r.bool()?;
-    let insns_retired = r.u64()?;
-    let interrupts_taken = r.u64()?;
-    let uart0 = UartState {
-        rx: r.bytes()?,
-        tx: r.bytes()?,
-        rx_bytes: r.u64()?,
-        tx_bytes: r.u64()?,
-    };
-    let n = r.u64()? as usize;
-    let mut toggles = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        toggles.push(r.u64()?);
-    }
-    let heartbeat = HeartbeatState {
-        toggles,
-        last_level: r.bool()?,
-    };
-    let enabled = r.bool()?;
-    let timeout = r.u64()?;
-    let watchdog = WatchdogState {
-        timeout: enabled.then_some(timeout),
-        last_reset: r.u64()?,
-    };
-    let timer0 = Timer0State {
-        tcnt: r.u8()?,
-        tccr_b: r.u8()?,
-        timsk: r.u8()?,
-        tifr: r.u8()?,
-        residual: r.u64()?,
-    };
-    let admux = r.u8()?;
-    let control = r.u8()?;
-    let adcsrb = r.u8()?;
-    let data = r.u16()?;
-    let in_flight = r.bool()?;
-    let left = r.u64()?;
-    let adif = r.bool()?;
-    let first = r.bool()?;
-    let mut channels = [0u16; avr_sim::adc::ADC_CHANNELS];
-    for ch in &mut channels {
-        *ch = r.u16()?;
-    }
-    let adc = AdcState {
-        admux,
-        control,
-        adcsrb,
+    let MachineState {
+        flash,
         data,
-        converting: in_flight.then_some(left),
-        adif,
-        first,
-        channels,
-    };
-    let pwm = Pwm {
-        ocr0a: r.u8()?,
-        ocr0b: r.u8()?,
-    };
-    Ok(MachineState {
-        portb: r.u8()?,
-        flash: r.bytes()?,
-        data: r.bytes()?,
-        eeprom: get_eeprom(r)?,
+        eeprom,
         pc,
         cycles,
         fault,
@@ -518,8 +406,165 @@ fn get_machine_state(r: &mut Reader<'_>) -> Result<MachineState, SnapshotError> 
         timer0,
         adc,
         pwm,
+        portb,
         insns_retired,
         interrupts_taken,
+    } = s;
+    w.put_u32(*pc);
+    w.put_u64(*cycles);
+    put_fault(w, *fault);
+    w.put_bool(*irq_delay);
+    w.put_u64(*insns_retired);
+    w.put_u64(*interrupts_taken);
+    let Uart {
+        rx,
+        tx,
+        rx_bytes,
+        tx_bytes,
+    } = uart0;
+    w.put_bytes(&rx.iter().copied().collect::<Vec<u8>>());
+    w.put_bytes(tx);
+    w.put_u64(*rx_bytes);
+    w.put_u64(*tx_bytes);
+    let Heartbeat {
+        toggles,
+        last_level,
+    } = heartbeat;
+    w.put_u64(toggles.len() as u64);
+    for &t in toggles {
+        w.put_u64(t);
+    }
+    w.put_bool(*last_level);
+    let Watchdog {
+        timeout,
+        last_reset,
+    } = watchdog;
+    w.put_bool(timeout.is_some());
+    w.put_u64(timeout.unwrap_or(0));
+    w.put_u64(*last_reset);
+    let Timer0 {
+        tcnt,
+        tccr_b,
+        timsk,
+        tifr,
+        residual,
+    } = timer0;
+    w.put_u8(*tcnt);
+    w.put_u8(*tccr_b);
+    w.put_u8(*timsk);
+    w.put_u8(*tifr);
+    w.put_u64(*residual);
+    let Adc {
+        admux,
+        control,
+        adcsrb,
+        data: result,
+        converting,
+        adif,
+        first,
+        channels,
+    } = adc;
+    w.put_u8(*admux);
+    w.put_u8(*control);
+    w.put_u8(*adcsrb);
+    w.put_u16(*result);
+    w.put_bool(converting.is_some());
+    w.put_u64(converting.unwrap_or(0));
+    w.put_bool(*adif);
+    w.put_bool(*first);
+    for &ch in channels {
+        w.put_u16(ch);
+    }
+    let Pwm { ocr0a, ocr0b } = pwm;
+    w.put_u8(*ocr0a);
+    w.put_u8(*ocr0b);
+    let PortB { value } = portb;
+    w.put_u8(*value);
+    w.put_bytes(flash);
+    w.put_bytes(data);
+    let Eeprom {
+        bytes,
+        addr,
+        data: eedr,
+        master_enable,
+        writes,
+    } = eeprom;
+    w.put_bytes(bytes);
+    w.put_u16(*addr);
+    w.put_u8(*eedr);
+    w.put_bool(*master_enable);
+    w.put_u64(*writes);
+}
+
+/// Inverse of [`put_machine_state`]. Struct fields are evaluated in the
+/// order written, so every literal below reads in wire order.
+fn get_machine_state(r: &mut Reader<'_>) -> Result<MachineState, SnapshotError> {
+    Ok(MachineState {
+        pc: r.u32()?,
+        cycles: r.u64()?,
+        fault: get_fault(r)?,
+        irq_delay: r.bool()?,
+        insns_retired: r.u64()?,
+        interrupts_taken: r.u64()?,
+        uart0: Uart {
+            rx: r.bytes()?.into(),
+            tx: r.bytes()?,
+            rx_bytes: r.u64()?,
+            tx_bytes: r.u64()?,
+        },
+        heartbeat: Heartbeat {
+            toggles: {
+                // Grow as entries arrive: a hostile count reserves nothing.
+                let n = r.u64()?;
+                let mut toggles = Vec::new();
+                for _ in 0..n {
+                    toggles.push(r.u64()?);
+                }
+                toggles
+            },
+            last_level: r.bool()?,
+        },
+        watchdog: Watchdog {
+            timeout: optional(r.bool()?, r.u64()?, 0)?,
+            last_reset: r.u64()?,
+        },
+        timer0: Timer0 {
+            tcnt: r.u8()?,
+            tccr_b: r.u8()?,
+            timsk: r.u8()?,
+            tifr: r.u8()?,
+            residual: r.u64()?,
+        },
+        adc: Adc {
+            admux: r.u8()?,
+            control: r.u8()?,
+            adcsrb: r.u8()?,
+            data: r.u16()?,
+            converting: optional(r.bool()?, r.u64()?, 0)?,
+            adif: r.bool()?,
+            first: r.bool()?,
+            channels: {
+                let mut channels = [0; ADC_CHANNELS];
+                for ch in &mut channels {
+                    *ch = r.u16()?;
+                }
+                channels
+            },
+        },
+        pwm: Pwm {
+            ocr0a: r.u8()?,
+            ocr0b: r.u8()?,
+        },
+        portb: PortB { value: r.u8()? },
+        flash: r.bytes()?,
+        data: r.bytes()?,
+        eeprom: Eeprom {
+            bytes: r.bytes()?,
+            addr: r.u16()?,
+            data: r.u8()?,
+            master_enable: r.bool()?,
+            writes: r.u64()?,
+        },
     })
 }
 
@@ -655,6 +700,75 @@ mod tests {
         a.run(50_000);
         b.run(50_000);
         assert_eq!(a.capture_state(), b.capture_state());
+    }
+
+    /// Pins the machine wire. Round trips alone would pass an encoder and
+    /// decoder that moved fields together, so one state with every
+    /// peripheral field off its default must encode to a fixed length and
+    /// CRC-32; changing either is a layout change, which bumps `VERSION`.
+    #[test]
+    fn machine_wire_is_pinned() {
+        use avr_sim::adc::{ADCSRA_ADDR, ADCSRB_ADDR, ADEN, ADIE, ADLAR, ADMUX_ADDR, ADSC};
+        use avr_sim::eeprom::{EEARH_ADDR, EEARL_ADDR, EECR_ADDR, EEDR_ADDR, EEMPE, EEPE};
+        use avr_sim::timer::TOV0;
+        use avr_sim::HEARTBEAT_BIT;
+
+        let mut m = Machine::new_atmega2560();
+        m.uart0.inject(&[0x11, 0x22, 0x33]);
+        assert_eq!(m.uart0.read_data(), 0x11);
+        m.uart0.write_data(0x44);
+        m.uart0.write_data(0x55);
+        let hb = 1 << HEARTBEAT_BIT;
+        for (level, cycle) in [(hb, 100), (0, 250), (hb, 400)] {
+            m.heartbeat.observe(level, HEARTBEAT_BIT, cycle);
+        }
+        m.watchdog.enable(16_000, 20);
+        m.watchdog.pet(300);
+        m.timer0.tccr_b = 3; // div 64
+        m.timer0.timsk = TOV0;
+        // Overflow, then tcnt 1 with a residual of 36.
+        m.timer0.advance(256 * 64 + 100);
+        // One conversion lands (ADIF set, the first-conversion flag spent)
+        // and a second is in flight.
+        m.adc.channels = [0x101, 0x202, 0x303, 0x004, 0x105, 0x206, 0x307, 0x008];
+        m.adc.write(ADMUX_ADDR, ADLAR | 2);
+        m.adc.write(ADCSRB_ADDR, 0x40);
+        m.adc.write(ADCSRA_ADDR, ADEN | ADSC | ADIE | 3);
+        m.adc.advance(25 * 8);
+        m.adc.write(ADCSRA_ADDR, ADEN | ADSC | ADIE | 3);
+        m.adc.advance(7);
+        // One armed EEPROM write lands, and EEMPE arms the next.
+        m.eeprom.write_reg(EEARL_ADDR, 0x34);
+        m.eeprom.write_reg(EEARH_ADDR, 0x01);
+        m.eeprom.write_reg(EEDR_ADDR, 0xa5);
+        m.eeprom.write_reg(EECR_ADDR, EEMPE);
+        m.eeprom.write_reg(EECR_ADDR, EEPE);
+        m.eeprom.write_reg(EECR_ADDR, EEMPE);
+        m.pwm.ocr0a = 0xc0;
+        m.pwm.ocr0b = 0x70;
+        m.portb.value = 0x21;
+        let mut s = m.capture_state();
+        s.flash = (0..=255).collect();
+        s.data = (0..=255).rev().collect();
+        s.pc = 0x1234;
+        s.cycles = 0x0102_0304_0506;
+        s.fault = Some(Fault::InvalidOpcode {
+            addr: 0x2468,
+            word: 0xffff,
+        });
+        s.irq_delay = true;
+        s.insns_retired = 777;
+        s.interrupts_taken = 9;
+        assert!(!s.uart0.rx.is_empty() && !s.uart0.tx.is_empty());
+        assert!(s.heartbeat.toggles.len() == 3 && s.heartbeat.last_level);
+        assert!(s.watchdog.timeout.is_some() && s.watchdog.last_reset == 300);
+        assert!(s.timer0.tifr == TOV0 && s.timer0.tcnt == 1 && s.timer0.residual == 36);
+        assert!(s.adc.converting.is_some() && s.adc.adif && !s.adc.first && s.adc.data != 0);
+        assert!(s.eeprom.writes == 1 && s.eeprom.master_enable);
+
+        let blob = encode_machine(&s);
+        assert_eq!((blob.len(), crc32(&blob)), (4836, 0xd44e_ac2b));
+        assert_eq!(decode_machine(&blob).unwrap(), s);
     }
 
     #[test]

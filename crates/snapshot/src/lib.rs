@@ -24,6 +24,7 @@ pub mod format;
 pub mod replay;
 
 pub use format::{
-    crc32, decode_machine, encode_machine, Kind, Reader, SnapshotError, Writer, MAGIC, VERSION,
+    crc32, decode_machine, encode_machine, optional, Kind, Reader, SnapshotError, Writer, MAGIC,
+    VERSION,
 };
 pub use replay::{bisect_divergence, Divergence, Timeline};

@@ -21,8 +21,8 @@
 //!    (multiples of [`harness::CYCLES_PER_STEP`]), so any outer batching
 //!    of `run_steps` calls produces the same interleaving.
 //!
-//! The same contract lets [`WorldState`] round-trip through the snapshot
-//! wire and resume mid-campaign with byte-identical results.
+//! The same contract makes [`WorldState`] a bit-exact view of a flight:
+//! tests compare it to show two flights identical.
 
 mod dynamics;
 mod harness;
