@@ -91,11 +91,6 @@ impl Eeprom {
         }
     }
 
-    /// Host view of the array.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
     /// Host-side write (e.g. factory provisioning).
     pub fn poke(&mut self, addr: u16, v: u8) {
         if let Some(cell) = self.bytes.get_mut(addr as usize) {
@@ -115,16 +110,16 @@ mod tests {
         e.write_reg(EEDR_ADDR, 0x5a);
         // EEPE without EEMPE: ignored.
         e.write_reg(EECR_ADDR, EEPE);
-        assert_eq!(e.bytes()[3], 0xff);
+        assert_eq!(e.bytes[3], 0xff);
         // Armed write lands.
         e.write_reg(EECR_ADDR, EEMPE);
         e.write_reg(EECR_ADDR, EEPE);
-        assert_eq!(e.bytes()[3], 0x5a);
+        assert_eq!(e.bytes[3], 0x5a);
         assert_eq!(e.writes, 1);
         // Arming is consumed.
         e.write_reg(EEDR_ADDR, 0x11);
         e.write_reg(EECR_ADDR, EEPE);
-        assert_eq!(e.bytes()[3], 0x5a);
+        assert_eq!(e.bytes[3], 0x5a);
     }
 
     #[test]
@@ -144,7 +139,7 @@ mod tests {
         e.write_reg(EEDR_ADDR, 0x77);
         e.write_reg(EECR_ADDR, EEMPE);
         e.write_reg(EECR_ADDR, EEPE);
-        assert_eq!(e.bytes()[0x0f34], 0x77);
+        assert_eq!(e.bytes[0x0f34], 0x77);
         assert_eq!(e.read_reg(EEARH_ADDR), 0x0f);
     }
 

@@ -2059,7 +2059,7 @@ mod tests {
             Insn::Break,
         ]);
         m.run(100);
-        assert_eq!(m.heartbeat.toggles().len(), 2);
+        assert_eq!(m.heartbeat.toggles.len(), 2);
     }
 
     #[test]
@@ -2349,7 +2349,7 @@ mod tests {
             Insn::Break,
         ]);
         m.run(1_000);
-        assert_eq!(m.eeprom.bytes()[5], 0x42);
+        assert_eq!(m.eeprom.bytes[5], 0x42);
         assert_eq!(m.reg(Reg::R20), 0x42);
         assert_eq!(m.eeprom.writes, 1);
     }

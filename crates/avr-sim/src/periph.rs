@@ -193,11 +193,6 @@ impl Heartbeat {
         }
     }
 
-    /// Cycle timestamps of every toggle seen so far.
-    pub fn toggles(&self) -> &[u64] {
-        &self.toggles
-    }
-
     /// Cycle timestamp of the most recent toggle.
     pub fn last_toggle(&self) -> Option<u64> {
         self.toggles.last().copied()
@@ -302,7 +297,7 @@ mod tests {
         hb.observe(0x20, 5, 150); // no change
         hb.observe(0x00, 5, 200); // high -> low
         hb.observe(0x20, 5, 350);
-        assert_eq!(hb.toggles(), &[100, 200, 350]);
+        assert_eq!(hb.toggles, [100, 200, 350]);
         assert_eq!(hb.max_gap(0, 400), Some(150));
         // Silence after the last toggle dominates.
         assert_eq!(hb.max_gap(0, 1000), Some(650));

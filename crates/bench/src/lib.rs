@@ -287,7 +287,7 @@ pub fn relax_ablation(trials: u64) -> (String, u64) {
             let mut m = avr_sim::Machine::new_atmega2560();
             m.load_flash(0, &r.image.bytes);
             let exit = m.run(2_000_000);
-            !exit.is_healthy() || m.heartbeat.toggles().len() < 5
+            !exit.is_healthy() || m.heartbeat.toggles.len() < 5
         })
         .count();
     (refusal, deaths as u64)

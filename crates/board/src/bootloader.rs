@@ -290,7 +290,7 @@ mod tests {
         // And it boots.
         app.machine.run(1_000_000);
         assert!(app.machine.fault().is_none());
-        assert!(app.machine.heartbeat.toggles().len() > 10);
+        assert!(app.machine.heartbeat.toggles.len() > 10);
     }
 
     #[test]

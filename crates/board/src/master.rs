@@ -519,7 +519,7 @@ mod tests {
         assert_eq!(master.wear.cycles_used, 1);
         let exit = app.machine.run(1_200_000);
         assert_eq!(exit, RunExit::CyclesExhausted, "{:?}", app.machine.fault());
-        assert!(app.machine.heartbeat.toggles().len() > 10);
+        assert!(app.machine.heartbeat.toggles.len() > 10);
     }
 
     #[test]

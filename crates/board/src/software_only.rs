@@ -87,7 +87,7 @@ mod tests {
         let mut board = SoftwareOnlyBoard::flash(&image, 77).unwrap();
         board.run(1_500_000);
         assert!(!board.dead());
-        assert!(board.machine.heartbeat.toggles().len() > 10);
+        assert!(board.machine.heartbeat.toggles.len() > 10);
     }
 
     #[test]
@@ -122,10 +122,10 @@ mod tests {
         let flash_before = board.machine.flash().to_vec();
 
         // Dead is dead: more cycles change nothing.
-        let toggles = board.machine.heartbeat.toggles().len();
+        let toggles = board.machine.heartbeat.toggles.len();
         board.run(5_000_000);
         assert!(board.dead());
-        assert_eq!(board.machine.heartbeat.toggles().len(), toggles);
+        assert_eq!(board.machine.heartbeat.toggles.len(), toggles);
 
         // Manual power cycle brings it back — with the identical layout.
         board.power_cycle();

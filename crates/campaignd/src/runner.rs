@@ -14,8 +14,8 @@
 
 use crate::store::CampaignStore;
 use mavr_fleet::{
-    json_prelude, run_shard_resume, summarize, CampaignAggregate, CampaignConfig, PreparedCampaign,
-    JSON_EPILOGUE,
+    json_prelude, run_shard_streamed, summarize, CampaignAggregate, CampaignConfig,
+    PreparedCampaign, JSON_EPILOGUE,
 };
 use std::io::Write;
 use std::path::PathBuf;
@@ -121,34 +121,17 @@ impl CampaignSession {
                 continue;
             }
 
-            // The stream is rebuilt from the checkpoint, so a line torn by
-            // a kill, or the lines of jobs whose checkpoint was skipped,
-            // never survive into it: those jobs simply re-run below.
+            // The stream is rebuilt from the checkpoint and synced before
+            // the checkpoint that claims its lines is saved below.
             let done_before = shard.outcomes.len() as u64;
-            let path = self.store.outcomes_path(index);
-            let fail = |e: std::io::Error| format!("stream {}: {e}", path.display());
-            let mut stream = shard.open_stream(&path).map_err(fail)?;
-            let mut stream_err: Option<std::io::Error> = None;
-
-            let status = run_shard_resume(
+            let status = run_shard_streamed(
                 &self.cfg,
                 &self.prepared,
                 &mut shard,
                 budget,
-                done_jobs as usize + done_before as usize,
-                |_, outcome| {
-                    if stream_err.is_none() {
-                        stream_err = writeln!(stream, "{}", outcome.to_json_line()).err();
-                    }
-                },
+                (done_jobs + done_before) as usize,
+                Some(&self.store.outcomes_path(index)),
             )?;
-            if let Some(e) = stream_err {
-                return Err(fail(e));
-            }
-            // Every line the checkpoint below claims is on disk first, so a
-            // complete checkpoint always has a complete stream.
-            stream.flush().map_err(fail)?;
-            stream.get_ref().sync_data().map_err(fail)?;
 
             // The checkpoint is the authority; flush it atomically before
             // declaring any progress durable. If the disk refuses even

@@ -271,12 +271,7 @@ pub fn cmd_randomize(args: &Args) -> Result<String, CliError> {
             "no symbols — randomize needs a MAVR container, not plain HEX".into(),
         ));
     }
-    let seed: u64 = args
-        .options
-        .get("--seed")
-        .map(|s| s.parse().map_err(|_| CliError::Usage("bad --seed".into())))
-        .transpose()?
-        .unwrap_or(0x2015);
+    let seed = parse_u64(args.options.get("--seed"), 0x2015)?;
     let mut rng = mavr::seeded_rng(seed);
     let r = mavr::randomize(&img, &mut rng, &mavr::RandomizeOptions::default()).map_err(fail)?;
     let moved = img
@@ -298,9 +293,9 @@ pub fn cmd_randomize(args: &Args) -> Result<String, CliError> {
         let exit = m.run(1_500_000);
         out.push_str(&format!(
             "verify: {exit:?}, {} heartbeat toggles\n",
-            m.heartbeat.toggles().len()
+            m.heartbeat.toggles.len()
         ));
-        if m.fault().is_some() || m.heartbeat.toggles().len() < 5 {
+        if m.fault().is_some() || m.heartbeat.toggles.len() < 5 {
             return Err(CliError::Failed(
                 "verification failed: randomized image does not fly".into(),
             ));
@@ -399,18 +394,20 @@ pub fn cmd_disasm(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn parse_num(v: Option<&String>, default: u32) -> Result<u32, CliError> {
-    match v {
-        None => Ok(default),
-        Some(s) => {
-            let parsed = if let Some(hex) = s.strip_prefix("0x") {
-                u32::from_str_radix(hex, 16)
-            } else {
-                s.parse()
-            };
-            parsed.map_err(|_| CliError::Usage(format!("bad number `{s}`")))
-        }
+/// A `u64` option, decimal or `0x` hex, or `default` when absent.
+fn parse_u64(v: Option<&String>, default: u64) -> Result<u64, CliError> {
+    let Some(s) = v else { return Ok(default) };
+    match s.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => s.parse(),
     }
+    .map_err(|_| CliError::Usage(format!("bad number `{s}`")))
+}
+
+/// A `u32` option, read like [`parse_u64`].
+fn parse_num(v: Option<&String>, default: u32) -> Result<u32, CliError> {
+    u32::try_from(parse_u64(v, default.into())?)
+        .map_err(|_| CliError::Usage(format!("bad number `{}`", v.map_or("", String::as_str))))
 }
 
 /// `mavr simulate <file> [--cycles N]`
@@ -420,7 +417,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError::Usage("simulate needs a file".into()))?;
     let img = load_image(path)?;
-    let cycles = u64::from(parse_num(args.options.get("--cycles"), 2_000_000)?);
+    let cycles = parse_u64(args.options.get("--cycles"), 2_000_000)?;
     let mut m = avr_sim::Machine::new_atmega2560();
     m.load_flash(0, &img.bytes);
     let exit = m.run(cycles);
@@ -431,7 +428,7 @@ pub fn cmd_simulate(args: &Args) -> Result<String, CliError> {
         m.cycles(),
         m.cycles() as f64 / 16_000.0,
         exit,
-        m.heartbeat.toggles().len(),
+        m.heartbeat.toggles.len(),
         gcs.heartbeats.len(),
         gcs.received.len(),
         gcs.bad_checksums(),
@@ -458,7 +455,7 @@ pub fn cmd_profile(args: &Args) -> Result<String, CliError> {
             "no symbols — profile needs a MAVR container, not plain HEX".into(),
         ));
     }
-    let cycles = u64::from(parse_num(args.options.get("--cycles"), 2_000_000)?);
+    let cycles = parse_u64(args.options.get("--cycles"), 2_000_000)?;
     let top = parse_num(args.options.get("--top"), 10)? as usize;
     let mut m = avr_sim::Machine::new_atmega2560();
     m.load_flash(0, &img.bytes);
@@ -563,8 +560,8 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
         .get("--scenario")
         .map(String::as_str)
         .unwrap_or("stealthy-attack");
-    let seed = u64::from(parse_num(args.options.get("--seed"), 0x2015)?);
-    let cycles = u64::from(parse_num(args.options.get("--cycles"), 3_000_000)?);
+    let seed = parse_u64(args.options.get("--seed"), 0x2015)?;
+    let cycles = parse_u64(args.options.get("--cycles"), 3_000_000)?;
     let fw = synth_firmware::build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr())
         .map_err(fail)?;
 
@@ -628,7 +625,7 @@ pub fn cmd_trace(args: &Args) -> Result<String, CliError> {
                 || {
                     vec![
                         ("overwrote_target", Value::Bool(overwritten)),
-                        ("heartbeats", Value::U64(m.heartbeat.toggles().len() as u64)),
+                        ("heartbeats", Value::U64(m.heartbeat.toggles.len() as u64)),
                     ]
                 },
             );
@@ -775,7 +772,7 @@ pub fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
         .first()
         .ok_or_else(|| CliError::Usage("snapshot needs an image file".into()))?;
     let img = load_image(path)?;
-    let target = u64::from(parse_num(args.options.get("--cycles"), 2_000_000)?);
+    let target = parse_u64(args.options.get("--cycles"), 2_000_000)?;
     let mut m = avr_sim::Machine::new_atmega2560();
     m.load_flash(0, &img.bytes);
     let resumed = if let Some(snap) = args.options.get("--restore") {
@@ -803,7 +800,7 @@ pub fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
         if resumed { "resumed" } else { "ran" },
         m.cycles(),
         m.pc_bytes(),
-        m.heartbeat.toggles().len(),
+        m.heartbeat.toggles.len(),
     );
     if let Some(dst) = args.options.get("-o").or(args.options.get("--out")) {
         let blob = encode_machine(&m.capture_state());
@@ -834,8 +831,8 @@ pub fn cmd_snapshot(args: &Args) -> Result<String, CliError> {
 pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
     use mavr_snapshot::{bisect_divergence, Timeline};
 
-    let seed = u64::from(parse_num(args.options.get("--seed"), 0x2015)?);
-    let cycles = u64::from(parse_num(args.options.get("--cycles"), 4_000_000)?);
+    let seed = parse_u64(args.options.get("--seed"), 0x2015)?;
+    let cycles = parse_u64(args.options.get("--cycles"), 4_000_000)?;
     let interval = u64::from(parse_num(args.options.get("--interval"), 250_000)?);
 
     let fw = synth_firmware::build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr())
@@ -1282,7 +1279,7 @@ pub fn cmd_fly(args: &Args) -> Result<String, CliError> {
         })?,
         None => Scenario::Hover,
     };
-    let seed = u64::from(parse_num(args.options.get("--seed"), 0x2015)?);
+    let seed = parse_u64(args.options.get("--seed"), 0x2015)?;
     let steps = u64::from(parse_num(args.options.get("--steps"), 3000)?);
 
     let fw = synth_firmware::build(&apps::synth_quad_flight(), &BuildOptions::safe_mavr())
@@ -1372,6 +1369,7 @@ struct ProgressPrinter {
 
 impl telemetry::Recorder for ProgressPrinter {
     fn record(&mut self, event: telemetry::Event) {
+        use std::io::Write;
         self.seen += 1;
         if event.kind != telemetry::kinds::CAMPAIGN_PROGRESS {
             return;
@@ -1384,7 +1382,9 @@ impl telemetry::Recorder for ProgressPrinter {
             Some(telemetry::Value::F64(v)) => *v,
             _ => 0.0,
         };
-        eprintln!(
+        // Best effort: a closed stderr must not take the campaign down.
+        let _ = writeln!(
+            std::io::stderr(),
             "progress: {}/{} jobs | {:.1} Mcycles at {:.2} Mcyc/s | \
              {} attacks landed, {} recovered, {} bricked | {:.1}s, eta {:.0}s",
             u("jobs_done"),
@@ -1421,10 +1421,9 @@ fn write_metrics(
 /// the default fault sweep.
 fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, CliError> {
     use mavr_fleet::{
-        merge_shard_checkpoints, parse_scenarios, run_shard_resume, CampaignConfig,
+        merge_shard_checkpoints, parse_scenarios, run_shard_streamed, CampaignConfig,
         PreparedCampaign, ShardCheckpoint,
     };
-    use std::io::Write;
 
     let defaults = CampaignConfig::default();
     let app = match args.positional.first() {
@@ -1438,19 +1437,13 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
     let loss_levels = parse_prob_list(args, "--loss", defaults.loss_levels.clone())?;
     let fault_levels = parse_prob_list(args, "--fault", default_faults)?;
     let mut cfg = CampaignConfig {
-        seed: u64::from(parse_num(args.options.get("--seed"), 0x2015)?),
+        seed: parse_u64(args.options.get("--seed"), 0x2015)?,
         boards: parse_num(args.options.get("--boards"), defaults.boards as u32)? as usize,
         scenarios,
         loss_levels,
         fault_levels,
-        warmup_cycles: u64::from(parse_num(
-            args.options.get("--warmup"),
-            defaults.warmup_cycles as u32,
-        )?),
-        attack_cycles: u64::from(parse_num(
-            args.options.get("--cycles"),
-            defaults.attack_cycles as u32,
-        )?),
+        warmup_cycles: parse_u64(args.options.get("--warmup"), defaults.warmup_cycles)?,
+        attack_cycles: parse_u64(args.options.get("--cycles"), defaults.attack_cycles)?,
         threads: parse_num(args.options.get("--threads"), 0)? as usize,
         gcs_capacity: parse_num(args.options.get("--capacity"), defaults.gcs_capacity as u32)?
             as usize,
@@ -1496,35 +1489,18 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
     // `--jsonl -o FILE` streams outcome lines to the file *as boards
     // finish* (tail -f friendly), after the lines of the jobs the
     // checkpoint already holds; the final bytes are to_jsonl()'s, line for
-    // line. A checkpoint of another campaign is refused before the file is
-    // touched.
+    // line.
     let stream_to = file_out.filter(|_| args.flags.contains("jsonl"));
-    shard.check(&cfg).map_err(CliError::Failed)?;
-    let mut sink = stream_to
-        .map(|path| shard.open_stream(std::path::Path::new(path)))
-        .transpose()
-        .map_err(fail)?;
-    let mut stream_err = None;
     let done_before = shard.outcomes.len();
-    let status = run_shard_resume(
+    let status = run_shard_streamed(
         &cfg,
         &PreparedCampaign::new(&cfg),
         &mut shard,
         budget,
         done_before,
-        |_, o| {
-            if let (Some(w), None) = (sink.as_mut(), &stream_err) {
-                stream_err = writeln!(w, "{}", o.to_json_line()).err();
-            }
-        },
+        stream_to.map(std::path::Path::new),
     )
     .map_err(CliError::Failed)?;
-    if let Some(mut w) = sink {
-        w.flush().map_err(fail)?;
-    }
-    if let Some(e) = stream_err {
-        return Err(fail(e));
-    }
     if let Some(path) = ckpt_path {
         // Write-to-temp + rename: a kill during the flush leaves the
         // previous checkpoint intact, never a torn file.
@@ -2230,6 +2206,51 @@ halt:
             let argv = ["fleet", "tiny", "--boards", "1", matrix[0], matrix[1]];
             assert!(matches!(run(&s(&argv)), Err(CliError::Usage(_))));
         }
+    }
+
+    #[test]
+    fn fleet_reads_a_u64_seed_like_a_spec_does() {
+        // 2^32 + 1: one past what a u32 seed option could carry.
+        let root = tmp("serve-u64-root");
+        let _ = std::fs::remove_dir_all(&root);
+        let spec_path = tmp("serve-u64-spec.json");
+        std::fs::write(
+            &spec_path,
+            r#"{
+                "name": "cli-u64",
+                "seed": 4294967297,
+                "boards": 2,
+                "scenarios": ["benign"],
+                "warmup_cycles": 200000,
+                "attack_cycles": 300000
+            }"#,
+        )
+        .unwrap();
+        let out = run(&s(&["serve", "--dir", &root, "--spec", &spec_path])).unwrap();
+        assert!(out.contains("complete: 2 jobs"), "{out}");
+        let report = std::fs::read_to_string(format!("{root}/cli-u64/report.json")).unwrap();
+        for seed in ["4294967297", "0x100000001"] {
+            let fleet = run(&s(&[
+                "fleet",
+                "tiny",
+                "--seed",
+                seed,
+                "--boards",
+                "2",
+                "--scenario",
+                "benign",
+                "--cycles",
+                "300000",
+                "--warmup",
+                "200000",
+                "--json",
+            ]))
+            .unwrap();
+            assert_eq!(fleet, report, "--seed {seed}");
+        }
+        // The u32 options still refuse what does not fit.
+        let argv = ["fleet", "tiny", "--boards", "4294967297", "--json"];
+        assert!(matches!(run(&s(&argv)), Err(CliError::Usage(_))));
     }
 
     #[test]

@@ -203,9 +203,9 @@ mod tests {
         let exit = m.run(20 * LOOP_CYCLES);
         assert_eq!(exit, RunExit::CyclesExhausted, "fault: {:?}", m.fault());
         assert!(
-            m.heartbeat.toggles().len() >= 10,
+            m.heartbeat.toggles.len() >= 10,
             "only {} heartbeat toggles",
-            m.heartbeat.toggles().len()
+            m.heartbeat.toggles.len()
         );
     }
 
@@ -301,7 +301,7 @@ mod tests {
         let mut m = boot(&fw);
         let exit = m.run(20 * LOOP_CYCLES);
         assert_eq!(exit, RunExit::CyclesExhausted, "fault: {:?}", m.fault());
-        assert!(m.heartbeat.toggles().len() >= 10);
+        assert!(m.heartbeat.toggles.len() >= 10);
     }
 
     #[test]
@@ -366,7 +366,7 @@ mod tests {
         m.uart0.inject(&gcs.param_set(b"RATE_RLL_P", 2.25));
         m.run(20 * LOOP_CYCLES);
         assert_eq!(
-            f32::from_le_bytes(m.eeprom.bytes()[0..4].try_into().unwrap()),
+            f32::from_le_bytes(m.eeprom.bytes[0..4].try_into().unwrap()),
             2.25,
             "handler persisted the parameter"
         );

@@ -55,7 +55,8 @@ pub use report::{
 };
 pub use scenario::{parse_scenarios, Scenario};
 pub use shard::{
-    merge_shard_checkpoints, run_shard_resume, ShardCheckpoint, ShardPlan, ShardRunStatus,
+    merge_shard_checkpoints, run_shard_resume, run_shard_streamed, ShardCheckpoint, ShardPlan,
+    ShardRunStatus,
 };
 
 use mavlink_lite::channel::{ChannelStats, LossConfig, LossyChannel};
@@ -67,7 +68,7 @@ use rop::attack::AttackContext;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 use synth_firmware::{apps, build, layout, AppSpec, BuildOptions};
 use telemetry::{kinds, Telemetry, Value};
@@ -973,57 +974,50 @@ impl<'a> ProgressMeter<'a> {
     }
 }
 
-/// Completed-but-not-yet-emitted results, keyed by position in the job
-/// batch. Workers insert out of order; the coordinator drains in order.
-struct Reorder {
-    ready: BTreeMap<usize, BoardOutcome>,
-    workers_live: usize,
-}
-
-/// Run `jobs` (any subset of the campaign matrix) over the worker pool,
-/// **streaming** each result to `sink` in batch position order as soon as
-/// its prefix is complete — the campaign never holds more finished boards
-/// in memory than the workers are ahead of the slowest job.
+/// Run the campaign matrix's jobs whose indices lie in `jobs` over the
+/// worker pool, **streaming** each outcome to `sink` in job order as soon
+/// as its prefix is complete — the campaign never holds more finished
+/// boards in memory than the workers are ahead of the slowest job.
 ///
-/// Workers claim batch positions from a shared counter, so the claimed
-/// set is always a contiguous prefix; when `cfg.interrupt` trips, workers
-/// stop claiming but finish what they hold, keeping that prefix property
-/// — which is exactly what makes a post-interrupt checkpoint valid.
+/// Each worker claims the next index from a shared counter, builds its
+/// job with [`job_at`] and sends `(index, outcome)` over one channel; the
+/// caller's thread drains the channel in index order until the last
+/// worker hangs up. The claimed set is always a prefix of `jobs`: when
+/// `cfg.interrupt` trips, workers stop claiming but finish what they hold,
+/// which is exactly what makes a post-interrupt checkpoint valid. A
+/// worker that panics outside the job's fault domain hangs up too, so the
+/// drain ends and the panic propagates out of the scope; a panicking
+/// `sink` drops the receiver, which stops every worker at its next send.
 ///
-/// Returns the number of jobs that ran (`< jobs.len()` only when
+/// Returns the number of jobs that ran (fewer than `jobs` spans only when
 /// interrupted).
 fn execute_jobs_streaming(
     cfg: &CampaignConfig,
     prepared: &PreparedCampaign,
-    jobs: &[Job],
+    jobs: std::ops::Range<u64>,
     meter: &ProgressMeter<'_>,
-    mut sink: impl FnMut(usize, BoardOutcome),
+    mut sink: impl FnMut(u64, BoardOutcome),
 ) -> usize {
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
         cfg.threads
     }
-    .clamp(1, jobs.len().max(1));
+    .clamp(1, (jobs.end - jobs.start).max(1) as usize);
 
-    let next = AtomicUsize::new(0);
-    let reorder = Mutex::new(Reorder {
-        ready: BTreeMap::new(),
-        workers_live: threads,
-    });
-    let ready_cond = Condvar::new();
-    let mut emitted = 0usize;
+    let next = &AtomicU64::new(jobs.start);
+    let (done, outcomes) = mpsc::channel();
+    let mut emitted = jobs.start;
     std::thread::scope(|s| {
         for _ in 0..threads {
-            s.spawn(|| {
-                loop {
-                    if cfg.interrupted() {
+            let done = done.clone();
+            s.spawn(move || {
+                while !cfg.interrupted() {
+                    let index = next.fetch_add(1, Ordering::Relaxed);
+                    if index >= jobs.end {
                         break;
                     }
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(job) = jobs.get(i).copied() else {
-                        break;
-                    };
+                    let job = job_at(cfg, index as usize);
                     // The job's fault domain: panics, hangs and retries
                     // all stay inside this call — a poison job yields a
                     // quarantined outcome, never a dead worker.
@@ -1034,45 +1028,27 @@ fn execute_jobs_streaming(
                         job,
                     );
                     meter.observe(&outcome);
-                    reorder
-                        .lock()
-                        .expect("no poisoned queue")
-                        .ready
-                        .insert(i, outcome);
-                    ready_cond.notify_all();
+                    if done.send((index, outcome)).is_err() {
+                        break;
+                    }
                 }
-                let mut q = reorder.lock().expect("no poisoned queue");
-                q.workers_live -= 1;
-                drop(q);
-                ready_cond.notify_all();
             });
         }
-        // In-order drain, on the caller's thread: emit result `k` only
-        // after `0..k` have been emitted. The sink runs with the queue
-        // unlocked so slow sinks (disk writes) only back-pressure, never
-        // block, the workers.
-        loop {
-            let item = {
-                let mut q = reorder.lock().expect("no poisoned queue");
-                loop {
-                    if let Some(r) = q.ready.remove(&emitted) {
-                        break Some(r);
-                    }
-                    if q.workers_live == 0 {
-                        // All claimed jobs are inserted once every worker
-                        // exits; nothing at `emitted` means nothing left.
-                        break None;
-                    }
-                    q = ready_cond.wait(q).expect("no poisoned queue");
-                }
-            };
-            let Some(outcome) = item else { break };
-            sink(emitted, outcome);
-            emitted += 1;
+        drop(done);
+        // In-order drain, on the caller's thread: emit job `k` only after
+        // every earlier job. The channel is unbounded, so a slow sink
+        // (disk writes) never blocks the workers.
+        let mut ready = BTreeMap::new();
+        for (index, outcome) in outcomes {
+            ready.insert(index, outcome);
+            while let Some(outcome) = ready.remove(&emitted) {
+                sink(emitted, outcome);
+                emitted += 1;
+            }
         }
     });
     meter.emit(true);
-    emitted
+    (emitted - jobs.start) as usize
 }
 
 /// The report-header echo of a config — what `"config"` serializes to in
@@ -1716,6 +1692,78 @@ mod tests {
         let mut empty = ShardCheckpoint::whole_campaign(&pre);
         assert!(resume(&pre, &mut empty, None).unwrap().is_none());
         assert_eq!(empty.outcomes.len(), 0);
+    }
+
+    /// Panics on every progress heartbeat: a fault on a worker thread
+    /// outside the job's fault domain.
+    struct PanicOnProgress;
+
+    impl telemetry::Recorder for PanicOnProgress {
+        fn record(&mut self, event: telemetry::Event) {
+            assert_ne!(event.kind, kinds::CAMPAIGN_PROGRESS, "recorder fault");
+        }
+        fn events_emitted(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_propagates_out_of_the_run_instead_of_hanging_it() {
+        let cfg = CampaignConfig {
+            scenarios: vec![Scenario::Benign],
+            warmup_cycles: 100_000,
+            attack_cycles: 100_000,
+            threads: 2,
+            progress_interval_ms: 0,
+            telemetry: Telemetry::new(PanicOnProgress),
+            ..small_cfg()
+        };
+        let (done, result) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                let mut shard = ShardCheckpoint::whole_campaign(&cfg);
+                let prepared = PreparedCampaign::new(&cfg);
+                run_shard_resume(&cfg, &prepared, &mut shard, None, 0, |_, _| {})
+            }));
+            done.send(run.is_err()).unwrap();
+        });
+        let panicked = result
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the run returns instead of deadlocking its drain");
+        assert!(panicked, "the worker's panic reaches the caller");
+        runner.join().unwrap();
+    }
+
+    #[test]
+    fn a_panicking_sink_stops_the_workers_at_their_next_send() {
+        let cfg = CampaignConfig {
+            boards: 16,
+            scenarios: vec![Scenario::Benign],
+            warmup_cycles: 50_000,
+            attack_cycles: 50_000,
+            threads: 2,
+            progress_interval_ms: 0,
+            telemetry: Telemetry::new(telemetry::RingRecorder::new(64)),
+            ..small_cfg()
+        };
+        let mut shard = ShardCheckpoint::whole_campaign(&cfg);
+        let prepared = PreparedCampaign::new(&cfg);
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            run_shard_resume(&cfg, &prepared, &mut shard, None, 0, |_, _| {
+                panic!("sink fault")
+            })
+        }));
+        assert!(run.is_err(), "the sink's panic reaches the caller");
+        // Each flown job emits one heartbeat at a zero throttle.
+        let flown = cfg
+            .telemetry
+            .with_recorder::<telemetry::RingRecorder, _>(|r| {
+                r.events()
+                    .filter(|e| e.kind == kinds::CAMPAIGN_PROGRESS)
+                    .count()
+            })
+            .unwrap();
+        assert!(flown < 16, "{flown} of 16 jobs flew after the sink failed");
     }
 
     #[test]

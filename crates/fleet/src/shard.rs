@@ -20,7 +20,7 @@
 use crate::checkpoint::{get_outcome, put_outcome};
 use crate::report::BoardOutcome;
 use crate::{
-    config_fingerprint, summarize, CampaignAggregate, CampaignConfig, CampaignReport, Job,
+    config_fingerprint, summarize, CampaignAggregate, CampaignConfig, CampaignReport,
     PreparedCampaign, ProgressMeter,
 };
 use mavr_snapshot::{Kind, Reader, SnapshotError, Writer};
@@ -84,7 +84,8 @@ pub struct ShardCheckpoint {
     pub job_lo: u64,
     /// One past the last job index of the shard's range.
     pub job_hi: u64,
-    /// Completed jobs of this range: job index → outcome.
+    /// Completed jobs, always the range's prefix `job_lo..next_job()`:
+    /// job index → outcome.
     pub outcomes: BTreeMap<u64, BoardOutcome>,
 }
 
@@ -109,8 +110,9 @@ impl ShardCheckpoint {
         ShardCheckpoint::new(cfg, &ShardPlan::new(cfg, cfg.total_jobs() as u64), 0)
     }
 
-    /// Refuse a shard that does not belong to `cfg`: another campaign's
-    /// fingerprint, or a range past the end of `cfg`'s job space.
+    /// Refuse a shard that does not belong to `cfg` (another campaign's
+    /// fingerprint, or a range past the end of `cfg`'s job space), or whose
+    /// outcomes are not a prefix of its range.
     pub fn check(&self, cfg: &CampaignConfig) -> Result<(), String> {
         if self.fingerprint != config_fingerprint(cfg) {
             return Err(format!(
@@ -128,6 +130,22 @@ impl ShardCheckpoint {
                 cfg.total_jobs()
             ));
         }
+        // Distinct sorted keys from `job_lo` whose last is `len - 1` past
+        // the first are exactly `job_lo..next_job()`.
+        let n = self.outcomes.len() as u64;
+        if let Some(((&first, _), (&last, _))) = self
+            .outcomes
+            .first_key_value()
+            .zip(self.outcomes.last_key_value())
+        {
+            if first != self.job_lo || last - first != n - 1 || last >= self.job_hi {
+                return Err(format!(
+                    "shard {} holds {n} outcomes for jobs {first}..={last}, not a prefix \
+                     of its range {}..{}",
+                    self.shard_index, self.job_lo, self.job_hi
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -141,31 +159,24 @@ impl ShardCheckpoint {
         self.outcomes.len() as u64 == self.jobs()
     }
 
-    /// Record a completed job. Panics on a duplicate or out-of-range
-    /// index — both are caller bugs that would corrupt the merge.
+    /// The first job of the range without an outcome: the outcomes are
+    /// always the prefix `job_lo..next_job()`, so a run resumes here.
+    pub fn next_job(&self) -> u64 {
+        self.job_lo + self.outcomes.len() as u64
+    }
+
+    /// Record the outcome of the shard's next job. Panics on any other
+    /// index — a duplicate, a gap or a job past the range is a caller bug
+    /// that would corrupt the merge.
     pub fn insert_outcome(&mut self, job: u64, outcome: BoardOutcome) {
         assert!(
-            (self.job_lo..self.job_hi).contains(&job),
-            "job {job} outside shard range {}..{}",
+            job == self.next_job() && job < self.job_hi,
+            "job {job} is not the next job ({}) of shard range {}..{}",
+            self.next_job(),
             self.job_lo,
             self.job_hi
         );
-        assert!(
-            self.outcomes.insert(job, outcome).is_none(),
-            "job {job} checkpointed twice"
-        );
-    }
-
-    /// Truncate `path` and write the JSON line of every outcome this shard
-    /// holds, in job order: the shard's outcome stream, rebuilt from its
-    /// checkpoint rather than repaired. A run appends each new outcome's
-    /// line to the returned writer as its job finishes.
-    pub fn open_stream(&self, path: &Path) -> std::io::Result<BufWriter<File>> {
-        let mut stream = BufWriter::new(File::create(path)?);
-        for outcome in self.outcomes.values() {
-            writeln!(stream, "{}", outcome.to_json_line())?;
-        }
-        Ok(stream)
+        self.outcomes.insert(job, outcome);
     }
 
     /// Serialize as a CRC-guarded snapshot blob ([`Kind::ShardCheckpoint`]).
@@ -204,20 +215,17 @@ impl ShardCheckpoint {
                 job_hi - job_lo
             )));
         }
-        // The encoder writes jobs in ascending order, so each job lies
-        // past the previous one: any other order would decode to a
-        // checkpoint that re-encodes differently.
+        // The outcomes are a prefix of the range, written in job order:
+        // each must be the next job.
         let mut outcomes = BTreeMap::new();
-        let mut next = job_lo;
-        for _ in 0..n {
+        for next in job_lo..job_lo + n {
             let job = r.u64()?;
-            if !(next..job_hi).contains(&job) {
+            if job != next {
                 return Err(SnapshotError::Malformed(format!(
-                    "outcome for job {job} out of order or outside shard range \
-                     {job_lo}..{job_hi}"
+                    "outcome for job {job} where shard range {job_lo}..{job_hi} \
+                     continues at job {next}"
                 )));
             }
-            next = job + 1;
             outcomes.insert(job, get_outcome(&mut r)?);
         }
         r.done()?;
@@ -243,18 +251,19 @@ pub struct ShardRunStatus {
     pub interrupted: bool,
 }
 
-/// Run (or resume) one shard: fly the still-pending jobs of `ckpt`'s
-/// range — at most `budget_jobs` of them — folding each outcome into the
-/// checkpoint as its prefix completes and handing it to `on_outcome` (for
-/// JSONL streaming) in job order. `progress_done_offset` seeds the
-/// heartbeat counter with the jobs completed before this call, campaign-
-/// wide, so a service's progress stream counts monotonically across
-/// shards and restarts. Resuming a shard that already holds outcomes
-/// emits one `campaign.checkpoint_resumed` event.
+/// Run (or resume) one shard: fly the jobs of `ckpt`'s range from its
+/// first missing job ([`ShardCheckpoint::next_job`]) on — at most
+/// `budget_jobs` of them — folding each outcome into the checkpoint as its
+/// prefix completes and handing it to `on_outcome` in job order.
+/// `progress_done_offset` seeds the heartbeat counter with the jobs
+/// completed before this call, campaign-wide, so a service's progress
+/// stream counts monotonically across shards and restarts. Resuming a
+/// shard that already holds outcomes emits one
+/// `campaign.checkpoint_resumed` event.
 ///
 /// When `cfg.interrupt` trips, workers stop claiming jobs but finish the
-/// ones they hold, so the checkpoint always holds a contiguous prefix of
-/// the pending jobs — a valid checkpoint to persist and resume.
+/// ones they hold, so the checkpoint still holds a prefix of its range —
+/// a valid checkpoint to persist and resume.
 ///
 /// Jobs are constructed lazily from their indices — a shard run allocates
 /// O(shard jobs), never O(campaign jobs).
@@ -268,36 +277,78 @@ pub fn run_shard_resume(
 ) -> Result<ShardRunStatus, String> {
     cfg.validate()?;
     ckpt.check(cfg)?;
-    let mut pending: Vec<Job> = (ckpt.job_lo..ckpt.job_hi)
-        .filter(|j| !ckpt.outcomes.contains_key(j))
-        .map(|j| crate::job_at(cfg, j as usize))
-        .collect();
+    let start = ckpt.next_job();
+    let pending = ckpt.job_hi - start;
     if !ckpt.outcomes.is_empty() {
         cfg.telemetry.emit(kinds::CHECKPOINT_RESUMED, None, || {
             vec![
                 ("jobs_done", Value::U64(ckpt.outcomes.len() as u64)),
-                ("jobs_pending", Value::U64(pending.len() as u64)),
+                ("jobs_pending", Value::U64(pending)),
             ]
         });
     }
-    if let Some(budget) = budget_jobs {
-        pending.truncate(budget);
-    }
+    let end = start + budget_jobs.map_or(pending, |b| pending.min(b as u64));
     let meter = ProgressMeter::new(cfg, progress_done_offset, cfg.total_jobs());
-    let outcomes = &mut ckpt.outcomes;
-    let ran = crate::execute_jobs_streaming(cfg, prepared, &pending, &meter, |i, outcome| {
-        let job = pending[i].job_index as u64;
+    let ran = crate::execute_jobs_streaming(cfg, prepared, start..end, &meter, |job, outcome| {
         on_outcome(job, &outcome);
-        assert!(
-            outcomes.insert(job, outcome).is_none(),
-            "job {job} checkpointed twice"
-        );
+        ckpt.insert_outcome(job, outcome);
     });
     Ok(ShardRunStatus {
         ran,
         complete: ckpt.complete(),
         interrupted: cfg.interrupted(),
     })
+}
+
+/// [`run_shard_resume`], writing the shard's outcome stream (one JSON line
+/// per outcome, in job order) to `stream` when one is given. The stream is
+/// rebuilt from the checkpoint, never repaired: once the shard passes its
+/// check, the file is truncated, refilled with the checkpoint's lines and
+/// appended to as jobs finish, then flushed and synced before this
+/// returns, so the checkpoint the caller saves next never claims a line
+/// that is not on disk.
+pub fn run_shard_streamed(
+    cfg: &CampaignConfig,
+    prepared: &PreparedCampaign,
+    ckpt: &mut ShardCheckpoint,
+    budget_jobs: Option<usize>,
+    progress_done_offset: usize,
+    stream: Option<&Path>,
+) -> Result<ShardRunStatus, String> {
+    let Some(path) = stream else {
+        return run_shard_resume(
+            cfg,
+            prepared,
+            ckpt,
+            budget_jobs,
+            progress_done_offset,
+            |_, _| {},
+        );
+    };
+    // A foreign or gapped shard is refused before the file is touched.
+    ckpt.check(cfg)?;
+    let fail = |e: std::io::Error| format!("stream {}: {e}", path.display());
+    let mut out = BufWriter::new(File::create(path).map_err(fail)?);
+    for outcome in ckpt.outcomes.values() {
+        writeln!(out, "{}", outcome.to_json_line()).map_err(fail)?;
+    }
+    let mut written = Ok(());
+    let status = run_shard_resume(
+        cfg,
+        prepared,
+        ckpt,
+        budget_jobs,
+        progress_done_offset,
+        |_, o| {
+            if written.is_ok() {
+                written = writeln!(out, "{}", o.to_json_line());
+            }
+        },
+    )?;
+    written.map_err(fail)?;
+    out.flush().map_err(fail)?;
+    out.get_ref().sync_data().map_err(fail)?;
+    Ok(status)
 }
 
 /// Fold complete shards back into the campaign's report and metrics —
@@ -381,6 +432,15 @@ mod tests {
             ShardCheckpoint::from_bytes(&stale),
             Err(SnapshotError::BadKind(4))
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "is not the next job (5)")]
+    fn insert_outcome_takes_only_the_next_job() {
+        let cfg = cfg();
+        let mut s = ShardCheckpoint::new(&cfg, &ShardPlan::new(&cfg, 4), 1);
+        s.insert_outcome(4, crate::checkpoint::tests::sample_outcome(4));
+        s.insert_outcome(6, crate::checkpoint::tests::sample_outcome(6));
     }
 
     #[test]

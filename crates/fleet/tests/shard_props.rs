@@ -169,6 +169,56 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Any sequence of budgets at any thread count: after every slice the
+    /// shard's outcomes are exactly the prefix `job_lo..job_lo + n`.
+    #[test]
+    fn every_slice_leaves_a_prefix_of_the_range(
+        budgets in pvec(0usize..4, 1..5),
+        threads in 1usize..5,
+        index in 0u64..3,
+    ) {
+        let cfg = CampaignConfig { threads, ..cfg() };
+        let mut shard = ShardCheckpoint::new(&cfg, &ShardPlan::new(&cfg, 3), index);
+        let prepared = PreparedCampaign::new(&cfg);
+        for budget in budgets {
+            let before = shard.outcomes.len();
+            let status =
+                run_shard_resume(&cfg, &prepared, &mut shard, Some(budget), 0, |_, _| {})
+                    .unwrap();
+            prop_assert_eq!(status.ran, budget.min(shard.jobs() as usize - before));
+            let n = shard.outcomes.len() as u64;
+            let keys: Vec<u64> = shard.outcomes.keys().copied().collect();
+            prop_assert_eq!(keys, (shard.job_lo..shard.job_lo + n).collect::<Vec<_>>());
+        }
+    }
+}
+
+/// A shard whose outcomes skip a job is refused at every boundary: a
+/// CRC-valid blob of one does not decode, and `check` refuses one in
+/// memory, so no run resumes it.
+#[test]
+fn a_shard_with_a_gap_is_refused() {
+    let cfg = cfg();
+    let mut gapped = ShardCheckpoint::new(&cfg, &ShardPlan::new(&cfg, 4), 1);
+    for job in [4, 6] {
+        gapped.outcomes.insert(job, sample());
+    }
+    assert!(matches!(
+        ShardCheckpoint::from_bytes(&gapped.to_bytes()),
+        Err(SnapshotError::Malformed(_))
+    ));
+    let err = gapped.check(&cfg).unwrap_err();
+    assert!(err.contains("not a prefix"), "{err}");
+    let prepared = PreparedCampaign::new(&cfg);
+    assert!(run_shard_resume(&cfg, &prepared, &mut gapped, None, 0, |_, _| {}).is_err());
+    // The prefix it should have been passes.
+    gapped.outcomes.remove(&6);
+    gapped.check(&cfg).unwrap();
+}
+
 /// The aggregate refuses a shard holding an outcome from outside the
 /// campaign matrix instead of silently misfiling it.
 #[test]
@@ -278,7 +328,7 @@ fn checkpoints() -> [ShardCheckpoint; 2] {
         },
     );
     full.insert_outcome(
-        3,
+        2,
         BoardOutcome {
             failure: Some(JobFailure {
                 kind: JobFailureKind::Timeout,

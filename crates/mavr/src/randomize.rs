@@ -633,7 +633,7 @@ mod tests {
                 m.fault()
             );
             assert!(
-                m.heartbeat.toggles().len() >= 10,
+                m.heartbeat.toggles.len() >= 10,
                 "seed {seed}: heartbeats stopped"
             );
         }
@@ -758,7 +758,7 @@ mod tests {
         m.load_flash(0, &r.image.bytes);
         let exit = m.run(2_000_000);
         assert!(
-            !exit.is_healthy() || m.heartbeat.toggles().len() < 5,
+            !exit.is_healthy() || m.heartbeat.toggles.len() < 5,
             "a relax-built image should not survive randomization"
         );
     }
@@ -941,7 +941,7 @@ mod tests {
             m.load_flash(0, bytes);
             m.run(2_000_000);
             assert!(m.fault().is_none());
-            m.heartbeat.toggles().len()
+            m.heartbeat.toggles.len()
         };
         let original = rate(&img.bytes);
         let randomized = rate(&r.image.bytes);

@@ -524,7 +524,7 @@ mod tests {
         let (mut m, image) = victim();
         let ctx = AttackContext::discover(&image).unwrap();
         m.run(2 * LOOP_CYCLES);
-        let toggles_before = m.heartbeat.toggles().len();
+        let toggles_before = m.heartbeat.toggles.len();
         let mut gcs = GroundStation::new();
         let payload = ctx
             .v2_payload(&[(l::GYRO + 3, [0xde, 0xad, 0x42])])
@@ -542,7 +542,7 @@ mod tests {
         assert_eq!(m.peek_data(l::GYRO + 5), 0x42);
         // The victim kept flying: heartbeats kept toggling, the handler
         // completed ("dispatched" count incremented), telemetry still parses.
-        assert!(m.heartbeat.toggles().len() > toggles_before + 20);
+        assert!(m.heartbeat.toggles.len() > toggles_before + 20);
         assert_eq!(m.peek_data(l::PARAM_SET_COUNT), 1);
         gcs.ingest(&m.uart0.take_tx());
         assert!(gcs.link_alive(20, 3), "ground station sees a healthy link");

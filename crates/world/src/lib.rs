@@ -83,7 +83,7 @@ impl Scenario {
         }
     }
 
-    /// Stable wire id (used by the snapshot encoding).
+    /// Stable numeric id, as [`WorldState::scenario`] carries it.
     pub fn id(self) -> u8 {
         match self {
             Scenario::Hover => 0,
@@ -269,9 +269,9 @@ impl World {
     }
 }
 
-/// Plain-data capture of a [`World`], for the snapshot wire. Floats are
-/// carried as `f64` here; the encoder stores their exact bit patterns,
-/// so restore ⇒ bit-identical continuation.
+/// Plain-data capture of a [`World`]: the bit-exact view of a flight
+/// that the determinism tests compare, and what [`World::restore`]
+/// continues from bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorldState {
     /// [`Scenario::id`] of the scenario that created the world.

@@ -50,7 +50,7 @@ fn main() {
     m.run(2_000_000); // 0.125 s of flight at 16 MHz
     println!(
         "ran 2M cycles: {} heartbeat toggles, fault: {:?}",
-        m.heartbeat.toggles().len(),
+        m.heartbeat.toggles.len(),
         m.fault()
     );
 

@@ -39,11 +39,11 @@ fn main() {
         board.run(6_000_000);
         if board.dead() {
             println!("  layout #{seed}: attack failed AND crashed the autopilot");
-            let toggles = board.machine.heartbeat.toggles().len();
+            let toggles = board.machine.heartbeat.toggles.len();
             board.run(10_000_000);
             println!(
                 "  ten more million cycles: still dead ({} heartbeat toggles, unchanged)",
-                board.machine.heartbeat.toggles().len() - toggles
+                board.machine.heartbeat.toggles.len() - toggles
             );
             println!(
                 "  -> \"the only way to recover … is cycling its power source, which is\n\

@@ -37,7 +37,7 @@ fn main() {
     println!("  saved return address   = {:02x?}", ctx.orig_ret);
 
     let gyro_before = uav.peek_range(layout::GYRO + 3, 3);
-    let toggles_before = uav.heartbeat.toggles().len();
+    let toggles_before = uav.heartbeat.toggles.len();
 
     // Craft and send the stealthy payload: set gyro bytes, then repair.
     let payload = ctx
@@ -74,7 +74,7 @@ fn main() {
     println!(
         "  heartbeats kept toggling: {} -> {}",
         toggles_before,
-        uav.heartbeat.toggles().len()
+        uav.heartbeat.toggles.len()
     );
 
     // The ground station's view: a perfectly healthy link, telemetry now

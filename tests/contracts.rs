@@ -23,7 +23,7 @@ fn firmware_heartbeat_bit_matches_simulator() {
     m.load_flash(0, &fw.image.bytes);
     m.run(500_000);
     assert!(
-        m.heartbeat.toggles().len() >= 2,
+        m.heartbeat.toggles.len() >= 2,
         "firmware heartbeat must toggle PORTB bit {HEARTBEAT_BIT}"
     );
 }

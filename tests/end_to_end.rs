@@ -128,7 +128,7 @@ fn container_survives_the_full_pipeline() {
     m.load_flash(0, &r.image.bytes);
     m.run(2_000_000);
     assert!(m.fault().is_none());
-    assert!(m.heartbeat.toggles().len() > 10);
+    assert!(m.heartbeat.toggles.len() > 10);
 }
 
 #[test]

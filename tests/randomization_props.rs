@@ -72,7 +72,7 @@ proptest! {
         m.load_flash(0, &r.image.bytes);
         m.run(1_200_000);
         prop_assert!(m.fault().is_none(), "fault: {:?}", m.fault());
-        prop_assert!(m.heartbeat.toggles().len() >= 10);
+        prop_assert!(m.heartbeat.toggles.len() >= 10);
     }
 
     /// Randomizing a randomized image works too (the master re-randomizes
@@ -89,7 +89,7 @@ proptest! {
         m.load_flash(0, &twice.image.bytes);
         m.run(1_200_000);
         prop_assert!(m.fault().is_none());
-        prop_assert!(m.heartbeat.toggles().len() >= 10);
+        prop_assert!(m.heartbeat.toggles.len() >= 10);
     }
 
     /// The attack context is a pure function of the image: any two
@@ -128,7 +128,7 @@ proptest! {
         m.run(3_000_000);
         prop_assert!(m.fault().is_none(), "fault: {:?}", m.fault());
         prop_assert_eq!(m.peek_range(target, 3), vec![v0, v1, v2]);
-        prop_assert!(m.heartbeat.toggles().len() > 20, "still flying");
+        prop_assert!(m.heartbeat.toggles.len() > 20, "still flying");
     }
 }
 
@@ -162,7 +162,7 @@ fn observe(image: &FirmwareImage) -> (Observed, Machine, Timeline) {
         .collect();
     let observed = Observed {
         samples,
-        heartbeat_toggles: m.heartbeat.toggles().to_vec(),
+        heartbeat_toggles: m.heartbeat.toggles.to_vec(),
         uart_tx: m.uart0.take_tx(),
         fault: m.fault(),
     };

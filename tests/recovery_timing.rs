@@ -38,7 +38,7 @@ fn detection_latency_is_bounded_by_the_watchdog_window() {
             .app
             .machine
             .heartbeat
-            .toggles()
+            .toggles
             .first()
             .copied()
             .unwrap_or(board.app.machine.cycles());
