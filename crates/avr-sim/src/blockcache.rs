@@ -30,11 +30,12 @@
 //!   excursion, and dispatch proves the whole excursion in bounds with one
 //!   range check (stepping the block through `step_tail` when it
 //!   cannot);
-//! * loads that may observe Timer0 (indirect loads, direct timer-block
-//!   reads): their micro-ops carry the cycle offset of the instructions
-//!   before them, and the interpreter advances the timer to exactly that
-//!   point before a read that hits `TCNT0`/`TIFR0` — batching is exact
-//!   because `Timer0::advance` is linear;
+//! * loads that may observe elapsed cycles (indirect loads, direct reads
+//!   of the timer and ADC registers): their micro-ops carry the cycle
+//!   offset of the instructions before them, and the interpreter advances
+//!   the peripherals to exactly that point before a read whose address
+//!   `observes_cycles` — batching is exact because `Timer0::advance` and
+//!   `Adc::advance` are linear;
 //! * cycle observers (`wdr` pets, `PORTB` heartbeat stores): their
 //!   micro-ops carry the cycle offset *through* themselves, recovering the
 //!   exact mid-block cycle count from the block-entry value.
@@ -252,13 +253,22 @@ impl PureOp {
     }
 }
 
-/// Direct load, routed through the timer-sync micro-op when the address
-/// lands on a register whose value depends on elapsed cycles.
-fn load_mop(d: Reg, k: u16) -> PureOp {
-    let op = if matches!(
-        k,
+/// Whether a read of data address `addr` observes elapsed cycles: Timer0's
+/// counter and flags, and the ADC's result and status while a conversion
+/// runs. A compiled block syncs the peripherals to such a read's own cycle
+/// first, whether the address is direct or computed; `ADCSRB` and `ADMUX`
+/// hold only what was written.
+pub(crate) fn observes_cycles(addr: u16) -> bool {
+    matches!(
+        addr,
         TCNT0_ADDR | TIFR0_ADDR | ADCL_ADDR | ADCH_ADDR | ADCSRA_ADDR
-    ) {
+    )
+}
+
+/// Direct load, routed through the timer-sync micro-op when the address
+/// observes elapsed cycles.
+fn load_mop(d: Reg, k: u16) -> PureOp {
+    let op = if observes_cycles(k) {
         Mop::LdsT
     } else {
         Mop::Lds

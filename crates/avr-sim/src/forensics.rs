@@ -108,10 +108,8 @@ impl CrashReport {
         let trail: Vec<Attributed> = machine
             .trace()
             .map(|t| {
-                let e = t.entries();
-                let skip = e.len().saturating_sub(TRAIL_LEN);
-                e[skip..]
-                    .iter()
+                t.iter()
+                    .skip(t.len().saturating_sub(TRAIL_LEN))
                     .map(|&(pc, sp)| attribute(pc, sp))
                     .collect()
             })

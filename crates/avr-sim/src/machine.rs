@@ -8,11 +8,11 @@ use avr_core::decode::{
 use avr_core::device::{Device, ATMEGA2560};
 use avr_core::{io, Insn, Predecoded, PtrReg, Reg};
 
-use telemetry::{Telemetry, Value};
+use telemetry::{History, Telemetry, Value};
 
 use crate::adc::{Adc, ADCL_ADDR, ADMUX_ADDR};
 use crate::alu;
-use crate::blockcache::{BlockCache, BlockStats, FusedBlock, MicroOp, Mop};
+use crate::blockcache::{observes_cycles, BlockCache, BlockStats, FusedBlock, MicroOp, Mop};
 use crate::eeprom::{Eeprom, EEARH_ADDR, EECR_ADDR};
 use crate::fault::{Fault, RunExit};
 use crate::periph::{
@@ -31,54 +31,9 @@ const SREG_DATA: u16 = io::to_data_address(io::SREG);
 const RAMPZ_DATA: u16 = io::to_data_address(io::RAMPZ);
 const EIND_DATA: u16 = io::to_data_address(io::EIND);
 
-/// Ring buffer of recently executed instructions, for post-mortem analysis
-/// of crashed (attacked) machines.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    entries: Vec<(u32, u16)>, // (pc bytes, sp)
-    head: usize,
-    capacity: usize,
-}
-
-impl Trace {
-    /// An empty ring holding up to `capacity` entries (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        Trace {
-            entries: Vec::with_capacity(capacity),
-            head: 0,
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Append one `(pc_bytes, sp)` sample, evicting the oldest when full.
-    pub fn record(&mut self, pc_bytes: u32, sp: u16) {
-        if self.entries.len() < self.capacity {
-            self.entries.push((pc_bytes, sp));
-        } else {
-            self.entries[self.head] = (pc_bytes, sp);
-        }
-        self.head = (self.head + 1) % self.capacity;
-    }
-
-    /// The recorded `(pc_bytes, sp)` pairs, oldest first.
-    pub fn entries(&self) -> Vec<(u32, u16)> {
-        if self.entries.len() < self.capacity {
-            self.entries.clone()
-        } else {
-            let mut out = self.entries[self.head..].to_vec();
-            out.extend_from_slice(&self.entries[..self.head]);
-            out
-        }
-    }
-
-    /// The most recently executed PC (bytes).
-    pub fn last_pc(&self) -> Option<u32> {
-        let idx = (self.head + self.capacity - 1) % self.capacity;
-        self.entries
-            .get(idx.min(self.entries.len().saturating_sub(1)))
-            .map(|e| e.0)
-    }
-}
+/// The recently executed instructions as `(pc bytes, sp)` pairs, oldest
+/// first, for post-mortem analysis of crashed (attacked) machines.
+pub type Trace = History<(u32, u16)>;
 
 /// A simulated AVR microcontroller.
 ///
@@ -440,19 +395,28 @@ impl Machine {
             TIFR0_ADDR => self.timer0.tifr &= !v,
             OCR0A_ADDR | OCR0B_ADDR => self.pwm.write(addr, v),
             ADCL_ADDR..=ADMUX_ADDR => self.adc.write(addr, v),
-            PORTB_ADDR => {
-                let v = self.portb.write(v);
-                self.heartbeat.observe(v, HEARTBEAT_BIT, self.cycles);
-                // Mirrored into the data array so host-side peeks (stack
-                // dumps, snapshots of the raw data space) keep seeing it.
-                self.data[addr as usize] = v;
-            }
+            PORTB_ADDR => self.store_portb(v, self.cycles),
             _ => {
                 if (addr as usize) < self.data.len() {
                     self.data[addr as usize] = v;
                 }
             }
         }
+    }
+
+    /// The one PORTB store: latch the pin, let the heartbeat monitor
+    /// observe it at `cycle`, and mirror it into the data array so
+    /// host-side peeks (stack dumps, snapshots of the raw data space) keep
+    /// seeing it.
+    ///
+    /// Kept out of line: a heartbeat store is rare, and inlined into the
+    /// fused dispatch's three heartbeat micro-ops it grew `run` by 235
+    /// bytes and cost 3-5% of campaign throughput (2-core x86-64 VM).
+    #[inline(never)]
+    fn store_portb(&mut self, v: u8, cycle: u64) {
+        let v = self.portb.write(v);
+        self.heartbeat.observe(v, HEARTBEAT_BIT, cycle);
+        self.data[PORTB_ADDR as usize] = v;
     }
 
     /// Host-side poke with no side effects.
@@ -628,7 +592,7 @@ impl Machine {
         if let Some(t) = &mut self.trace {
             let sp =
                 u16::from_le_bytes([self.data[SPL_DATA as usize], self.data[SPH_DATA as usize]]);
-            t.record(self.pc * 2, sp);
+            t.push((self.pc * 2, sp));
         }
         let pc0 = self.pc;
         let width = u32::from(entry.width);
@@ -1156,25 +1120,10 @@ impl Machine {
                 self.load_indirect(addr, a, m.b.into(), synced);
             }
             Mop::WdrT => self.watchdog.pet(self.cycles + b as u64),
-            Mop::StsHb => {
-                let v = self.portb.write(self.data[a]);
-                self.heartbeat
-                    .observe(v, HEARTBEAT_BIT, self.cycles + b as u64);
-                self.data[PORTB_ADDR as usize] = v;
-            }
-            Mop::SbiHb => {
-                let v = self.portb.write(self.portb.read() | m.a);
-                self.heartbeat
-                    .observe(v, HEARTBEAT_BIT, self.cycles + b as u64);
-                self.data[PORTB_ADDR as usize] = v;
-            }
-            Mop::CbiHb => {
-                // `a` holds the complement mask (bit already inverted).
-                let v = self.portb.write(self.portb.read() & m.a);
-                self.heartbeat
-                    .observe(v, HEARTBEAT_BIT, self.cycles + b as u64);
-                self.data[PORTB_ADDR as usize] = v;
-            }
+            Mop::StsHb => self.store_portb(self.data[a], self.cycles + b as u64),
+            Mop::SbiHb => self.store_portb(self.portb.read() | m.a, self.cycles + b as u64),
+            // `a` holds the complement mask (bit already inverted).
+            Mop::CbiHb => self.store_portb(self.portb.read() & m.a, self.cycles + b as u64),
         }
     }
 
@@ -1191,11 +1140,9 @@ impl Machine {
     }
 
     /// Indirect-load tail: sync the cycle-driven peripherals first when the
-    /// computed address lands on a cycle-dependent register (the timer
-    /// block, or the ADC's result/status registers while a conversion is
-    /// in flight).
+    /// computed address observes elapsed cycles.
     fn load_indirect(&mut self, addr: u16, d: usize, off: u16, synced: &mut u16) {
-        if matches!(addr, TCNT0_ADDR | TIFR0_ADDR | ADCL_ADDR..=ADMUX_ADDR) {
+        if observes_cycles(addr) {
             self.sync_timer(off, synced);
         }
         let v = self.read_data(addr);
@@ -1540,7 +1487,7 @@ impl Machine {
 
     /// Enable instruction tracing with a ring buffer of `capacity` entries.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
+        self.trace = Some(Trace::with_capacity(capacity));
     }
 
     /// Disable tracing and drop the buffer.
@@ -2364,9 +2311,9 @@ mod tests {
         ]);
         m.enable_trace(16);
         m.run(100);
-        let pcs: Vec<u32> = m.trace().unwrap().entries().iter().map(|e| e.0).collect();
+        let pcs: Vec<u32> = m.trace().unwrap().iter().map(|e| e.0).collect();
         assert_eq!(pcs, vec![0, 2, 8, 6], "ldi, call, ret (at byte 8), break");
-        assert_eq!(m.trace().unwrap().last_pc(), Some(6));
+        assert_eq!(m.trace().unwrap().last().map(|e| e.0), Some(6));
     }
 
     #[test]
@@ -2374,36 +2321,13 @@ mod tests {
         let mut m = machine_with(&[Insn::Inc { d: Reg::R24 }, Insn::Rjmp { k: -2 }]);
         m.enable_trace(4);
         m.run(100);
-        let entries = m.trace().unwrap().entries();
-        assert_eq!(entries.len(), 4);
+        let trace = m.trace().unwrap();
+        assert_eq!(trace.len(), 4);
+        assert!(trace.evicted() > 0);
         // Only the loop's two addresses appear.
-        assert!(entries.iter().all(|(pc, _)| *pc == 0 || *pc == 2));
+        assert!(trace.iter().all(|(pc, _)| *pc == 0 || *pc == 2));
         m.disable_trace();
         assert!(m.trace().is_none());
-    }
-
-    #[test]
-    fn trace_standalone_wraparound_is_oldest_first() {
-        // The public constructor lets forensics tooling build rings directly.
-        let mut t = Trace::new(3);
-        assert!(t.entries().is_empty());
-        t.record(10, 100);
-        t.record(20, 99);
-        assert_eq!(t.entries(), vec![(10, 100), (20, 99)], "pre-wrap order");
-        t.record(30, 98);
-        t.record(40, 97); // evicts (10, 100)
-        t.record(50, 96); // evicts (20, 99)
-        assert_eq!(
-            t.entries(),
-            vec![(30, 98), (40, 97), (50, 96)],
-            "oldest-first after overwrite"
-        );
-        assert_eq!(t.last_pc(), Some(50));
-        // Capacity 0 is clamped to 1: always exactly the latest entry.
-        let mut t1 = Trace::new(0);
-        t1.record(1, 2);
-        t1.record(3, 4);
-        assert_eq!(t1.entries(), vec![(3, 4)]);
     }
 
     #[test]

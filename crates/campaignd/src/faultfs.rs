@@ -14,6 +14,7 @@
 //! degradation ladder: retry with backoff, then skip the checkpoint and
 //! keep the campaign alive, never abort or corrupt.
 
+use mavr_fleet::{derive_seed, unit_f64};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -67,9 +68,8 @@ impl FaultFs {
             return None;
         }
         let op = self.ops.fetch_add(1, Ordering::Relaxed);
-        let x = mix(self.seed, op);
-        let unit = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        if unit >= self.rate {
+        let x = derive_seed(self.seed, op);
+        if unit_f64(x) >= self.rate {
             return None;
         }
         Some(match x % 3 {
@@ -105,15 +105,6 @@ impl FaultFs {
             }
         }
     }
-}
-
-/// Splitmix64 mix of `(seed, op)` — same generator the fleet engine uses
-/// for its per-job streams.
-fn mix(seed: u64, op: u64) -> u64 {
-    let mut z = seed ^ op.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

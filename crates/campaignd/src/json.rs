@@ -283,16 +283,14 @@ impl<'a> Parser<'a> {
                             self.pos += 1;
                             let cp = self.hex4()?;
                             // Accept surrogate pairs; lone surrogates
-                            // become U+FFFD rather than failing the spec.
+                            // become U+FFFD rather than failing the spec,
+                            // and an escape after a lone high one stands
+                            // on its own.
                             let c = if (0xd800..0xdc00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.hex4()?;
-                                    char::from_u32(0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00))
-                                        .unwrap_or('\u{fffd}')
-                                } else {
-                                    '\u{fffd}'
-                                }
+                                self.low_surrogate().map_or('\u{fffd}', |low| {
+                                    let pair = 0x10000 + ((cp - 0xd800) << 10) + (low - 0xdc00);
+                                    char::from_u32(pair).expect("a surrogate pair is a scalar")
+                                })
                             } else {
                                 char::from_u32(cp).unwrap_or('\u{fffd}')
                             };
@@ -317,6 +315,19 @@ impl<'a> Parser<'a> {
                 None => return Err("unterminated string".into()),
             }
         }
+    }
+
+    /// Consume a `\uXXXX` escape of a low surrogate, if one is next.
+    fn low_surrogate(&mut self) -> Option<u32> {
+        let start = self.pos;
+        if self.bytes[start..].starts_with(b"\\u") {
+            self.pos += 2;
+            match self.hex4() {
+                Ok(low) if (0xdc00..0xe000).contains(&low) => return Some(low),
+                _ => self.pos = start,
+            }
+        }
+        None
     }
 
     fn hex4(&mut self) -> Result<u32, String> {

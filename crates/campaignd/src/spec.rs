@@ -153,6 +153,12 @@ impl CampaignSpec {
         spec.sabotage.hang_rate = num_field("sabotage_hang")?;
         spec.sabotage.flaky_rate = num_field("sabotage_flaky")?;
         spec.sabotage.seed = u64_field("sabotage_seed", 0)?;
+        if spec.sabotage.is_none() {
+            // A plan without a rate draws nothing, so its seed is no part
+            // of the campaign's identity: `to_json` leaves it out, and a
+            // resubmitted spec must equal the persisted one.
+            spec.sabotage.seed = 0;
+        }
 
         const KNOWN: &[&str] = &[
             "name",

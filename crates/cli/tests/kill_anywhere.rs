@@ -37,15 +37,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Splitmix64 — the same generator the engine derives its streams from,
-/// used here only to pick reproducible kill instants.
-fn mix(seed: u64, i: u64) -> u64 {
-    let mut z = seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 #[test]
 fn sigkill_at_seeded_instants_resumes_to_byte_identical_report() {
     let root = tmp_dir("kill-root");
@@ -68,7 +59,7 @@ fn sigkill_at_seeded_instants_resumes_to_byte_identical_report() {
     // lifetime. A kill that lands after completion is a no-op rerun — the
     // invariant must hold wherever the timer fires.
     for round in 0..3u64 {
-        let delay_ms = 25 + mix(0x00D1_5EA5_ED00_0000, round) % 450;
+        let delay_ms = 25 + rand::derive_seed(0x00D1_5EA5_ED00_0000, round) % 450;
         let mut child = Command::new(BIN)
             .args(serve_args)
             .stdout(Stdio::null())

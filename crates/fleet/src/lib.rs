@@ -48,6 +48,10 @@ pub mod shard;
 
 pub use checkpoint::config_fingerprint;
 pub use mavlink_lite::RouterTotals;
+/// The stream deriver and unit map every per-job seed and draw goes
+/// through; re-exported so the campaign service derives its own streams
+/// from the same function.
+pub use rand::{derive_seed, unit_f64};
 pub use report::{
     fold_outcome_metrics, json_prelude, registry_from_outcomes, BoardOutcome, CampaignAggregate,
     CampaignReport, CampaignSummary, CellReport, JobFailure, JobFailureKind, WorldCellMetrics,
@@ -339,16 +343,6 @@ impl JobChaos {
     }
 }
 
-/// Splitmix64-style per-job stream derivation: every `(campaign seed,
-/// stream index)` pair yields an independent seed that never depends on
-/// which worker thread consumed the job.
-fn derive_seed(base: u64, stream: u64) -> u64 {
-    let mut z = base ^ stream.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// One entry of the campaign matrix, in job order.
 #[derive(Debug, Clone, Copy)]
 struct Job {
@@ -600,11 +594,6 @@ pub(crate) const JOB_RETRY_CAP: u32 = 3;
 /// First-retry backoff; doubles per attempt, plus seeded jitter.
 const JOB_BACKOFF_BASE_MS: u64 = 1;
 
-/// Map a derived-seed draw onto the unit interval (53-bit mantissa).
-fn unit_draw(x: u64) -> f64 {
-    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Hard upper bound on the cycles a well-behaved job may consume — the
 /// supervisor's watchdog. Deliberately loose: the worst-case flight
 /// (warmup, every packet gap an attack scenario can schedule, the attack
@@ -634,7 +623,7 @@ fn sabotage_mode(cfg: &CampaignConfig, job: Job, attempt: u32) -> Sabotage {
     // Slot 7: the job's persistent fate — the same draw on every attempt,
     // which is what makes a poison job *persistently* failing and its
     // quarantine deterministic.
-    let fate = unit_draw(derive_seed(sb.seed, slots | 7));
+    let fate = unit_f64(derive_seed(sb.seed, slots | 7));
     if fate < sb.panic_rate {
         return Sabotage::Panic;
     }
@@ -643,7 +632,7 @@ fn sabotage_mode(cfg: &CampaignConfig, job: Job, attempt: u32) -> Sabotage {
     }
     // Slots 0..=5: independent per-attempt transient draws.
     if sb.flaky_rate > 0.0 {
-        let transient = unit_draw(derive_seed(sb.seed, slots | u64::from(attempt.min(5))));
+        let transient = unit_f64(derive_seed(sb.seed, slots | u64::from(attempt.min(5))));
         if transient < sb.flaky_rate {
             return Sabotage::Panic;
         }

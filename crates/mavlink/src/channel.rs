@@ -200,11 +200,6 @@ impl LossyChannel {
         out
     }
 
-    /// Bytes currently held back by the delay model.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-
     fn release_due(&mut self, out: &mut Vec<u8>) {
         while let Some((&key @ (release, _), _)) = self.pending.iter().next() {
             if release > self.index {

@@ -1,12 +1,11 @@
 //! Ground-station session model: the benign operator console and the
 //! malicious ground station of the paper's threat model (Fig. 3).
 
-use crate::history::History;
 use crate::msg::{self, Attitude, Heartbeat, ParamSet, SysStatus};
 use crate::packet::{Packet, Parser, HEADER_LEN, MAGIC};
 use crate::ProtocolError;
 use std::collections::BTreeMap;
-use telemetry::{Telemetry, Value};
+use telemetry::{History, Telemetry, Value};
 
 /// MAVLink system id conventionally used by ground stations.
 pub const GCS_SYSID: u8 = 255;
@@ -84,7 +83,7 @@ impl GroundStation {
     /// A ground station with the conventional GCS system id and the
     /// default scroll-back depth.
     pub fn new() -> Self {
-        GroundStation::with_capacity(crate::history::DEFAULT_CAPACITY)
+        GroundStation::with_capacity(telemetry::history::DEFAULT_CAPACITY)
     }
 
     /// A ground station retaining at most `capacity` packets (and decoded

@@ -25,13 +25,11 @@
 
 pub mod channel;
 pub mod ground_station;
-pub mod history;
 pub mod msg;
 mod packet;
 
 pub use channel::{ChannelStats, LossConfig, LossyChannel};
 pub use ground_station::{GroundStation, RouterTotals};
-pub use history::History;
 pub use packet::{crc_x25, Packet, Parser, MAGIC, MAX_PAYLOAD, MIN_PAYLOAD};
 
 /// Errors from decoding packets or payloads.

@@ -7,9 +7,39 @@
 //! xoshiro256++ seeded through SplitMix64 — deterministic for a given seed,
 //! statistically solid for simulation work, and explicitly **not** a CSPRNG
 //! (neither is the real `StdRng` contract for reproducible seeding).
+//!
+//! Beyond `rand`'s API, the crate holds the workspace's one stream
+//! deriver, [`derive_seed`], and its one 53-bit unit map, [`unit_f64`]:
+//! every per-board, per-trial and per-operation seed derives through the
+//! first, and every probability draw from a derived seed goes through the
+//! second, the same map `StdRng`'s `f64` sample uses.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+/// SplitMix64's increment, the 64-bit golden ratio.
+const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// SplitMix64's output function: a bijective avalanche of one word.
+fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The seed of stream `stream` under `base`: SplitMix64's output function
+/// applied to `base ^ stream·γ`. Every `(base, stream)` pair yields an
+/// independent seed that depends on nothing else, so a job, trial or
+/// operation draws the same stream whichever worker thread runs it.
+pub fn derive_seed(base: u64, stream: u64) -> u64 {
+    mix64(base ^ stream.wrapping_mul(GOLDEN_GAMMA))
+}
+
+/// Map 64 random bits onto `[0, 1)` through their top 53 (one `f64`
+/// mantissa), as `Rng::random::<f64>()` does.
+pub fn unit_f64(x: u64) -> f64 {
+    (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
 
 /// Low-level entropy source: everything else is derived from `next_u64`.
 pub trait RngCore {
@@ -60,8 +90,7 @@ impl Standard for bool {
 
 impl Standard for f64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        // 53 random mantissa bits in [0, 1).
-        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(rng.next_u64())
     }
 }
 
@@ -143,7 +172,7 @@ pub trait SeedableRng: Sized {
 
 /// Named generators.
 pub mod rngs {
-    use super::{RngCore, SeedableRng};
+    use super::{mix64, RngCore, SeedableRng, GOLDEN_GAMMA};
 
     /// The workspace's standard generator: xoshiro256++.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -151,24 +180,13 @@ pub mod rngs {
         s: [u64; 4],
     }
 
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
     impl SeedableRng for StdRng {
+        /// The first four outputs of a SplitMix64 sequence started at
+        /// `seed`.
         fn seed_from_u64(seed: u64) -> Self {
-            let mut sm = seed;
+            let word = |i: u64| mix64(seed.wrapping_add(i.wrapping_mul(GOLDEN_GAMMA)));
             StdRng {
-                s: [
-                    splitmix64(&mut sm),
-                    splitmix64(&mut sm),
-                    splitmix64(&mut sm),
-                    splitmix64(&mut sm),
-                ],
+                s: [word(1), word(2), word(3), word(4)],
             }
         }
     }
@@ -229,7 +247,7 @@ pub mod seq {
 mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
-    use super::{Rng, SeedableRng};
+    use super::{derive_seed, unit_f64, Rng, SeedableRng};
 
     #[test]
     fn deterministic_per_seed() {
@@ -268,6 +286,36 @@ mod tests {
         let xs: Vec<u64> = (0..8).map(|_| a.random()).collect();
         let ys: Vec<u64> = (0..8).map(|_| b.random()).collect();
         assert_eq!(xs, ys, "restored generator must continue the sequence");
+    }
+
+    /// The stream deriver, the seeding and the unit map are pinned to
+    /// values computed before they were folded into one implementation:
+    /// every per-board seed of every recorded campaign goes through them.
+    #[test]
+    fn derivation_matches_known_answers() {
+        let kat: [(u64, u64, u64); 6] = [
+            (0, 1, 0xe220_a839_7b1d_cdaf),
+            (1, 0, 0x5692_161d_100b_05e5),
+            (7, 3, 0xe831_3fe1_d735_0611),
+            (0xdead_beef, 1 << 62, 0x146a_1fb7_16a0_3420),
+            (u64::MAX, (1 << 63) | 5, 0xa2c5_a586_b201_9380),
+            (42, 1 << 61, 0xaf54_6520_c5fa_cd7c),
+        ];
+        for (base, stream, seed) in kat {
+            assert_eq!(derive_seed(base, stream), seed, "({base:#x}, {stream:#x})");
+        }
+        assert_eq!(unit_f64(derive_seed(7, 3)), 0.9070014883393078);
+        let mut rng = StdRng::seed_from_u64(42);
+        assert_eq!(
+            rng.state(),
+            [
+                0xbdd7_3226_2feb_6e95,
+                0x28ef_e333_b266_f103,
+                0x4752_6757_130f_9f52,
+                0x581c_e1ff_0e4a_e394
+            ]
+        );
+        assert_eq!(rng.random::<f64>(), 0.8143051451229099);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{derive_seed, Rng, SeedableRng};
 
 // The closed-form analysis lives with the defense; the attacker-side
 // simulations here are validated against it.
@@ -151,16 +151,6 @@ impl BruteModel {
     }
 }
 
-/// Seed for trial `trial` of a batch based on `base`: a splitmix64-style
-/// mix, so every trial gets an independent stream that depends only on
-/// `(base, trial)` — never on which worker thread ran it.
-fn trial_seed(base: u64, trial: u64) -> u64 {
-    let mut z = base ^ trial.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Run `trials` Monte-Carlo trials of `model` across `threads` workers,
 /// returning the attempt count of every trial in trial order.
 ///
@@ -179,7 +169,7 @@ pub fn run_trials_on(
     let run_range = |lo: u64, hi: u64| -> Vec<u64> {
         (lo..hi)
             .map(|t| {
-                let mut rng = seeded_rng(trial_seed(base_seed, t));
+                let mut rng = seeded_rng(derive_seed(base_seed, t));
                 model.simulate(n_functions, &mut rng)
             })
             .collect()

@@ -15,6 +15,10 @@
 //! * [`RingRecorder`] — a bounded in-memory ring, the post-mortem "flight
 //!   recorder" proper; [`RingRecorder::to_jsonl`] writes its events as
 //!   JSON lines for offline analysis (`mavr-cli trace --out events.jsonl`).
+//!
+//! The ring is a [`History`], the one bounded history of the workspace:
+//! the simulator's instruction trail and the ground station's scroll-back
+//! are histories too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -74,7 +78,10 @@ pub mod kinds {
     pub const CHECKPOINT_SKIPPED: &str = "campaign.checkpoint_skipped";
 }
 
+pub mod history;
 pub mod metrics;
+
+pub use history::History;
 
 /// A typed field value attached to an event.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,18 +251,14 @@ impl Recorder for NullRecorder {
 /// Bounded in-memory ring of the most recent events.
 #[derive(Debug)]
 pub struct RingRecorder {
-    events: std::collections::VecDeque<Event>,
-    capacity: usize,
-    seen: u64,
+    events: History<Event>,
 }
 
 impl RingRecorder {
     /// Ring holding the latest `capacity` events.
     pub fn new(capacity: usize) -> Self {
         RingRecorder {
-            events: std::collections::VecDeque::with_capacity(capacity.min(4096)),
-            capacity: capacity.max(1),
-            seen: 0,
+            events: History::with_capacity(capacity),
         }
     }
 
@@ -266,7 +269,7 @@ impl RingRecorder {
 
     /// Events that fell off the front of the ring.
     pub fn dropped(&self) -> u64 {
-        self.seen - self.events.len() as u64
+        self.events.evicted()
     }
 
     /// Count of retained events per kind, sorted by kind.
@@ -291,14 +294,10 @@ impl RingRecorder {
 
 impl Recorder for RingRecorder {
     fn record(&mut self, event: Event) {
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(event);
-        self.seen += 1;
+        self.events.push(event);
     }
     fn events_emitted(&self) -> u64 {
-        self.seen
+        self.events.total()
     }
 }
 
