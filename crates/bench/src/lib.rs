@@ -30,6 +30,7 @@ use avr_core::Insn;
 use mavlink_lite::GroundStation;
 use mavr::policy::RandomizationPolicy;
 use mavr_board::{MavrBoard, SerialLink};
+use mavr_fleet::{SeedableRng, StdRng};
 use rop::attack::AttackContext;
 use rop::scanner::{self, ScanOptions};
 use synth_firmware::{apps, build, layout as l, AppSpec, BuildOptions, FirmwareBuild};
@@ -176,7 +177,7 @@ pub fn effectiveness(spec: &AppSpec, trials: u64) -> Effectiveness {
     );
     let one_shuffle = mavr::randomize(
         &fw.image,
-        &mut mavr::seeded_rng(0x5caa),
+        &mut StdRng::seed_from_u64(0x5caa),
         &mavr::RandomizeOptions::default(),
     )
     .expect("randomize");
@@ -272,7 +273,7 @@ pub fn relax_ablation(trials: u64) -> (String, u64) {
         .image;
     let refusal = mavr::randomize(
         &img,
-        &mut mavr::seeded_rng(1),
+        &mut StdRng::seed_from_u64(1),
         &mavr::RandomizeOptions::default(),
     )
     .expect_err("a relax-built image is refused")
@@ -283,7 +284,8 @@ pub fn relax_ablation(trials: u64) -> (String, u64) {
     };
     let deaths = (0..trials)
         .filter(|&seed| {
-            let r = mavr::randomize(&img, &mut mavr::seeded_rng(seed), &forced).expect("randomize");
+            let r = mavr::randomize(&img, &mut StdRng::seed_from_u64(seed), &forced)
+                .expect("randomize");
             let mut m = avr_sim::Machine::new_atmega2560();
             m.load_flash(0, &r.image.bytes);
             let exit = m.run(2_000_000);
@@ -839,14 +841,10 @@ pub fn chaos_resilience(quick: bool) -> BenchRecord {
 /// sketch and a packet histogram.
 fn reference_registry(cells: usize, seed: u64) -> telemetry::metrics::MetricsRegistry {
     let mut reg = telemetry::metrics::MetricsRegistry::new();
-    let mut x = seed;
+    let mut stream = 0;
     let mut next = || {
-        // splitmix64, the workspace's standard seed deriver.
-        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        stream += 1;
+        mavr_fleet::derive_seed(seed, stream)
     };
     for cell in 0..cells {
         let loss = format!("{:.4}", cell as f64 * 0.01);

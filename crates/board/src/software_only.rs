@@ -18,6 +18,7 @@
 use avr_core::image::FirmwareImage;
 use avr_sim::Machine;
 use mavr::{randomize, RandomizeError, RandomizeOptions};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// A board flashed once with a host-randomized binary.
 #[derive(Debug, Clone)]
@@ -32,7 +33,7 @@ pub struct SoftwareOnlyBoard {
 impl SoftwareOnlyBoard {
     /// Flash-time randomization on the host, then deploy.
     pub fn flash(image: &FirmwareImage, seed: u64) -> Result<Self, RandomizeError> {
-        let mut rng = mavr::seeded_rng(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let r = randomize(image, &mut rng, &RandomizeOptions::default())?;
         let mut machine = Machine::new_atmega2560();
         machine.load_flash(0, &r.image.bytes);

@@ -29,13 +29,16 @@
 //!   mapping onto [`mavr_fleet::CampaignConfig`].
 //! - [`faultfs`]: seeded disk-fault injection (EIO/ENOSPC/short write)
 //!   under the store's durable-write retry loop.
-//! - [`store`]: the on-disk campaign directory and the write-to-temp +
-//!   rename discipline that makes every checkpoint crash-safe.
+//! - [`store`]: the on-disk campaign directory, the write-to-temp +
+//!   rename discipline that makes every checkpoint crash-safe, and
+//!   progress counted from the checkpoints the directory holds (never by
+//!   walking the plan).
 //! - [`runner`]: the shard execution loop, the disk-fault degradation
 //!   ladder, and the streaming two-pass merge that also rebuilds the
 //!   quarantine ledger.
 //! - [`proto`]: the newline-delimited JSON control protocol
-//!   (submit/status/run/merge/shutdown).
+//!   (submit/status/run/merge/shutdown) over a service whose only state
+//!   is its campaign root.
 //! - [`server`]: stdio and Unix-socket transports; the socket server
 //!   serves each connection on its own thread while an executor thread
 //!   runs pending shards.

@@ -20,20 +20,20 @@
 //!
 //! [`Service`] takes `&self` everywhere: the socket server shares one
 //! instance across its connection threads and the background executor
-//! thread.
-//! Sessions sit behind a mutex, slice execution is serialized by a
-//! dedicated `exec` lock, and `status`/`submit`/`stats` never touch that
-//! lock — so the service answers `status` while a shard is mid-run.
+//! thread. The campaign root is its only state: every op opens what it
+//! needs from the campaign's directory, and `status` counts progress from
+//! the checkpoints there. Slice execution is serialized by a dedicated
+//! `exec` lock, and `status`/`submit`/`stats` never touch that lock — so
+//! the service answers `status` while a shard is mid-run.
 
 use crate::faultfs::FaultFs;
 use crate::json::Json;
 use crate::runner::{merge_store, CampaignSession};
 use crate::spec::CampaignSpec;
-use crate::store::{campaign_dir, CampaignStore};
-use std::collections::HashMap;
+use crate::store::{campaign_dir, campaign_statuses, CampaignStatus, CampaignStore};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use telemetry::Telemetry;
 
 /// What the transport loop should do after a response.
@@ -72,13 +72,12 @@ pub struct ServiceStats {
     pub jobs_run: AtomicU64,
 }
 
-/// Service state: the campaign root plus the sessions of unfinished
-/// campaigns (firmware is linked once per campaign, not once per work
-/// slice).
+/// Service state: the campaign root, whose directories hold each
+/// campaign's only state, plus the interrupt flag, the `exec` lock and
+/// the counters.
 pub struct Service {
     root: PathBuf,
     interrupt: Arc<AtomicBool>,
-    sessions: Mutex<HashMap<String, Arc<CampaignSession>>>,
     /// Serializes slice execution: one shard runs at a time no matter how
     /// many connections ask, while read-only ops bypass it.
     exec: Mutex<()>,
@@ -96,7 +95,6 @@ impl Service {
         Service {
             root,
             interrupt,
-            sessions: Mutex::new(HashMap::new()),
             exec: Mutex::new(()),
             fault_fs: FaultFs::none(),
             stats: ServiceStats::default(),
@@ -178,14 +176,11 @@ impl Service {
     }
 
     fn op_status(&self, req: &Json) -> Result<(Json, Control), String> {
-        let stores = match req.get("campaign").and_then(Json::as_str) {
-            Some(name) => vec![CampaignStore::open(&campaign_dir(&self.root, name)?)?],
-            None => CampaignStore::list(&self.root)?,
-        };
-        let mut rows = Vec::new();
-        for store in stores {
-            rows.push(store.status()?.to_json());
-        }
+        let name = req.get("campaign").and_then(Json::as_str);
+        let rows = campaign_statuses(&self.root, name)?
+            .iter()
+            .map(CampaignStatus::to_json)
+            .collect();
         Ok((
             Json::Obj(vec![
                 ("ok".into(), Json::Bool(true)),
@@ -275,12 +270,12 @@ impl Service {
         ))
     }
 
-    /// Run one bounded work slice of `name`. Its session is cached while
-    /// the campaign is unfinished and its spec on disk is unchanged (a
-    /// campaign deleted and resubmitted under the same name gets a new
-    /// one), and dropped once the campaign completes, so the cache holds
-    /// only campaigns in progress. Slices from concurrent callers
-    /// serialize on the `exec` lock; everything else in the protocol stays
+    /// Run one bounded work slice of `name` on a session opened from the
+    /// campaign's directory, so the spec on disk is the only input (a
+    /// campaign deleted and resubmitted under the same name runs its new
+    /// spec). The executor runs each campaign in one slice, so it links a
+    /// campaign's firmware once. Slices from concurrent callers serialize
+    /// on the `exec` lock; everything else in the protocol stays
     /// responsive while one runs.
     pub fn run_slice(
         &self,
@@ -290,29 +285,11 @@ impl Service {
     ) -> Result<crate::runner::RunOutcome, String> {
         let store = CampaignStore::open(&campaign_dir(&self.root, name)?)?
             .with_faults(self.fault_fs.clone());
-        let session = {
-            let mut sessions = lock(&self.sessions);
-            match sessions.get(name) {
-                Some(session) if session.store.spec == store.spec => Arc::clone(session),
-                _ => {
-                    let session = Arc::new(CampaignSession::new(
-                        store,
-                        Telemetry::off(),
-                        Arc::clone(&self.interrupt),
-                    )?);
-                    sessions.insert(name.to_string(), Arc::clone(&session));
-                    session
-                }
-            }
-        };
-        let _exec = lock(&self.exec);
+        let session = CampaignSession::new(store, Telemetry::off(), Arc::clone(&self.interrupt))?;
+        // `exec` guards no data, so a slice that panicked holding it
+        // leaves nothing to distrust.
+        let _exec = self.exec.lock().unwrap_or_else(PoisonError::into_inner);
         let outcome = session.run(budget_jobs, max_shards)?;
-        if outcome.complete {
-            let mut sessions = lock(&self.sessions);
-            if sessions.get(name).is_some_and(|s| Arc::ptr_eq(s, &session)) {
-                sessions.remove(name);
-            }
-        }
         self.stats.slices.fetch_add(1, Ordering::Relaxed);
         self.stats
             .jobs_run
@@ -324,7 +301,8 @@ impl Service {
     }
 
     /// The first campaign with unfinished jobs (service work queue, in
-    /// name order), or None when everything is complete.
+    /// name order), or None when everything is complete. Costs the saved
+    /// checkpoints of the campaigns it passes, not their plans.
     pub fn pending_campaign(&self) -> Result<Option<String>, String> {
         self.stats.scans.fetch_add(1, Ordering::Relaxed);
         for store in CampaignStore::list(&self.root)? {
@@ -359,12 +337,4 @@ impl Service {
     pub(crate) fn interrupt(&self) {
         self.interrupt.store(true, Ordering::Relaxed);
     }
-}
-
-/// Lock a mutex, shrugging off poisoning: a panicked worker must not
-/// brick the whole service (the data under every service mutex is valid
-/// at all times — each session map update is one insert or remove, `exec`
-/// guards nothing).
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -7,7 +7,9 @@
 //! the shard's checkpoint whenever the shard resumes, never repaired),
 //! and folds shards through the fleet's one merge law
 //! (`CampaignAggregate::fold_shard`) instead of accumulating outcome
-//! vectors. The merge step is two O(largest-shard) passes that write the
+//! vectors. A slice's time goes to the shards it runs and the checkpoints
+//! on disk, never to the length of the plan: it walks the plan only up to
+//! where it stops and counts the rest from the saved checkpoints. The merge step is two O(largest-shard) passes that write the
 //! report **byte-identical** to an unsharded `run_campaign().to_json()` —
 //! the laws behind that identity are proptested in
 //! `mavr-fleet/tests/shard_props.rs`.
@@ -26,8 +28,9 @@ use telemetry::{kinds, Telemetry, Value};
 
 /// One campaign, ready to run: its store, the engine config (with the
 /// service's telemetry and interrupt flag wired in), and the prepared
-/// firmware. Building the firmware is the expensive part, so a service
-/// keeps sessions cached across work slices.
+/// firmware. Building the firmware is the expensive part, so one session
+/// runs a whole slice; the service opens one from the campaign's
+/// directory for each slice, and its executor runs each campaign in one.
 pub struct CampaignSession {
     /// The campaign's directory and spec.
     pub store: CampaignStore,
@@ -90,7 +93,11 @@ impl CampaignSession {
     /// `outcomes-NNNN.jsonl` stream from the checkpoint, appends each new
     /// outcome as it completes, syncs the stream and then flushes the
     /// checkpoint atomically, so a kill between slices loses nothing and a
-    /// kill *during* a slice loses only that slice's work.
+    /// kill *during* a slice loses only that slice's work. The walk over
+    /// the plan ends where the slice stops (budget, `max_shards` or
+    /// interrupt), and the shards past that point count what their saved
+    /// checkpoints hold, so each checkpoint is read at most once and a
+    /// slice never costs the plan's length.
     pub fn run(
         &self,
         budget_jobs: Option<usize>,
@@ -101,23 +108,21 @@ impl CampaignSession {
         let mut jobs_run = 0usize;
         let mut done_jobs = 0u64;
         let mut shards_touched = 0usize;
-        let mut interrupted = false;
-        let mut stopped = false;
         let mut slice_skips = 0u64;
 
-        for index in 0..plan.shard_count() {
+        // Walk the plan only as far as the slice goes: `next` is the first
+        // shard it did not reach.
+        let mut next = 0;
+        while next < plan.shard_count()
+            && budget != Some(0)
+            && max_shards.is_none_or(|m| shards_touched < m)
+            && !self.cfg.interrupted()
+        {
+            let index = next;
+            next += 1;
             let mut shard = self.store.load_shard(&self.cfg, index)?;
             if shard.complete() {
                 done_jobs += shard.outcomes.len() as u64;
-                continue;
-            }
-            if stopped
-                || budget == Some(0)
-                || max_shards.is_some_and(|m| shards_touched >= m)
-                || self.cfg.interrupted()
-            {
-                done_jobs += shard.outcomes.len() as u64;
-                stopped = true;
                 continue;
             }
 
@@ -169,17 +174,17 @@ impl CampaignSession {
             if let Some(b) = budget.as_mut() {
                 *b = b.saturating_sub(status.ran);
             }
-            if status.interrupted {
-                interrupted = true;
-                stopped = true;
-            }
         }
+        // The shards the slice did not reach count what their checkpoints
+        // hold.
+        self.store.fold_saved(&self.cfg, next, |shard| {
+            done_jobs += shard.outcomes.len() as u64;
+        })?;
 
-        // A tripped flag is an interruption no matter where the stop was
-        // detected — mid-shard (run_shard_resume reports it) or between
-        // shards (only the loop guard saw it).
+        // A tripped flag stays tripped, so it is an interruption wherever
+        // the stop was detected: mid-shard or between shards.
         let complete = done_jobs == plan.total_jobs;
-        let interrupted = !complete && (interrupted || self.cfg.interrupted());
+        let interrupted = !complete && self.cfg.interrupted();
         if interrupted {
             self.cfg
                 .telemetry

@@ -218,37 +218,77 @@ impl CampaignStore {
         self.write_durable(&self.shard_path(ckpt.shard_index), &ckpt.to_bytes())
     }
 
-    /// Scan shard files and summarize progress without loading outcome
-    /// payloads into long-lived memory (each shard is loaded, counted and
-    /// dropped).
+    /// Hand `visit` the checkpoint of every shard of the plan from `from`
+    /// on that has one, in index order, from one listing of the directory:
+    /// a shard with no file has no outcomes, so progress costs the saved
+    /// checkpoints, never the plan. Only the paths
+    /// [`CampaignStore::shard_path`] gives count (a torn `.tmp`, a
+    /// `shard-1.ckpt` or a shard past the plan is no checkpoint), and each
+    /// is read as [`CampaignStore::load_shard`] reads it.
+    pub(crate) fn fold_saved(
+        &self,
+        cfg: &mavr_fleet::CampaignConfig,
+        from: u64,
+        mut visit: impl FnMut(ShardCheckpoint),
+    ) -> Result<(), String> {
+        let shards = from..self.plan().shard_count();
+        let mut saved: Vec<u64> = std::fs::read_dir(&self.dir)
+            .map_err(|e| format!("list {}: {e}", self.dir.display()))?
+            .flatten()
+            .filter_map(|entry| {
+                let name = entry.file_name().into_string().ok()?;
+                let index = name
+                    .strip_prefix("shard-")?
+                    .strip_suffix(".ckpt")?
+                    .parse()
+                    .ok()?;
+                (shards.contains(&index) && entry.path() == self.shard_path(index)).then_some(index)
+            })
+            .collect();
+        saved.sort_unstable();
+        for index in saved {
+            visit(self.load_shard(cfg, index)?);
+        }
+        Ok(())
+    }
+
+    /// Summarize progress from the saved checkpoints, each loaded, counted
+    /// and dropped.
     pub fn status(&self) -> Result<CampaignStatus, String> {
         let cfg = self.spec.to_config()?;
         let plan = self.plan();
-        let mut done_jobs = 0u64;
-        let mut shards_complete = 0u64;
-        let mut jobs_quarantined = 0u64;
-        for index in 0..plan.shard_count() {
-            let shard = self.load_shard(&cfg, index)?;
-            done_jobs += shard.outcomes.len() as u64;
-            jobs_quarantined += shard
+        let mut status = CampaignStatus {
+            name: self.spec.name.clone(),
+            total_jobs: plan.total_jobs,
+            done_jobs: 0,
+            shards_total: plan.shard_count(),
+            shards_complete: 0,
+            jobs_quarantined: 0,
+            report_written: self.report_path().is_file(),
+        };
+        self.fold_saved(&cfg, 0, |shard| {
+            status.done_jobs += shard.outcomes.len() as u64;
+            status.jobs_quarantined += shard
                 .outcomes
                 .values()
                 .filter(|o| o.failure.is_some())
                 .count() as u64;
             if shard.jobs() > 0 && shard.complete() {
-                shards_complete += 1;
+                status.shards_complete += 1;
             }
-        }
-        Ok(CampaignStatus {
-            name: self.spec.name.clone(),
-            total_jobs: plan.total_jobs,
-            done_jobs,
-            shards_total: plan.shard_count(),
-            shards_complete,
-            jobs_quarantined,
-            report_written: self.report_path().is_file(),
-        })
+        })?;
+        Ok(status)
     }
+}
+
+/// The status of campaign `name` under `root`, or of every campaign there
+/// in name order: what the `status` op and `mavr-cli status --dir` report.
+pub fn campaign_statuses(root: &Path, name: Option<&str>) -> Result<Vec<CampaignStatus>, String> {
+    let stores = match name {
+        Some(name) => vec![CampaignStore::open(&campaign_dir(root, name)?)?],
+        None => CampaignStore::list(root)?,
+    };
+    stores.iter().map(CampaignStore::status).collect()
 }
 
 /// Progress summary of one campaign.

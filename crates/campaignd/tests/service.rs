@@ -54,8 +54,8 @@ fn sliced_interrupted_service_run_merges_byte_identical_to_direct_run() {
     let err = merge_store(&store).unwrap_err();
     assert!(err.contains("incomplete"), "{err}");
 
-    // "Process restart": a fresh Service with no cached sessions resumes
-    // from the shard checkpoints alone.
+    // "Process restart": a fresh Service resumes from the shard
+    // checkpoints alone.
     let service = Service::new(root.clone(), Arc::new(AtomicBool::new(false)));
     let status = store.status().unwrap();
     assert_eq!(status.done_jobs, 2, "the slice's jobs survived the restart");
@@ -98,9 +98,9 @@ fn sliced_interrupted_service_run_merges_byte_identical_to_direct_run() {
 }
 
 /// A campaign deleted and resubmitted under the same name with another
-/// spec must not run on the session cached for its predecessor: that ran
-/// the old plan, wrote old-fingerprint shards into the new directory and
-/// left a campaign that never merges.
+/// spec runs its own spec. A session kept from its predecessor would run
+/// the old plan, write old-fingerprint shards into the new directory and
+/// leave a campaign that never merges.
 #[test]
 fn a_resubmitted_campaign_runs_its_own_spec_not_a_cached_session() {
     let root = tmp_root("resubmit");

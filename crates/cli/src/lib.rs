@@ -9,6 +9,8 @@
 
 use avr_core::image::FirmwareImage;
 use hexfile::MavrContainer;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use synth_firmware::{apps, AppSpec, BuildOptions};
 
 /// CLI errors, rendered to stderr by the binary.
@@ -75,7 +77,6 @@ const OPTIONS: &[(&str, Takes)] = &[
     ("--loss", Takes::Value),
     ("--fault", Takes::Value),
     ("--threads", Takes::Value),
-    ("--capacity", Takes::Value),
     ("--warmup", Takes::Value),
     ("--restore", Takes::Value),
     ("--digest", Takes::Value),
@@ -272,7 +273,7 @@ pub fn cmd_randomize(args: &Args) -> Result<String, CliError> {
         ));
     }
     let seed = parse_u64(args.options.get("--seed"), 0x2015)?;
-    let mut rng = mavr::seeded_rng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let r = mavr::randomize(&img, &mut rng, &mavr::RandomizeOptions::default()).map_err(fail)?;
     let moved = img
         .functions()
@@ -337,15 +338,7 @@ pub fn cmd_scan(args: &Args) -> Result<String, CliError> {
         .ok_or_else(|| CliError::Usage("scan needs a file".into()))?;
     let img = load_image(path)?;
     let opts = rop::ScanOptions {
-        max_insns: args
-            .options
-            .get("--max-insns")
-            .map(|s| {
-                s.parse()
-                    .map_err(|_| CliError::Usage("bad --max-insns".into()))
-            })
-            .transpose()?
-            .unwrap_or(6),
+        max_insns: parse_num(args.options.get("--max-insns"), 6)? as usize,
         dedup: !args.flags.contains("no-dedup"),
     };
     let gadgets = rop::scan(&img, &opts);
@@ -408,6 +401,27 @@ fn parse_u64(v: Option<&String>, default: u64) -> Result<u64, CliError> {
 fn parse_num(v: Option<&String>, default: u32) -> Result<u32, CliError> {
     u32::try_from(parse_u64(v, default.into())?)
         .map_err(|_| CliError::Usage(format!("bad number `{}`", v.map_or("", String::as_str))))
+}
+
+/// A `u64` option read like [`parse_u64`], or `None` when absent.
+fn opt_u64(args: &Args, name: &str) -> Result<Option<u64>, CliError> {
+    args.options
+        .get(name)
+        .map(|v| parse_u64(Some(v), 0))
+        .transpose()
+}
+
+/// `--tenant N`: the campaign's seed namespace, when given.
+fn tenant(args: &Args) -> Result<Option<u64>, CliError> {
+    opt_u64(args, "--tenant")
+}
+
+/// `--max-jobs N`: how many jobs one invocation runs, when given.
+fn max_jobs(args: &Args) -> Result<Option<usize>, CliError> {
+    let bad = |n| CliError::Usage(format!("bad number `{n}`"));
+    opt_u64(args, "--max-jobs")?
+        .map(|n| usize::try_from(n).map_err(|_| bad(n)))
+        .transpose()
 }
 
 /// `mavr simulate <file> [--cycles N]`
@@ -837,7 +851,7 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
 
     let fw = synth_firmware::build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr())
         .map_err(fail)?;
-    let mut rng = mavr::seeded_rng(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     let r =
         mavr::randomize(&fw.image, &mut rng, &mavr::RandomizeOptions::default()).map_err(fail)?;
 
@@ -930,7 +944,7 @@ pub fn cmd_replay(args: &Args) -> Result<String, CliError> {
 }
 
 /// `mavr fleet [app] [--boards N] [--scenario LIST|all] [--loss L1,L2,..]
-/// [--seed N] [--warmup N] [--cycles N] [--threads N] [--capacity N]
+/// [--seed N] [--warmup N] [--cycles N] [--threads N]
 /// [--checkpoint FILE] [--max-jobs N] [--json | --jsonl] [-o FILE]`
 ///
 /// Run a many-UAV campaign: `scenarios × loss levels × boards` independent
@@ -980,15 +994,12 @@ fn campaign_root(args: &Args) -> Result<std::path::PathBuf, CliError> {
 fn load_spec(args: &Args, path: &str) -> Result<mavr_campaignd::CampaignSpec, CliError> {
     let text = std::fs::read_to_string(path).map_err(fail)?;
     let mut spec = mavr_campaignd::CampaignSpec::from_json(&text).map_err(CliError::Usage)?;
-    if let Some(v) = args.options.get("--shard-jobs") {
-        spec.shard_jobs = v
-            .parse()
-            .map_err(|_| CliError::Usage("bad --shard-jobs".into()))?;
+    if let Some(n) = opt_u64(args, "--shard-jobs")? {
+        // Clamped like the spec key: a 0-job shard plan divides by zero.
+        spec.shard_jobs = n.max(1);
     }
-    if let Some(v) = args.options.get("--tenant") {
-        spec.tenant = v
-            .parse()
-            .map_err(|_| CliError::Usage("bad --tenant (u64)".into()))?;
+    if let Some(t) = tenant(args)? {
+        spec.tenant = t;
     }
     Ok(spec)
 }
@@ -1025,19 +1036,10 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
                 .ok()
                 .filter(|r| (0.0..=1.0).contains(r))
                 .ok_or_else(|| CliError::Usage("bad --store-fault (probability 0..=1)".into()))?;
-            let seed: u64 = match args.options.get("--store-fault-seed") {
-                None => 0,
-                Some(s) => s
-                    .parse()
-                    .map_err(|_| CliError::Usage("bad --store-fault-seed (u64)".into()))?,
-            };
-            FaultFs::seeded(seed, rate)
+            FaultFs::seeded(parse_u64(args.options.get("--store-fault-seed"), 0)?, rate)
         }
     };
-    if let Some(v) = args.options.get("--deadline-s") {
-        let secs: u64 = v
-            .parse()
-            .map_err(|_| CliError::Usage("bad --deadline-s (seconds)".into()))?;
+    if let Some(secs) = opt_u64(args, "--deadline-s")? {
         let flag = std::sync::Arc::clone(&interrupt);
         std::thread::spawn(move || {
             std::thread::sleep(std::time::Duration::from_secs(secs));
@@ -1057,15 +1059,9 @@ pub fn cmd_serve(args: &Args) -> Result<String, CliError> {
         };
         let session =
             CampaignSession::new(store, telemetry, interrupt).map_err(CliError::Failed)?;
-        let budget = args
-            .options
-            .get("--max-jobs")
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| CliError::Usage("bad --max-jobs".into()))
-            })
-            .transpose()?;
-        let outcome = session.run(budget, None).map_err(CliError::Failed)?;
+        let outcome = session
+            .run(max_jobs(args)?, None)
+            .map_err(CliError::Failed)?;
         if outcome.complete {
             let (report_path, _metrics) = merge_store(&session.store).map_err(CliError::Failed)?;
             return Ok(format!(
@@ -1169,15 +1165,16 @@ pub fn cmd_submit(args: &Args) -> Result<String, CliError> {
 /// been merged. Reads shard checkpoints directly with `--dir` (works with
 /// no service running); asks a running service with `--socket`.
 pub fn cmd_status(args: &Args) -> Result<String, CliError> {
-    use mavr_campaignd::CampaignStore;
+    let campaign = args.options.get("--campaign").map(String::as_str);
+    let check_campaign = || campaign.map_or(Ok(()), mavr_campaignd::spec::check_name);
 
     if let Some(sock) = args.options.get("--socket") {
         #[cfg(unix)]
         {
             use mavr_campaignd::json::Json;
+            check_campaign().map_err(CliError::Usage)?;
             let mut request = vec![("op".to_string(), Json::str("status"))];
-            if let Some(name) = args.options.get("--campaign") {
-                mavr_campaignd::spec::check_name(name).map_err(CliError::Usage)?;
+            if let Some(name) = campaign {
                 request.push(("campaign".to_string(), Json::str(name)));
             }
             let line = Json::Obj(request).to_text();
@@ -1193,19 +1190,14 @@ pub fn cmd_status(args: &Args) -> Result<String, CliError> {
     }
 
     let root = campaign_root(args)?;
-    let stores = match args.options.get("--campaign") {
-        Some(name) => {
-            let dir = mavr_campaignd::store::campaign_dir(&root, name).map_err(CliError::Usage)?;
-            vec![CampaignStore::open(&dir).map_err(CliError::Failed)?]
-        }
-        None => CampaignStore::list(&root).map_err(CliError::Failed)?,
-    };
-    if stores.is_empty() {
+    check_campaign().map_err(CliError::Usage)?;
+    let statuses =
+        mavr_campaignd::store::campaign_statuses(&root, campaign).map_err(CliError::Failed)?;
+    if statuses.is_empty() {
         return Ok(format!("no campaigns under {}\n", root.display()));
     }
     let mut out = String::new();
-    for store in stores {
-        let status = store.status().map_err(CliError::Failed)?;
+    for status in statuses {
         if args.flags.contains("json") {
             out.push_str(&status.to_json().to_text());
             out.push('\n');
@@ -1445,18 +1437,11 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
         warmup_cycles: parse_u64(args.options.get("--warmup"), defaults.warmup_cycles)?,
         attack_cycles: parse_u64(args.options.get("--cycles"), defaults.attack_cycles)?,
         threads: parse_num(args.options.get("--threads"), 0)? as usize,
-        gcs_capacity: parse_num(args.options.get("--capacity"), defaults.gcs_capacity as u32)?
-            as usize,
         app,
         ..defaults
     };
     cfg.validate().map_err(CliError::Usage)?;
-    cfg.tenant = match args.options.get("--tenant") {
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| CliError::Usage("bad --tenant (u64)".into()))?,
-        None => 0,
-    };
+    cfg.tenant = tenant(args)?.unwrap_or(0);
     cfg.block_fusion = !args.flags.contains("no-fusion");
     cfg.physics = args.flags.contains("physics");
     if args.flags.contains("progress") {
@@ -1477,14 +1462,7 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
         if let Ok(blob) = std::fs::read(path) {
             shard = ShardCheckpoint::from_bytes(&blob).map_err(fail)?;
         }
-        budget = args
-            .options
-            .get("--max-jobs")
-            .map(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| CliError::Usage("bad --max-jobs".into()))
-            })
-            .transpose()?;
+        budget = max_jobs(args)?;
     }
     // `--jsonl -o FILE` streams outcome lines to the file *as boards
     // finish* (tail -f friendly), after the lines of the jobs the
@@ -1609,7 +1587,7 @@ COMMANDS:
         impacts, recovery outages); --json emits the trajectory as JSON
         lines. Same arguments, same flight — bit for bit.
   fleet [app] [--boards N] [--scenario LIST|all] [--loss L1,L2,..] [--seed N]
-        [--warmup N] [--cycles N] [--threads N] [--capacity N]
+        [--warmup N] [--cycles N] [--threads N]
         [--checkpoint FILE] [--max-jobs N] [--progress] [--no-fusion]
         [--physics] [--metrics-out FILE] [--json | --jsonl] [-o FILE]
         Fly a many-UAV campaign over deterministic lossy links: every
@@ -2435,6 +2413,17 @@ halt:
         );
         // Identical resubmission is idempotent...
         run(&s(&["submit", &spec_path, "--dir", &root])).unwrap();
+        // ...`--shard-jobs 0` reads as 1, like the spec key...
+        let zero = run(&s(&[
+            "submit",
+            &spec_path,
+            "--dir",
+            &format!("{root}-zero"),
+            "--shard-jobs",
+            "0",
+        ]))
+        .unwrap();
+        assert!(zero.contains("1 jobs in 1 shards"), "{zero}");
         // ...but a --tenant override mutates the campaign's identity.
         assert!(run(&s(&["submit", &spec_path, "--dir", &root, "--tenant", "7"])).is_err());
 
@@ -2458,5 +2447,13 @@ halt:
         with_tenant.extend(["--tenant", "7"]);
         let t7 = run(&s(&with_tenant)).unwrap();
         assert_ne!(t0, t7);
+
+        // `--tenant` reads hex like every integer option.
+        let [hex, dec] = ["0x10", "16"].map(|tenant| {
+            let mut argv: Vec<&str> = base.to_vec();
+            argv.extend(["--tenant", tenant]);
+            run(&s(&argv)).unwrap()
+        });
+        assert_eq!(hex, dec);
     }
 }

@@ -52,6 +52,9 @@ pub use mavlink_lite::RouterTotals;
 /// through; re-exported so the campaign service derives its own streams
 /// from the same function.
 pub use rand::{derive_seed, unit_f64};
+/// The seeded generator and its seeding call, for crates that seed a
+/// randomization without a `rand` dependency of their own.
+pub use rand::{rngs::StdRng, SeedableRng};
 pub use report::{
     fold_outcome_metrics, json_prelude, registry_from_outcomes, BoardOutcome, CampaignAggregate,
     CampaignReport, CampaignSummary, CellReport, JobFailure, JobFailureKind, WorldCellMetrics,

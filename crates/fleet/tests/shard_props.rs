@@ -17,6 +17,9 @@ use mavr_fleet::{
 use mavr_snapshot::{Kind, SnapshotError, Writer};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -46,21 +49,6 @@ fn oracle() -> &'static (String, String, String) {
             metrics.to_jsonl(),
         )
     })
-}
-
-/// Deterministic shuffle (Fisher–Yates over a splitmix64 stream) so the
-/// proptest case, not wall-clock entropy, picks the execution order.
-fn shuffle<T>(items: &mut [T], mut seed: u64) {
-    let mut next = move || {
-        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = seed;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    for i in (1..items.len()).rev() {
-        items.swap(i, (next() % (i as u64 + 1)) as usize);
-    }
 }
 
 /// Turn arbitrary cut points into a contiguous partition of `[0, total)`.
@@ -107,7 +95,8 @@ proptest! {
                 outcomes: BTreeMap::new(),
             })
             .collect();
-        shuffle(&mut shards, order_seed);
+        // The proptest case, not wall-clock entropy, picks the order.
+        shards.shuffle(&mut StdRng::seed_from_u64(order_seed));
 
         // Run each shard: first a budgeted slice (a mid-shard kill), then a
         // serialize/deserialize round trip (the on-disk checkpoint), then
@@ -135,7 +124,9 @@ proptest! {
         }
 
         // Merge in a different arbitrary order.
-        shuffle(&mut shards, order_seed.wrapping_mul(0x5851_f42d_4c95_7f2d));
+        shards.shuffle(&mut StdRng::seed_from_u64(
+            order_seed.wrapping_mul(0x5851_f42d_4c95_7f2d),
+        ));
         let (report, metrics) = merge_shard_checkpoints(&cfg, shards.clone()).unwrap();
         let (json, prom, jsonl) = oracle();
         prop_assert_eq!(&report.to_json(), json);

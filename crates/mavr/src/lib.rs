@@ -29,10 +29,11 @@
 //!
 //! ```
 //! use mavr::{randomize, RandomizeOptions};
+//! use rand::{rngs::StdRng, SeedableRng};
 //! use synth_firmware::{apps, build, BuildOptions};
 //!
 //! let fw = build(&apps::tiny_test_app(), &BuildOptions::safe_mavr()).unwrap();
-//! let mut rng = mavr::seeded_rng(1);
+//! let mut rng = StdRng::seed_from_u64(1);
 //! let r = randomize(&fw.image, &mut rng, &RandomizeOptions::default()).unwrap();
 //! assert_eq!(r.image.code_size(), fw.image.code_size());
 //! assert_ne!(r.image.bytes, fw.image.bytes);
@@ -48,12 +49,3 @@ pub mod randomize;
 
 pub use preprocess::preprocess;
 pub use randomize::{randomize, PatchPlan, RandomizeError, RandomizeOptions, RandomizedImage};
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-/// Seeded RNG for reproducible randomization in tests and benches. The
-/// board simulation uses entropy-seeded RNGs instead.
-pub fn seeded_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}

@@ -542,6 +542,7 @@ fn repair_constraints(
 mod tests {
     use super::*;
     use avr_sim::{Machine, RunExit};
+    use rand::{rngs::StdRng, SeedableRng};
     use synth_firmware::{apps, build, BuildOptions};
 
     fn tiny() -> FirmwareImage {
@@ -567,7 +568,7 @@ mod tests {
         let img = tiny();
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(1),
+            &mut StdRng::seed_from_u64(1),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -599,7 +600,7 @@ mod tests {
         let img = tiny();
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(2),
+            &mut StdRng::seed_from_u64(2),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -619,7 +620,7 @@ mod tests {
         for seed in 0..5 {
             let r = randomize(
                 &img,
-                &mut crate::seeded_rng(seed),
+                &mut StdRng::seed_from_u64(seed),
                 &RandomizeOptions::default(),
             )
             .unwrap();
@@ -644,7 +645,7 @@ mod tests {
         let img = tiny();
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(9),
+            &mut StdRng::seed_from_u64(9),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -668,7 +669,7 @@ mod tests {
         let img = tiny();
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(11),
+            &mut StdRng::seed_from_u64(11),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -696,13 +697,13 @@ mod tests {
         let img = tiny();
         let a = randomize(
             &img,
-            &mut crate::seeded_rng(1),
+            &mut StdRng::seed_from_u64(1),
             &RandomizeOptions::default(),
         )
         .unwrap();
         let b = randomize(
             &img,
-            &mut crate::seeded_rng(2),
+            &mut StdRng::seed_from_u64(2),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -715,13 +716,13 @@ mod tests {
         let img = tiny();
         let a = randomize(
             &img,
-            &mut crate::seeded_rng(3),
+            &mut StdRng::seed_from_u64(3),
             &RandomizeOptions::default(),
         )
         .unwrap();
         let b = randomize(
             &img,
-            &mut crate::seeded_rng(3),
+            &mut StdRng::seed_from_u64(3),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -736,7 +737,7 @@ mod tests {
             .image;
         let err = randomize(
             &img,
-            &mut crate::seeded_rng(1),
+            &mut StdRng::seed_from_u64(1),
             &RandomizeOptions::default(),
         )
         .unwrap_err();
@@ -753,7 +754,7 @@ mod tests {
             ignore_relaxed_branches: true,
             ..Default::default()
         };
-        let r = randomize(&img, &mut crate::seeded_rng(1), &opts).unwrap();
+        let r = randomize(&img, &mut StdRng::seed_from_u64(1), &opts).unwrap();
         let mut m = Machine::new_atmega2560();
         m.load_flash(0, &r.image.bytes);
         let exit = m.run(2_000_000);
@@ -768,7 +769,7 @@ mod tests {
         let img = tiny();
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(4),
+            &mut StdRng::seed_from_u64(4),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -792,7 +793,7 @@ mod tests {
         for seed in 0..3 {
             let r = randomize(
                 &img,
-                &mut crate::seeded_rng(seed),
+                &mut StdRng::seed_from_u64(seed),
                 &RandomizeOptions::default(),
             )
             .unwrap();
@@ -811,7 +812,7 @@ mod tests {
         let img = tiny();
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(6),
+            &mut StdRng::seed_from_u64(6),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -836,7 +837,7 @@ mod tests {
         let before = rop_classify(&img).expect("gadgets in the original");
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(33),
+            &mut StdRng::seed_from_u64(33),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -897,7 +898,7 @@ mod tests {
         for seed in 0..trials as u64 {
             let r = randomize(
                 &img,
-                &mut crate::seeded_rng(seed),
+                &mut StdRng::seed_from_u64(seed),
                 &RandomizeOptions::default(),
             )
             .unwrap();
@@ -932,7 +933,7 @@ mod tests {
         let img = tiny();
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(21),
+            &mut StdRng::seed_from_u64(21),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -961,7 +962,7 @@ mod tests {
         let bl = img.symbol("__bootloader").unwrap().clone();
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(5),
+            &mut StdRng::seed_from_u64(5),
             &RandomizeOptions::default(),
         )
         .unwrap();
@@ -996,7 +997,7 @@ mod tests {
         // so detect the breakage by comparing each slot against the actual
         // address of the function it is supposed to reference.
         let broken = (0..10u64).any(|seed| {
-            let r = randomize(&img, &mut crate::seeded_rng(seed), &opts).unwrap();
+            let r = randomize(&img, &mut StdRng::seed_from_u64(seed), &opts).unwrap();
             r.image.fn_ptr_locs.iter().any(|&loc| {
                 let slot_byte = u32::from(r.image.read_word(loc)) * 2;
                 // The slot should point at the *start* of some function.
@@ -1020,7 +1021,7 @@ mod tests {
         }
         let r = randomize(
             &img,
-            &mut crate::seeded_rng(0),
+            &mut StdRng::seed_from_u64(0),
             &RandomizeOptions::default(),
         )
         .unwrap();

@@ -120,11 +120,6 @@ pub fn expected_incremental_leak(n_functions: f64) -> f64 {
     n_functions * (n_functions + 3.0) / 4.0
 }
 
-/// Seeded RNG for reproducible experiments.
-pub fn seeded_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
-
 /// Which attacker model a Monte-Carlo batch runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BruteModel {
@@ -169,7 +164,7 @@ pub fn run_trials_on(
     let run_range = |lo: u64, hi: u64| -> Vec<u64> {
         (lo..hi)
             .map(|t| {
-                let mut rng = seeded_rng(derive_seed(base_seed, t));
+                let mut rng = StdRng::seed_from_u64(derive_seed(base_seed, t));
                 model.simulate(n_functions, &mut rng)
             })
             .collect()
@@ -234,7 +229,7 @@ mod tests {
 
     #[test]
     fn monte_carlo_matches_closed_form() {
-        let mut rng = seeded_rng(42);
+        let mut rng = StdRng::seed_from_u64(42);
         let n = 4; // N = 24 permutations
         let trials = 20_000;
         let mean_fixed: f64 = (0..trials)
@@ -258,7 +253,7 @@ mod tests {
 
     #[test]
     fn mechanistic_model_agrees() {
-        let mut rng = seeded_rng(7);
+        let mut rng = StdRng::seed_from_u64(7);
         let n = 4;
         let trials = 4_000;
         let mean: f64 = (0..trials)
@@ -273,7 +268,7 @@ mod tests {
         // The reason a software-only (fixed permutation) MAVR fails: with
         // crash feedback the layout falls in ~n²/4 probes, while the
         // re-randomizing defense still costs n! per §V-D.
-        let mut rng = seeded_rng(13);
+        let mut rng = StdRng::seed_from_u64(13);
         let n = 8;
         let trials = 3_000;
         let mean: f64 = (0..trials)
@@ -326,7 +321,7 @@ mod tests {
     #[test]
     fn success_probability_is_uniform() {
         // P(success at attempt j) = 1/N for all j — the paper's P(j).
-        let mut rng = seeded_rng(9);
+        let mut rng = StdRng::seed_from_u64(9);
         let n = 3; // N = 6
         let trials = 60_000;
         let mut histogram = [0u64; 6];

@@ -305,6 +305,7 @@ pub fn write_mem_pop_index(reg: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{rngs::StdRng, SeedableRng};
     use synth_firmware::{apps, build, BuildOptions};
 
     fn tiny_image() -> FirmwareImage {
@@ -402,7 +403,7 @@ mod tests {
             .map(|&s| {
                 let r = mavr::randomize(
                     &img,
-                    &mut mavr::seeded_rng(s),
+                    &mut StdRng::seed_from_u64(s),
                     &mavr::RandomizeOptions::default(),
                 )
                 .unwrap();

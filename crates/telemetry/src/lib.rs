@@ -44,7 +44,8 @@ pub mod kinds {
     pub const CHECKPOINT_RESUMED: &str = "campaign.checkpoint_resumed";
     /// The master retried part of the reflash pipeline: a container
     /// re-read, a full-stream re-send, or a page-repair round. Produced by
-    /// the board crate, consumed by fleet chaos reporting and tests.
+    /// the board crate for flight-recorder analysis; fleet chaos reporting
+    /// reads the master's `resilience` counters instead.
     pub const REFLASH_RETRY: &str = "master.reflash_retry";
     /// The master fell back to degraded safe mode: the last-known-good
     /// image was re-streamed without fresh randomization.
@@ -61,7 +62,9 @@ pub mod kinds {
     /// A campaign run stopped early on a shutdown request (SIGINT/SIGTERM
     /// or a service stop): the worker pool drained in-flight jobs and the
     /// completed prefix was flushed to its checkpoint. Produced by the
-    /// fleet engine, consumed by the CLI and the campaign service.
+    /// campaign service runner at the end of an interrupted slice, for a
+    /// recorder attached to its session; nothing in the workspace
+    /// consumes it.
     pub const CAMPAIGN_INTERRUPTED: &str = "campaign.interrupted";
     /// A campaign shard's checkpoint was persisted (complete or partial).
     /// Produced by the campaign service runner.

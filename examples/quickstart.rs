@@ -10,6 +10,8 @@ use mavr_repro::mavlink_lite::channel::LossyChannel;
 use mavr_repro::mavlink_lite::GroundStation;
 use mavr_repro::mavr::{randomize, RandomizeOptions};
 use mavr_repro::synth_firmware::{apps, build, BuildOptions};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() {
     // 1. "Compile" an autopilot application with the MAVR custom toolchain
@@ -30,7 +32,7 @@ fn main() {
     );
 
     // 3. The MAVR master randomizes the function layout.
-    let mut rng = mavr_repro::mavr::seeded_rng(2015);
+    let mut rng = StdRng::seed_from_u64(2015);
     let r = randomize(&fw.image, &mut rng, &RandomizeOptions::default()).unwrap();
     let moved = fw
         .image

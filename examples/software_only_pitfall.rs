@@ -13,6 +13,8 @@ use mavr_repro::mavr_board::SoftwareOnlyBoard;
 use mavr_repro::rop::attack::AttackContext;
 use mavr_repro::rop::brute;
 use mavr_repro::synth_firmware::{apps, build, layout, BuildOptions};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn main() {
     let fw = build(&apps::tiny_test_app(), &BuildOptions::vulnerable_mavr()).unwrap();
@@ -56,7 +58,7 @@ fn main() {
     // Problem 2 — information leak against the fixed permutation.
     println!("problem 2: one permutation forever leaks to a persistent attacker\n");
     let n = fw.image.function_count();
-    let mut rng = brute::seeded_rng(1);
+    let mut rng = StdRng::seed_from_u64(1);
     let leak_probes = brute::simulate_incremental_leak(12, &mut rng);
     println!(
         "  incremental-leak attacker vs a FIXED 12-function layout: {} probes (theory ~{:.0})",

@@ -11,6 +11,8 @@ use mavr_repro::mavr::randomize::PatchReport;
 use mavr_repro::mavr::{randomize, RandomizeError, RandomizeOptions, RandomizedImage};
 use mavr_repro::mavr_board::ext_flash::crc32;
 use mavr_repro::synth_firmware::{apps, build, layout, BuildOptions};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn firmware_heartbeat_bit_matches_simulator() {
@@ -301,11 +303,7 @@ fn randomizer_output_is_byte_stable_for_every_app() {
         ..default
     };
     let seeded = |container: &MavrContainer, seed, opts: &RandomizeOptions| {
-        randomize(
-            &container.image,
-            &mut mavr_repro::mavr::seeded_rng(seed),
-            opts,
-        )
+        randomize(&container.image, &mut StdRng::seed_from_u64(seed), opts)
     };
     let builds = app_builds();
     assert_eq!(builds.len(), expected.len());

@@ -8,6 +8,8 @@ use mavr_repro::mavr_board::MavrBoard;
 use mavr_repro::rop::attack::AttackContext;
 use mavr_repro::rop::scanner;
 use mavr_repro::synth_firmware::{build, layout, AppSpec, BuildOptions};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn midsize_app() -> AppSpec {
     AppSpec {
@@ -83,7 +85,7 @@ fn rebuilt_attack_against_known_permutation_succeeds() {
     // else) is what stops the attack. An attacker who *knew* the permuted
     // image could re-derive a working payload.
     let fw = build(&midsize_app(), &BuildOptions::vulnerable_mavr()).unwrap();
-    let mut rng = mavr_repro::mavr::seeded_rng(99);
+    let mut rng = StdRng::seed_from_u64(99);
     let r = mavr_repro::mavr::randomize(
         &fw.image,
         &mut rng,
@@ -117,7 +119,7 @@ fn container_survives_the_full_pipeline() {
     let parsed = mavr_repro::hexfile::MavrContainer::parse(&text).unwrap();
     assert_eq!(parsed.image, fw.image);
 
-    let mut rng = mavr_repro::mavr::seeded_rng(3);
+    let mut rng = StdRng::seed_from_u64(3);
     let r = mavr_repro::mavr::randomize(
         &parsed.image,
         &mut rng,

@@ -11,6 +11,8 @@ use mavr_repro::mavr_board::MavrBoard;
 use mavr_repro::rop::attack::AttackContext;
 use mavr_repro::rop::scanner::{classify, scan, ScanOptions};
 use mavr_repro::synth_firmware::{apps, build, layout, BuildOptions};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn synth_plane_flies_and_talks_mavlink() {
@@ -72,7 +74,7 @@ fn synth_plane_stealthy_attack_and_defense() {
 #[test]
 fn synth_plane_randomizes_and_still_flies() {
     let fw = build(&apps::synth_plane(), &BuildOptions::safe_mavr()).unwrap();
-    let mut rng = mavr_repro::mavr::seeded_rng(2015);
+    let mut rng = StdRng::seed_from_u64(2015);
     let r = mavr_repro::mavr::randomize(
         &fw.image,
         &mut rng,

@@ -10,6 +10,8 @@ use mavr_repro::mavr_snapshot::{bisect_divergence, Timeline};
 use mavr_repro::synth_firmware::{apps, build, AppSpec, BuildOptions};
 use mavr_world::{FlightHarness, Scenario, World, WorldState, CYCLES_PER_STEP};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn app(functions: usize, seed: u64) -> AppSpec {
     AppSpec {
@@ -36,7 +38,7 @@ proptest! {
         rand_seed in 0u64..1000,
     ) {
         let fw = build(&app(functions, app_seed), &BuildOptions::safe_mavr()).unwrap();
-        let mut rng = mavr_repro::mavr::seeded_rng(rand_seed);
+        let mut rng = StdRng::seed_from_u64(rand_seed);
         let r = randomize(&fw.image, &mut rng, &RandomizeOptions::default()).unwrap();
 
         // Structural invariants.
@@ -81,7 +83,7 @@ proptest! {
     #[test]
     fn double_randomization_is_sound(rand_seed in 0u64..500) {
         let fw = build(&app(50, 7), &BuildOptions::safe_mavr()).unwrap();
-        let mut rng = mavr_repro::mavr::seeded_rng(rand_seed);
+        let mut rng = StdRng::seed_from_u64(rand_seed);
         let once = randomize(&fw.image, &mut rng, &RandomizeOptions::default()).unwrap();
         let twice = randomize(&once.image, &mut rng, &RandomizeOptions::default()).unwrap();
         twice.image.validate().unwrap();
@@ -184,7 +186,7 @@ fn randomization_changes_layout_not_behaviour() {
         let (stock, mut stock_m, mut stock_tl) = observe(&fw.image);
         assert!(stock.heartbeat_toggles.len() >= 2, "{name}: no heartbeat");
         for seed in 1..=4 {
-            let mut rng = mavr_repro::mavr::seeded_rng(seed);
+            let mut rng = StdRng::seed_from_u64(seed);
             let r = randomize(&fw.image, &mut rng, &RandomizeOptions::default()).unwrap();
             assert_ne!(
                 r.image.bytes, fw.image.bytes,
