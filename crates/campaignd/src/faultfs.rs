@@ -15,7 +15,7 @@
 //! keep the campaign alive, never abort or corrupt.
 
 use mavr_fleet::{derive_seed, unit_f64};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -92,11 +92,7 @@ impl FaultFs {
                 path.display()
             )),
             Some(FsFault::ShortWrite) => {
-                let torn: PathBuf = {
-                    let mut name = path.file_name().unwrap_or_default().to_os_string();
-                    name.push(".tmp");
-                    path.with_file_name(name)
-                };
+                let torn = crate::store::tmp_sibling(path);
                 let _ = std::fs::write(&torn, &bytes[..bytes.len() / 2]);
                 Err(format!(
                     "injected short write to {} (FaultFs)",

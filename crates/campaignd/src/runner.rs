@@ -129,7 +129,7 @@ impl CampaignSession {
             // The stream is rebuilt from the checkpoint and synced before
             // the checkpoint that claims its lines is saved below.
             let done_before = shard.outcomes.len() as u64;
-            let status = run_shard_streamed(
+            let ran = run_shard_streamed(
                 &self.cfg,
                 &self.prepared,
                 &mut shard,
@@ -151,10 +151,10 @@ impl CampaignSession {
                             ("shard", Value::U64(shard.shard_index)),
                             ("jobs_done", Value::U64(shard.outcomes.len() as u64)),
                             ("jobs_total", Value::U64(shard.jobs())),
-                            ("complete", Value::Bool(status.complete)),
+                            ("complete", Value::Bool(shard.complete())),
                         ]
                     });
-                    done_jobs += done_before + status.ran as u64;
+                    done_jobs += done_before + ran as u64;
                 }
                 Err(e) => {
                     slice_skips += 1;
@@ -169,10 +169,10 @@ impl CampaignSession {
                 }
             }
 
-            jobs_run += status.ran;
+            jobs_run += ran;
             shards_touched += 1;
             if let Some(b) = budget.as_mut() {
-                *b = b.saturating_sub(status.ran);
+                *b = b.saturating_sub(ran);
             }
         }
         // The shards the slice did not reach count what their checkpoints

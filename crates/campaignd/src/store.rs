@@ -64,7 +64,9 @@ pub fn campaign_dir(root: &Path, name: &str) -> Result<PathBuf, String> {
     Ok(root.join(name))
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
+/// The `.tmp` sibling a write to `path` goes through: the one name a torn
+/// write can leave, which [`CampaignStore::fold_saved`] never counts.
+pub(crate) fn tmp_sibling(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
     name.push(".tmp");
     path.with_file_name(name)
@@ -87,7 +89,10 @@ impl CampaignStore {
     /// whose persisted spec is identical — resubmitting the same spec is
     /// idempotent; resubmitting a *different* spec under the same name is
     /// refused).
-    pub fn create(root: &Path, spec: CampaignSpec) -> Result<Self, String> {
+    /// `shard_jobs` is clamped to at least 1 first, as
+    /// [`CampaignSpec::from_json`] clamps it on every later open.
+    pub fn create(root: &Path, mut spec: CampaignSpec) -> Result<Self, String> {
+        spec.shard_jobs = spec.shard_jobs.max(1);
         let dir = campaign_dir(root, &spec.name)?;
         let spec_path = dir.join("spec.json");
         if spec_path.exists() {
@@ -197,19 +202,32 @@ impl CampaignStore {
     }
 
     /// Load shard `index` from disk, or a fresh empty checkpoint if it has
-    /// never been flushed. The checkpoint's own fingerprint/range fields
-    /// are validated against the spec by the shard runner.
+    /// never been flushed. A checkpoint that is not this campaign's shard
+    /// `index` (another campaign's, another shard's, or one whose outcomes
+    /// are not a prefix of its range) is refused with an error naming its
+    /// file, so it is never counted or flown again.
     pub fn load_shard(
         &self,
         cfg: &mavr_fleet::CampaignConfig,
         index: u64,
     ) -> Result<ShardCheckpoint, String> {
         let path = self.shard_path(index);
-        match std::fs::read(&path) {
-            Ok(blob) => ShardCheckpoint::from_bytes(&blob)
-                .map_err(|e| format!("corrupt shard checkpoint {}: {e}", path.display())),
-            Err(_) => Ok(ShardCheckpoint::new(cfg, &self.plan(), index)),
+        let Ok(blob) = std::fs::read(&path) else {
+            return Ok(ShardCheckpoint::new(cfg, &self.plan(), index));
+        };
+        let shard = ShardCheckpoint::from_bytes(&blob)
+            .map_err(|e| format!("corrupt shard checkpoint {}: {e}", path.display()))?;
+        shard
+            .check(cfg)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let (held, range) = (shard.job_lo..shard.job_hi, self.plan().range(index));
+        if (shard.shard_index, &held) != (index, &range) {
+            let (path, held_index) = (path.display(), shard.shard_index);
+            return Err(format!(
+                "{path} holds shard {held_index} (jobs {held:?}), not shard {index} (jobs {range:?})"
+            ));
         }
+        Ok(shard)
     }
 
     /// Persist a shard checkpoint durably (atomic replace, bounded
@@ -373,5 +391,28 @@ mod tests {
         // Reopen from disk sees the identical spec.
         assert_eq!(CampaignStore::open(&store.dir).unwrap().spec, spec);
         assert_eq!(CampaignStore::list(&root).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn create_persists_at_least_one_job_per_shard() {
+        let root = tmp_root("zero-shard-jobs");
+        let mut spec = CampaignSpec::named("zero");
+        spec.boards = 2;
+        spec.scenarios = vec![mavr_fleet::Scenario::Benign];
+        spec.warmup_cycles = 20_000;
+        spec.attack_cycles = 40_000;
+        spec.shard_jobs = 0;
+        let store = CampaignStore::create(&root, spec.clone()).unwrap();
+        assert_eq!(store.spec.shard_jobs, 1);
+        assert_eq!(store.status().unwrap().shards_total, 2);
+        let session = crate::CampaignSession::new(
+            store,
+            telemetry::Telemetry::off(),
+            std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false)),
+        )
+        .unwrap();
+        assert_eq!(session.run(Some(1), None).unwrap().jobs_run, 1);
+        // The same spec again is the same campaign, not a different one.
+        CampaignStore::create(&root, spec).unwrap();
     }
 }

@@ -3,6 +3,8 @@
 //! make, kept here as the oracle) on partial, torn, stray, holed and
 //! quarantined roots, and a plan far too long to walk hangs neither
 //! `status`, the work queue, a bounded slice nor a socket service's stop.
+//! A checkpoint that is not its file's shard is refused, never counted or
+//! flown again.
 
 use mavr_campaignd::{CampaignSession, CampaignSpec, CampaignStatus, CampaignStore, Service};
 use std::path::PathBuf;
@@ -142,6 +144,53 @@ fn status_counts_the_saved_checkpoints_exactly_as_a_walk_over_the_plan() {
         resp,
         format!(r#"{{"ok":true,"campaigns":[{}]}}"#, rows.join(","))
     );
+}
+
+/// A `shard-0001.ckpt` holding shard 0's checkpoint, or another
+/// campaign's shard 1, is refused with an error naming the file by
+/// `status`, the work queue, the `status` op and a slice, which flies
+/// nothing for it and writes no stream for it.
+#[test]
+fn a_checkpoint_that_is_not_its_files_shard_is_refused() {
+    let root = tmp_root("misplaced");
+    let service = Service::new(root.clone(), Arc::new(AtomicBool::new(false)));
+    let spec = |name: &str, seed: u64| {
+        CampaignSpec::from_json(&format!(
+            r#"{{"name":"{name}","seed":{seed},"boards":4,"scenarios":["benign"],
+                "warmup_cycles":20000,"attack_cycles":40000,"shard_jobs":2}}"#
+        ))
+        .unwrap()
+    };
+    let store = CampaignStore::create(&root, spec("mine", 1)).unwrap();
+    let other = CampaignStore::create(&root, spec("other", 2)).unwrap();
+    assert!(session(&other).run(None, None).unwrap().complete);
+    assert_eq!(session(&store).run(Some(1), None).unwrap().jobs_run, 1);
+    let misplaced = store.shard_path(1);
+    for (source, why) in [
+        (
+            store.shard_path(0),
+            "holds shard 0 (jobs 0..2), not shard 1 (jobs 2..4)",
+        ),
+        (other.shard_path(1), "does not match this campaign"),
+    ] {
+        std::fs::copy(source, &misplaced).unwrap();
+        let refused = |err: String| {
+            assert!(err.contains(&*misplaced.to_string_lossy()), "{err}");
+            assert!(err.contains(why), "{err}");
+        };
+        refused(store.status().unwrap_err());
+        refused(service.pending_campaign().unwrap_err());
+        let (resp, _) = service.handle_line(r#"{"op":"status","campaign":"mine"}"#);
+        assert!(resp.starts_with(r#"{"ok":false"#), "{resp}");
+        refused(session(&store).run(None, None).unwrap_err());
+        assert!(!store.outcomes_path(1).exists(), "no stream for shard 1");
+    }
+    // The slices ran shard 0 alone; without the stray file the campaign
+    // resumes at shard 1.
+    std::fs::remove_file(&misplaced).unwrap();
+    assert_eq!(store.status().unwrap().done_jobs, 2);
+    let outcome = session(&store).run(None, None).unwrap();
+    assert_eq!((outcome.jobs_run, outcome.complete), (2, true));
 }
 
 /// 10^12 one-job shards: one `submit` line away for any client.

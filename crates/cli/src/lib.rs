@@ -1470,7 +1470,7 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
     // line.
     let stream_to = file_out.filter(|_| args.flags.contains("jsonl"));
     let done_before = shard.outcomes.len();
-    let status = run_shard_streamed(
+    let ran = run_shard_streamed(
         &cfg,
         &PreparedCampaign::new(&cfg),
         &mut shard,
@@ -1484,18 +1484,17 @@ fn run_campaign_cmd(args: &Args, default_faults: Vec<f64>) -> Result<String, Cli
         // previous checkpoint intact, never a torn file.
         mavr_campaignd::write_file_atomic(std::path::Path::new(path), &shard.to_bytes())
             .map_err(CliError::Failed)?;
-        if !status.complete {
+        if !shard.complete() {
             return Ok(format!(
                 "campaign {}checkpointed to {path}: {}/{} jobs done \
-                 (+{} this run); rerun with the same arguments to continue\n",
-                if status.interrupted {
+                 (+{ran} this run); rerun with the same arguments to continue\n",
+                if cfg.interrupted() {
                     "interrupted; "
                 } else {
                     ""
                 },
                 shard.outcomes.len(),
                 cfg.total_jobs(),
-                status.ran,
             ));
         }
     }

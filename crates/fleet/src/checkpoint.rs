@@ -16,36 +16,26 @@ use crate::CampaignConfig;
 use mavlink_lite::channel::ChannelStats;
 use mavr_snapshot::{optional, Reader, SnapshotError, Writer};
 
-/// FNV-1a over the campaign identity: everything that changes the result,
-/// nothing that doesn't (`threads` and telemetry wiring are excluded).
+/// FNV-1a over the campaign identity: exactly the fields that change a
+/// result. `threads`, `block_fusion`, `gcs_capacity` (scroll-back depth;
+/// every total stays exact), telemetry, the progress cadence, the
+/// interrupt flag and job sabotage change none, so none is named.
 pub fn config_fingerprint(cfg: &CampaignConfig) -> u64 {
     let losses: Vec<u64> = cfg.loss_levels.iter().map(|l| l.to_bits()).collect();
     let faults: Vec<u64> = cfg.fault_levels.iter().map(|f| f.to_bits()).collect();
     let scenarios: Vec<&str> = cfg.scenarios.iter().map(Scenario::name).collect();
-    let mut canonical = format!(
+    let canonical = format!(
         "seed={};boards={};scenarios={scenarios:?};loss_bits={losses:?};\
-         fault_bits={faults:?};\
-         warmup={};attack={};gap={};gcs={};app={}",
+         fault_bits={faults:?};warmup={};attack={};gap={};app={};physics={};tenant={}",
         cfg.seed,
         cfg.boards,
         cfg.warmup_cycles,
         cfg.attack_cycles,
         cfg.packet_gap_cycles,
-        cfg.gcs_capacity,
         cfg.app.name,
+        cfg.physics,
+        cfg.tenant,
     );
-    // Physics changes every outcome (the flight advances in whole world
-    // steps), so it is part of the identity — but only appended when on,
-    // keeping every pre-physics fingerprint stable.
-    if cfg.physics {
-        canonical.push_str(";physics=1");
-    }
-    // Same stability pattern for tenant namespaces: tenant 0 is the
-    // single-tenant engine, so only a nonzero tenant (which re-seeds every
-    // stream) joins the identity.
-    if cfg.tenant != 0 {
-        canonical.push_str(&format!(";tenant={}", cfg.tenant));
-    }
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in canonical.bytes() {
         h ^= u64::from(b);
@@ -298,6 +288,12 @@ pub(crate) mod tests {
             seed: 99,
         };
         assert_eq!(config_fingerprint(&sabotaged), base);
+        // The ground station's scroll-back depth bounds what it retains,
+        // not what it counts: every total stays exact, so a campaign
+        // resumes whatever the capacity.
+        let mut capacity = cfg.clone();
+        capacity.gcs_capacity = 1;
+        assert_eq!(config_fingerprint(&capacity), base);
         // Anything that alters the outcome must alter the fingerprint.
         for mutate in [
             |c: &mut CampaignConfig| c.seed += 1,
@@ -305,7 +301,10 @@ pub(crate) mod tests {
             |c: &mut CampaignConfig| c.loss_levels.push(0.5),
             |c: &mut CampaignConfig| c.fault_levels.push(0.0001),
             |c: &mut CampaignConfig| c.scenarios.push(Scenario::V1Crash),
+            |c: &mut CampaignConfig| c.warmup_cycles += 1,
             |c: &mut CampaignConfig| c.attack_cycles += 1,
+            |c: &mut CampaignConfig| c.packet_gap_cycles += 1,
+            |c: &mut CampaignConfig| c.app = synth_firmware::apps::synth_quad_flight(),
             // Physics snaps the flight to world-step boundaries and couples
             // the loop — a physics resume of a bare checkpoint (or vice
             // versa) would silently mix result families.

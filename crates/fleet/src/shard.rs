@@ -66,9 +66,9 @@ impl ShardPlan {
 }
 
 /// Persistent progress of one shard: its identity (campaign fingerprint,
-/// plan coordinates, job range) and the outcomes of the range's completed
-/// jobs. The fleet engine's only unit of work and only checkpoint: an
-/// unsharded campaign is one shard over the whole job space
+/// position in its plan, job range) and the outcomes of the range's
+/// completed jobs. The fleet engine's only unit of work and only
+/// checkpoint: an unsharded campaign is one shard over the whole job space
 /// ([`ShardCheckpoint::whole_campaign`]). Serialized as
 /// [`Kind::ShardCheckpoint`].
 #[derive(Debug, Clone, PartialEq)]
@@ -77,9 +77,6 @@ pub struct ShardCheckpoint {
     pub fingerprint: u64,
     /// Position of this shard in its plan.
     pub shard_index: u64,
-    /// Shards in the plan that produced this shard (metadata; merge
-    /// accepts any set of complete shards that partitions the job space).
-    pub shard_count: u64,
     /// First job index of the shard's range.
     pub job_lo: u64,
     /// One past the last job index of the shard's range.
@@ -96,7 +93,6 @@ impl ShardCheckpoint {
         ShardCheckpoint {
             fingerprint: config_fingerprint(cfg),
             shard_index: index,
-            shard_count: plan.shard_count(),
             job_lo: range.start,
             job_hi: range.end,
             outcomes: BTreeMap::new(),
@@ -130,8 +126,13 @@ impl ShardCheckpoint {
                 cfg.total_jobs()
             ));
         }
-        // Distinct sorted keys from `job_lo` whose last is `len - 1` past
-        // the first are exactly `job_lo..next_job()`.
+        self.check_prefix()
+    }
+
+    /// Refuse outcomes that are not exactly the range's prefix
+    /// `job_lo..next_job()`: distinct sorted keys that start at `job_lo`
+    /// and end `len - 1` later, below `job_hi`. O(1).
+    fn check_prefix(&self) -> Result<(), String> {
         let n = self.outcomes.len() as u64;
         if let Some(((&first, _), (&last, _))) = self
             .outcomes
@@ -179,17 +180,19 @@ impl ShardCheckpoint {
         self.outcomes.insert(job, outcome);
     }
 
-    /// Serialize as a CRC-guarded snapshot blob ([`Kind::ShardCheckpoint`]).
+    /// Serialize as a CRC-guarded snapshot blob ([`Kind::ShardCheckpoint`]):
+    /// the header, then the outcomes in job order without their indices
+    /// (the `i`-th is job `job_lo + i`). Panics, as `insert_outcome` does,
+    /// on outcomes that are not a prefix: a gap would be relabelled.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.check_prefix().unwrap_or_else(|e| panic!("{e}"));
         let mut w = Writer::new();
         w.put_u64(self.fingerprint);
         w.put_u64(self.shard_index);
-        w.put_u64(self.shard_count);
         w.put_u64(self.job_lo);
         w.put_u64(self.job_hi);
         w.put_u64(self.outcomes.len() as u64);
-        for (&job, outcome) in &self.outcomes {
-            w.put_u64(job);
+        for outcome in self.outcomes.values() {
             put_outcome(&mut w, outcome);
         }
         w.finish(Kind::ShardCheckpoint)
@@ -200,7 +203,6 @@ impl ShardCheckpoint {
         let mut r = Reader::open_expecting(bytes, Kind::ShardCheckpoint)?;
         let fingerprint = r.u64()?;
         let shard_index = r.u64()?;
-        let shard_count = r.u64()?;
         let job_lo = r.u64()?;
         let job_hi = r.u64()?;
         if job_hi < job_lo {
@@ -215,40 +217,20 @@ impl ShardCheckpoint {
                 job_hi - job_lo
             )));
         }
-        // The outcomes are a prefix of the range, written in job order:
-        // each must be the next job.
+        // The outcomes are the range's prefix, in job order.
         let mut outcomes = BTreeMap::new();
-        for next in job_lo..job_lo + n {
-            let job = r.u64()?;
-            if job != next {
-                return Err(SnapshotError::Malformed(format!(
-                    "outcome for job {job} where shard range {job_lo}..{job_hi} \
-                     continues at job {next}"
-                )));
-            }
+        for job in job_lo..job_lo + n {
             outcomes.insert(job, get_outcome(&mut r)?);
         }
         r.done()?;
         Ok(ShardCheckpoint {
             fingerprint,
             shard_index,
-            shard_count,
             job_lo,
             job_hi,
             outcomes,
         })
     }
-}
-
-/// What one [`run_shard_resume`] call did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardRunStatus {
-    /// Jobs that ran in this call.
-    pub ran: usize,
-    /// Whether the shard's whole range is now complete.
-    pub complete: bool,
-    /// Whether the run stopped early on the config's interrupt flag.
-    pub interrupted: bool,
 }
 
 /// Run (or resume) one shard: fly the jobs of `ckpt`'s range from its
@@ -267,6 +249,9 @@ pub struct ShardRunStatus {
 ///
 /// Jobs are constructed lazily from their indices — a shard run allocates
 /// O(shard jobs), never O(campaign jobs).
+///
+/// Returns the number of jobs that ran; [`ShardCheckpoint::complete`] and
+/// [`CampaignConfig::interrupted`] tell whether the run finished or stopped.
 pub fn run_shard_resume(
     cfg: &CampaignConfig,
     prepared: &PreparedCampaign,
@@ -274,7 +259,7 @@ pub fn run_shard_resume(
     budget_jobs: Option<usize>,
     progress_done_offset: usize,
     mut on_outcome: impl FnMut(u64, &BoardOutcome),
-) -> Result<ShardRunStatus, String> {
+) -> Result<usize, String> {
     cfg.validate()?;
     ckpt.check(cfg)?;
     let start = ckpt.next_job();
@@ -293,11 +278,7 @@ pub fn run_shard_resume(
         on_outcome(job, &outcome);
         ckpt.insert_outcome(job, outcome);
     });
-    Ok(ShardRunStatus {
-        ran,
-        complete: ckpt.complete(),
-        interrupted: cfg.interrupted(),
-    })
+    Ok(ran)
 }
 
 /// [`run_shard_resume`], writing the shard's outcome stream (one JSON line
@@ -306,7 +287,7 @@ pub fn run_shard_resume(
 /// check, the file is truncated, refilled with the checkpoint's lines and
 /// appended to as jobs finish, then flushed and synced before this
 /// returns, so the checkpoint the caller saves next never claims a line
-/// that is not on disk.
+/// that is not on disk. Returns the number of jobs that ran.
 pub fn run_shard_streamed(
     cfg: &CampaignConfig,
     prepared: &PreparedCampaign,
@@ -314,7 +295,7 @@ pub fn run_shard_streamed(
     budget_jobs: Option<usize>,
     progress_done_offset: usize,
     stream: Option<&Path>,
-) -> Result<ShardRunStatus, String> {
+) -> Result<usize, String> {
     let Some(path) = stream else {
         return run_shard_resume(
             cfg,
@@ -333,7 +314,7 @@ pub fn run_shard_streamed(
         writeln!(out, "{}", outcome.to_json_line()).map_err(fail)?;
     }
     let mut written = Ok(());
-    let status = run_shard_resume(
+    let ran = run_shard_resume(
         cfg,
         prepared,
         ckpt,
@@ -348,7 +329,7 @@ pub fn run_shard_streamed(
     written.map_err(fail)?;
     out.flush().map_err(fail)?;
     out.get_ref().sync_data().map_err(fail)?;
-    Ok(status)
+    Ok(ran)
 }
 
 /// Fold complete shards back into the campaign's report and metrics —
@@ -424,14 +405,41 @@ mod tests {
             ShardCheckpoint::from_bytes(&bad),
             Err(SnapshotError::CrcMismatch { .. })
         ));
-        // A file from the retired whole-campaign checkpoint kind (tag 4)
-        // is refused at the header.
-        let mut stale = blob.clone();
-        stale[10] = 4;
-        assert_eq!(
-            ShardCheckpoint::from_bytes(&stale),
-            Err(SnapshotError::BadKind(4))
-        );
+        // Files of the retired whole-campaign checkpoint kind (tag 4) and
+        // of the shard layout that stored every outcome's index (tag 6)
+        // are refused at the header.
+        for tag in [4, 6] {
+            let mut stale = blob.clone();
+            stale[10] = tag;
+            assert_eq!(
+                ShardCheckpoint::from_bytes(&stale),
+                Err(SnapshotError::BadKind(tag))
+            );
+        }
+    }
+
+    /// Pins the shard wire, as `machine_wire_is_pinned` pins the machine
+    /// wire: round trips alone would pass an encoder and decoder that
+    /// moved fields together. A blob is 23 bytes of framing, a 40-byte
+    /// header and 276 bytes per outcome; changing the layout takes a new
+    /// kind tag. The fingerprint is fixed, so only the layout is pinned.
+    /// The CRC is taken without the blob's trailer: over a frame that ends
+    /// in its own CRC, it would depend on the length alone.
+    #[test]
+    fn shard_wire_is_pinned() {
+        let cfg = cfg();
+        let plan = ShardPlan::new(&cfg, 2);
+        let mut s = ShardCheckpoint::new(&cfg, &plan, 2);
+        s.fingerprint = 0x0123_4567_89ab_cdef;
+        assert_eq!(s.to_bytes().len(), 63);
+        for job in 4..6 {
+            s.insert_outcome(job, crate::checkpoint::tests::sample_outcome(job as usize));
+            assert_eq!(s.to_bytes().len(), 63 + 276 * s.outcomes.len());
+        }
+        let blob = s.to_bytes();
+        let body = &blob[..blob.len() - 4];
+        assert_eq!((blob.len(), mavr_snapshot::crc32(body)), (615, 0xd434_2204));
+        assert_eq!(ShardCheckpoint::from_bytes(&blob).unwrap(), s);
     }
 
     #[test]

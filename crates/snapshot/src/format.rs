@@ -25,9 +25,10 @@ use avr_sim::{Adc, Eeprom, Fault, Heartbeat, MachineState, PortB, Pwm, Timer0, U
 /// Leading magic of every snapshot blob.
 pub const MAGIC: &[u8; 8] = b"MAVRSNAP";
 
-/// Current format version. Bump on any payload layout change: readers
-/// accept exactly this version, so a blob from an older layout is
-/// refused at the header instead of being misparsed.
+/// Version of the framing and the machine payload: readers accept exactly
+/// this one, so an older layout is refused at the header, not misparsed.
+/// A kind whose payload layout changes takes a new [`Kind`] tag instead
+/// and retires the old one, so the other kinds' blobs stay readable.
 pub const VERSION: u16 = 4;
 
 /// What a snapshot blob contains.
@@ -36,7 +37,7 @@ pub enum Kind {
     /// A complete [`MachineState`].
     MachineFull,
     /// A fleet campaign checkpoint: a contiguous job range and its
-    /// completed outcomes (payload owned by the `fleet` crate).
+    /// completed outcomes in job order (payload owned by the `fleet` crate).
     ShardCheckpoint,
 }
 
@@ -45,16 +46,17 @@ impl Kind {
         match self {
             Kind::MachineFull => 1,
             // Tags 2 (the retired machine delta), 3 (board), 4 (the
-            // retired whole-campaign checkpoint) and 5 (world) stay
+            // retired whole-campaign checkpoint), 5 (world) and 6 (the
+            // shard checkpoint that stored each outcome's job index) stay
             // reserved, so a stale blob decodes as `BadKind(tag)`.
-            Kind::ShardCheckpoint => 6,
+            Kind::ShardCheckpoint => 7,
         }
     }
 
     fn from_u8(v: u8) -> Option<Kind> {
         match v {
             1 => Some(Kind::MachineFull),
-            6 => Some(Kind::ShardCheckpoint),
+            7 => Some(Kind::ShardCheckpoint),
             _ => None,
         }
     }
@@ -657,7 +659,7 @@ mod tests {
             Err(SnapshotError::UnsupportedVersion(_))
         ));
         // Unknown kind byte, and every retired tag.
-        for tag in [9, 2, 3, 4, 5] {
+        for tag in [9, 2, 3, 4, 5, 6] {
             let mut bad = blob.clone();
             bad[10] = tag;
             assert_eq!(decode_machine(&bad), Err(SnapshotError::BadKind(tag)));
@@ -706,6 +708,8 @@ mod tests {
     /// decoder that moved fields together, so one state with every
     /// peripheral field off its default must encode to a fixed length and
     /// CRC-32; changing either is a layout change, which bumps `VERSION`.
+    /// The CRC is taken without the blob's trailer: over a frame that ends
+    /// in its own CRC, it would depend on the length alone.
     #[test]
     fn machine_wire_is_pinned() {
         use avr_sim::adc::{ADCSRA_ADDR, ADCSRB_ADDR, ADEN, ADIE, ADLAR, ADMUX_ADDR, ADSC};
@@ -767,7 +771,8 @@ mod tests {
         assert!(s.eeprom.writes == 1 && s.eeprom.master_enable);
 
         let blob = encode_machine(&s);
-        assert_eq!((blob.len(), crc32(&blob)), (4836, 0xd44e_ac2b));
+        let body = &blob[..blob.len() - 4];
+        assert_eq!((blob.len(), crc32(body)), (4836, 0x6da6_3039));
         assert_eq!(decode_machine(&blob).unwrap(), s);
     }
 
